@@ -3,8 +3,9 @@
 
 Executes the substrate kernels the figure sweeps stress (event heap, timer
 churn, channel dispatch with/without the spatial index, mobility-driven
-cache invalidation, busy-ratio tracking, and a fig-6-style end-to-end
-scalability scenario at N ≥ 100 nodes), then emits ``BENCH_<rev>.json``
+cache invalidation, busy-ratio tracking, a fig-6-style end-to-end
+scalability scenario at N ≥ 100 nodes, and the figures' reference
+operating point with both kernels), then emits ``BENCH_<rev>.json``
 at the repo root with wall-clock, events/s, and peak RSS per kernel plus
 machine-independent derived speedup ratios.
 
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.experiments.figures import REFERENCE_POINT
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.mac.busy_monitor import BusyMonitor
@@ -298,6 +300,27 @@ def kernel_fig6_e2e_scalar(quick: bool) -> dict:
     return _kernel_fig6_batched(quick, False)
 
 
+def _kernel_refpoint_e2e(quick: bool, batched: bool) -> dict:
+    # The figures' own operating point (figures.REFERENCE_POINT: 5×5 mesh
+    # at 230 m, 10 two-gateway flows at 50 pps) with the default
+    # per-receiver propagation delays on — the configuration fig5, table2,
+    # the ablations and ext_rtscts actually run.  Unlike fig6_e2e above,
+    # fan-outs here split into singleton delay groups, so this pair is
+    # what decides whether the sweeps should run batched.
+    return _run_fig6(ScenarioConfig(
+        protocol="nlr", sim_time_s=10.0 if quick else 20.0,
+        **{**REFERENCE_POINT, "batched_kernel": batched},
+    ))
+
+
+def kernel_refpoint_e2e_batched(quick: bool) -> dict:
+    return _kernel_refpoint_e2e(quick, True)
+
+
+def kernel_refpoint_e2e_scalar(quick: bool) -> dict:
+    return _kernel_refpoint_e2e(quick, False)
+
+
 KERNELS = {
     "engine_events": kernel_engine_events,
     "timer_churn": kernel_timer_churn,
@@ -314,6 +337,8 @@ KERNELS = {
     "sinr_slot_scalar": kernel_sinr_slot_scalar,
     "fig6_e2e_batched": kernel_fig6_e2e_batched,
     "fig6_e2e_scalar": kernel_fig6_e2e_scalar,
+    "refpoint_e2e_batched": kernel_refpoint_e2e_batched,
+    "refpoint_e2e_scalar": kernel_refpoint_e2e_scalar,
 }
 
 #: A/B kernel pairs as (base, fast_variant, slow_variant) name parts; the
@@ -327,6 +352,7 @@ _PAIRED = (
     ("fig6_scale", "spatial", "exhaustive"),
     ("sinr_slot", "batched", "scalar"),
     ("fig6_e2e", "batched", "scalar"),
+    ("refpoint_e2e", "batched", "scalar"),
 )
 _SINGLE = ("engine_events", "timer_churn", "busy_monitor")
 
@@ -337,6 +363,7 @@ _MATCH_PAIRS = (
     ("fig6_scale_spatial", "fig6_scale_exhaustive", ("events", "pdr")),
     ("sinr_slot_batched", "sinr_slot_scalar", ("events",)),
     ("fig6_e2e_batched", "fig6_e2e_scalar", ("events", "pdr")),
+    ("refpoint_e2e_batched", "refpoint_e2e_scalar", ("events", "pdr")),
 )
 
 #: Repetitions per kernel; the recorded wall time is the minimum.
@@ -419,6 +446,8 @@ def run_all(quick: bool, rev: str) -> dict:
         / kernels["sinr_slot_batched"]["wall_s"],
         "batched_e2e_speedup": kernels["fig6_e2e_scalar"]["wall_s"]
         / kernels["fig6_e2e_batched"]["wall_s"],
+        "refpoint_batched_speedup": kernels["refpoint_e2e_scalar"]["wall_s"]
+        / kernels["refpoint_e2e_batched"]["wall_s"],
     }
     return {
         "schema": SCHEMA,

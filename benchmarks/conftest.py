@@ -1,9 +1,10 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
 Each ``bench_<figure>`` file regenerates exactly one table/figure of the
-reconstructed evaluation (DESIGN.md §3).  The heavy sweeps are cached on
-disk by :mod:`repro.experiments.cache`, so the first run pays the full
-simulation cost and subsequent runs re-render from cache; either way the
+reconstructed evaluation (DESIGN.md §3).  Every simulated cell is
+checkpointed on disk (:mod:`repro.exec.checkpoint`), so the first run pays
+the full simulation cost and subsequent runs re-render from the
+checkpoints; either way the
 rendered table is attached to the benchmark record via ``extra_info`` and
 printed, so ``pytest benchmarks/ --benchmark-only`` reproduces the
 evaluation tables end to end.

@@ -23,7 +23,7 @@ def main() -> None:
         print(f"unknown figures: {unknown}; available: {sorted(ALL_FIGURES)}")
         raise SystemExit(2)
     for name in names:
-        print(f"regenerating {name} (cached sweeps are reused) ...")
+        print(f"regenerating {name} (checkpointed cells are reused) ...")
         result = ALL_FIGURES[name](True)
         print(result.render())
         for chart in figure_charts(result):

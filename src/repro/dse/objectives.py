@@ -1,9 +1,10 @@
 """Objectives, weighted scoring, and Pareto-front extraction (MCDM).
 
 An :class:`Objective` names one scalar a run produces — a figure metric
-(``pdr``, ``mean_delay_s``), any ``network_totals`` counter including the
-``resilience_*`` family a :class:`~repro.faults.ResilienceCollector`
-contributes under a fault plan, or any ``repro_*`` series from the
+(``pdr``, ``mean_delay_s``), any ``ScenarioResult.totals`` counter
+including the ``resilience_*`` family a
+:class:`~repro.faults.ResilienceCollector` contributes under a fault
+plan, or any ``repro_*`` series from the
 run's canonical metrics snapshot — plus a goal (min/max), a weight, and a
 scale.
 

@@ -486,10 +486,9 @@ BACKENDS: dict[str, type[Backend]] = {
 
 
 def make_backend(policy: "ExecPolicy", store: CheckpointStore | None = None) -> Backend:
-    """Instantiate the backend ``policy`` names (``auto`` → serial/pool)."""
-    name = policy.backend
-    if name == "auto":
-        name = "serial" if policy.workers <= 1 else "pool"
+    """Instantiate the backend ``policy`` names (``auto`` resolved by
+    :attr:`~repro.exec.policy.ExecPolicy.effective_backend`)."""
+    name = policy.effective_backend
     if name == "filestore":
         return FileStoreBackend(store=store)
     try:

@@ -1,10 +1,11 @@
 """Per-cell checkpoints: one JSON file per completed simulation task.
 
-The whole-sweep cache (:mod:`repro.experiments.cache`) is all-or-nothing —
-a crash halfway through a 40-cell sweep used to lose everything.  The
-:class:`CheckpointStore` persists every finished cell individually under
-``results/cache/cells/<task_id>.json``; a resumed campaign loads finished
-cells and only recomputes the rest.
+The :class:`CheckpointStore` persists every finished cell individually
+under ``results/cache/cells/<task_id>.json``; a resumed campaign loads
+finished cells and only recomputes the rest, so a crash halfway through a
+40-cell sweep loses at most the cells in flight.  Figure tables are
+always reassembled from these checkpoints — there is no second,
+whole-sweep cache.
 
 Entries carry a schema version; corrupt or stale files are deleted and
 read as misses (the cell simply recomputes), never raised to the caller.

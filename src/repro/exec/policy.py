@@ -3,7 +3,7 @@
 :class:`ExecPolicy` bundles every knob of the campaign executor.  The
 module also keeps one process-wide default policy so high-level entry
 points (``replicate``, the figure sweeps) pick up CLI settings
-(``--workers``, ``--resume``) without threading a parameter through every
+(``--workers``, ``--backend``) without threading a parameter through every
 call site: the CLI calls :func:`configure` once, everything downstream
 calls :func:`current_policy`.
 

@@ -1,20 +1,16 @@
 """Campaign scheduler: orchestration over pluggable execution backends.
 
 The :class:`CampaignExecutor` runs a :class:`~repro.exec.task.Campaign`
-under an :class:`~repro.exec.policy.ExecPolicy`:
-
-* ``backend="serial"`` (the ``auto`` default at ``workers == 1``): cells
-  execute in-process, in task order — the historical serial behaviour,
-  with the historical retry-in-place loop.
-* Any other backend (``pool``, ``warm``, ``filestore`` — see
-  :mod:`repro.exec.backends`): cells fan out in retry *rounds*.  Failure
-  containment is layered: simulation errors and wall-clock timeouts are
-  returned as structured failures by the worker (retried with exponential
-  backoff up to ``retries`` times); hard process death is reported by the
-  backend as a *crash suspect* under a separate, small crash budget, so
-  one poisoned cell cannot sink its innocent neighbours, yet a cell that
-  kills every worker it touches is eventually recorded as failed and the
-  campaign completes without it.
+under an :class:`~repro.exec.policy.ExecPolicy`.  Every backend
+(``serial`` — the ``auto`` default at ``workers == 1`` — ``pool``,
+``warm``, ``filestore``; see :mod:`repro.exec.backends`) runs cells in
+retry *rounds*.  Failure containment is layered: simulation errors and
+wall-clock timeouts are returned as structured failures by the worker
+(retried with exponential backoff up to ``retries`` times); hard process
+death is reported by the backend as a *crash suspect* under a separate,
+small crash budget, so one poisoned cell cannot sink its innocent
+neighbours, yet a cell that kills every worker it touches is eventually
+recorded as failed and the campaign completes without it.
 
 Completed cells are checkpointed per-task (see
 :mod:`repro.exec.checkpoint`); with ``resume=True`` they are loaded
@@ -38,7 +34,6 @@ from repro.exec.checkpoint import CheckpointStore
 from repro.exec.policy import ExecPolicy, current_policy
 from repro.exec.progress import ProgressReporter
 from repro.exec.task import Campaign, Task
-from repro.exec.worker import execute_payload, payload_for_config
 from repro.experiments.cache import atomic_write_json, cache_dir
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
@@ -192,12 +187,7 @@ class CampaignExecutor:
             if backend is None:
                 backend = make_backend(policy, store=store)
             try:
-                if policy.effective_backend == "serial":
-                    self._run_serial(campaign, pending, policy, record)
-                else:
-                    self._run_rounds(
-                        campaign, pending, policy, record, backend
-                    )
+                self._run_rounds(campaign, pending, policy, record, backend)
             finally:
                 backend.close()
 
@@ -208,25 +198,6 @@ class CampaignExecutor:
         return result
 
     # ------------------------------------------------------------------ #
-    def _run_serial(self, campaign, pending, policy, record) -> None:
-        for i in pending:
-            task = campaign.tasks[i]
-            attempt = 0
-            while True:
-                attempt += 1
-                out = execute_payload(
-                    payload_for_config(task.config, policy.task_timeout_s)
-                )
-                if out["ok"]:
-                    record(i, self._ok_outcome(task, out, attempt))
-                    break
-                if attempt <= policy.retries:
-                    if policy.backoff_s > 0:
-                        time.sleep(policy.backoff_s * (2 ** (attempt - 1)))
-                    continue
-                record(i, self._fail_outcome(task, out, attempt))
-                break
-
     def _run_rounds(self, campaign, pending, policy, record, backend) -> None:
         # Crash containment: a backend that cannot attribute a hard worker
         # death to one cell (the fresh-pool backend: the whole pool breaks)
@@ -347,7 +318,7 @@ def run_configs(
 
     The one-call entry point the figure sweeps use: policy defaults to the
     process-wide :func:`~repro.exec.policy.current_policy` (which the CLI
-    configures from ``--workers``/``--resume``), and any failed cell
+    configures from ``--workers``/``--backend``), and any failed cell
     raises with a summary of what went wrong.
     """
     campaign = Campaign.from_configs(name, configs, tags=tags)

@@ -6,13 +6,14 @@ Usage::
     python -m repro.experiments --figure fig1
     python -m repro.experiments --figure fig1 --figure fig2 --full
     python -m repro.experiments --all --write
-    python -m repro.experiments --figure fig1 --workers 4
-    python -m repro.experiments --all --workers 4 --resume
+    python -m repro.experiments --all --workers 4
 
 ``--workers N`` fans the sweep cells of each figure out over N worker
-processes (tables stay byte-identical to serial runs); ``--resume`` picks
-an interrupted regeneration back up from its per-cell checkpoints instead
-of recomputing finished cells.  ``--backend`` selects how workers run
+processes (tables stay byte-identical to serial runs).  Every finished
+cell is checkpointed and every run resumes from the checkpoints, so an
+interrupted regeneration picks up where it stopped and a repeat render
+simulates nothing (``REPRO_NO_CACHE=1`` recomputes every cell).
+``--backend`` selects how workers run
 (``pool``/``warm``/``filestore`` — see docs/CAMPAIGNS.md) and
 ``--adaptive METRIC:HALFWIDTH[:MIN_REPS]`` turns replication counts into
 budgets with sequential-CI early stopping (``--no-adaptive`` is the
@@ -55,10 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for sweep cells (default 1 = serial)",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="reuse per-cell checkpoints from an interrupted regeneration",
-    )
-    parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="S",
         help="wall-clock budget per simulation cell (default: unlimited)",
     )
@@ -96,14 +93,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
     configure(
         workers=args.workers,
-        resume=args.resume,
         task_timeout_s=args.task_timeout,
         retries=args.retries,
         backend=args.backend,
         claim_ttl_s=args.claim_ttl,
         adaptive=adaptive,
         # Progress/telemetry once execution is more than a plain serial loop.
-        progress=args.workers > 1 or args.resume,
+        progress=args.workers > 1,
     )
 
     if args.list:

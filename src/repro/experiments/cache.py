@@ -1,20 +1,18 @@
-"""On-disk result cache for expensive experiment sweeps.
+"""Cache location, content keys and atomic JSON writes.
 
-Figure regeneration is deterministic (every run derives from explicit
-seeds), so sweep results are cached as JSON keyed by a hash of the exact
-parameter set.  Re-rendering a figure, or a second figure sharing the same
-sweep (Fig 1/Fig 2 share the offered-load sweep; Fig 4/Fig 6 share the
-network-size sweep), costs nothing after the first computation.
+Every experiment result persists as content-keyed JSON under
+:func:`cache_dir`: one checkpoint per simulated exec cell (see
+:mod:`repro.exec.checkpoint`) — plus, in the same store, the rows of the
+few figures that do not run on exec cells — and run logs and quarantine
+records.
+:func:`cache_key` is the stable content hash the cell ids are built from;
+:func:`atomic_write_json` writes through a per-process unique temp file
+followed by an atomic ``os.replace``, so concurrent writers of the same
+key (e.g. parallel campaign workers) can never interleave bytes — last
+writer wins with a complete file.
 
-Entries are schema-versioned: files from an older format, truncated
-writes, and hand-mangled JSON are all treated as misses — the bad entry is
-deleted and the value recomputed.  Writes go through a per-process unique
-temp file followed by an atomic ``os.replace``, so concurrent writers of
-the same key (e.g. parallel campaign workers) can never interleave bytes;
-last writer wins with a complete file.
-
-Set the environment variable ``REPRO_NO_CACHE=1`` to bypass reads (writes
-still happen), or delete ``results/cache/`` to invalidate everything.
+Delete ``results/cache/`` (or point ``REPRO_CACHE_DIR`` elsewhere) to
+start from nothing.
 """
 
 from __future__ import annotations
@@ -24,25 +22,14 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "atomic_write_json",
-    "cache_dir",
-    "cache_key",
-    "cached",
-]
-
-#: Bump when the on-disk entry layout changes; older entries then read as
-#: misses and are recomputed instead of being misinterpreted.
-CACHE_SCHEMA = 1
-
-_MISS = object()
+__all__ = ["atomic_write_json", "cache_dir", "cache_key"]
 
 
 def cache_dir() -> Path:
-    """Directory for cached sweep results (created on demand).
+    """Directory for cell checkpoints, run logs and quarantine records
+    (created on demand).
 
     Defaults to ``<repo>/results/cache``; override with ``REPRO_CACHE_DIR``.
     """
@@ -56,7 +43,7 @@ def cache_dir() -> Path:
 
 
 def cache_key(name: str, params: dict[str, Any]) -> str:
-    """Stable content hash for a named sweep with ``params``."""
+    """Stable content hash for ``name`` with ``params``."""
     blob = json.dumps({"name": name, "params": params}, sort_keys=True, default=str)
     return f"{name}-{hashlib.sha256(blob.encode()).hexdigest()[:16]}"
 
@@ -82,45 +69,3 @@ def atomic_write_json(path: Path, payload: Any) -> None:
         except OSError:
             pass
         raise
-
-
-def _read_entry(path: Path) -> Any:
-    """Load a cache entry; return ``_MISS`` (and delete the file) if it is
-    missing, truncated, hand-mangled, or from an older schema."""
-    try:
-        with path.open() as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return _MISS
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-        path.unlink(missing_ok=True)
-        return _MISS
-    if (
-        not isinstance(data, dict)
-        or data.get("schema") != CACHE_SCHEMA
-        or "value" not in data
-    ):
-        path.unlink(missing_ok=True)
-        return _MISS
-    return data["value"]
-
-
-def cached(
-    name: str, params: dict[str, Any], compute: Callable[[], Any]
-) -> Any:
-    """Return the cached value for ``(name, params)`` or compute and store.
-
-    The value must be JSON-serialisable (figure code stores plain
-    lists/dicts of floats).
-    """
-    path = cache_dir() / f"{cache_key(name, params)}.json"
-    if not os.environ.get("REPRO_NO_CACHE"):
-        value = _read_entry(path)
-        if value is not _MISS:
-            return value
-    value = compute()
-    atomic_write_json(
-        path,
-        {"schema": CACHE_SCHEMA, "name": name, "params": params, "value": value},
-    )
-    return value

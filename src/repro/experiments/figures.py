@@ -2,9 +2,14 @@
 
 Each public function regenerates one table or figure from DESIGN.md §3 and
 returns a :class:`FigureResult` — headers + rows of means (±95 % CI) in the
-same layout the paper's figure would plot.  Expensive sweeps are cached on
-disk (see :mod:`repro.experiments.cache`); figure pairs sharing a sweep
-(Fig 1/2 on offered load, Fig 4/6 on network size) compute it once.
+same layout the paper's figure would plot.
+
+Every simulation is an exec cell whose result is checkpointed under its
+content hash (see :func:`_campaign_policy`), so re-rendering a figure —
+or a second figure sharing the same cells (Fig 1/2 on offered load,
+Fig 4/6 on network size) — reassembles its table from checkpoints
+without simulating anything.  The few figures that do not run on exec
+cells keep their rows in the same store (see :func:`_stored_rows`).
 
 Every function accepts ``quick``: the default True uses the reduced
 parameter set sized for CI-class machines (2 replications, 15–25 s of
@@ -18,14 +23,21 @@ whole figures while producing byte-identical tables to serial runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.analysis.stats import summarize
-from repro.exec import current_policy, run_adaptive_cells, run_configs
-from repro.experiments.cache import cache_dir, cached
+from repro.exec import (
+    CheckpointStore,
+    ExecPolicy,
+    current_policy,
+    run_adaptive_cells,
+    run_configs,
+)
+from repro.experiments.cache import cache_dir, cache_key
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.fairness import jain_index, load_concentration
@@ -112,16 +124,40 @@ def _summarize_cell(results: Sequence[ScenarioResult]) -> dict[str, float]:
     return out
 
 
-def _adaptive_tag() -> str | None:
-    """Cache-key discriminator for the active adaptive policy (or ``None``).
+def _campaign_policy() -> ExecPolicy:
+    """The policy every figure campaign runs under.
 
-    Adaptive summaries use fewer replicates, so they must never share a
-    cache entry with fixed-budget ones; callers add this tag to their
-    ``cached`` params only when a policy is active, keeping the default
-    path's cache keys bit-for-bit historical.
+    The process-wide policy (workers, backend, adaptive, …) with cell
+    checkpoints always written and always resumed from — except that
+    ``REPRO_NO_CACHE=1`` skips the checkpoint reads, so every cell
+    recomputes (and its checkpoint is rewritten).
     """
-    adaptive = current_policy().adaptive
-    return adaptive.describe() if adaptive is not None else None
+    return replace(
+        current_policy(),
+        checkpoint=True,
+        resume=not os.environ.get("REPRO_NO_CACHE"),
+    )
+
+
+def _stored_rows(
+    name: str, inputs: dict[str, Any], compute: Callable[[], Any]
+) -> Any:
+    """Rows of a figure that does not run on exec cells.
+
+    Kept in the cell :class:`~repro.exec.CheckpointStore` under a content
+    key of the figure's ``inputs``, read and written under the same
+    :func:`_campaign_policy` rule as the cells.  ``compute`` must return
+    JSON-serialisable rows.
+    """
+    store = CheckpointStore()
+    key = cache_key(name, inputs)
+    if _campaign_policy().resume:
+        payload = store.load(key)
+        if payload is not None:
+            return payload["rows"]
+    rows = compute()
+    store.store(key, {"rows": rows})
+    return rows
 
 
 def _replicated_cells(
@@ -143,12 +179,13 @@ def _replicated_cells(
     every unconverged cell) and stops per cell once the declared metric's
     CI half-width is tight — see :mod:`repro.exec.adaptive`.
     """
-    adaptive = current_policy().adaptive
+    policy = _campaign_policy()
+    adaptive = policy.adaptive
     if adaptive is not None and n_runs >= 2:
         keyed = [(f"c{i}", config) for i, (_, config) in enumerate(cells)]
-        log_dir = current_policy().log_dir or cache_dir() / "runs"
+        log_dir = policy.log_dir or cache_dir() / "runs"
         report = run_adaptive_cells(
-            name, keyed, n_budget=n_runs, adaptive=adaptive,
+            name, keyed, n_budget=n_runs, adaptive=adaptive, policy=policy,
             audit_path=log_dir / f"adaptive-{name}.jsonl",
         )
         return {
@@ -163,7 +200,7 @@ def _replicated_cells(
             keys.append(key)
             configs.append(replace(config, seed=config.seed + k))
             tags.append(str(key))
-    results = run_configs(name, configs, tags=tags)
+    results = run_configs(name, configs, policy=policy, tags=tags)
     grouped: dict[Any, list[ScenarioResult]] = {}
     for key, result in zip(keys, results):
         grouped.setdefault(key, []).append(result)
@@ -177,37 +214,18 @@ def _protocol_sweep(
     apply: Callable[[ScenarioConfig, Any], ScenarioConfig],
     quick: bool,
     protocols: Sequence[str] = COMPARED,
-    variant: str = "",
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """protocol → str(value) → metric dict, computed once and cached.
-
-    ``variant`` must change whenever the *behaviour* of ``apply`` changes —
-    the cache key cannot see inside the callable.
-    """
-    n_runs = _reps(quick)
-    params = {
-        "base": repr(base),
-        "values": list(map(str, values)),
-        "protocols": list(protocols),
-        "n_runs": n_runs,
-        "variant": variant,
-    }
-    if _adaptive_tag() is not None:
-        params["adaptive"] = _adaptive_tag()
-
-    def compute() -> dict[str, dict[str, dict[str, float]]]:
-        cells = [
-            ((proto, str(value)), replace(apply(base, value), protocol=proto))
-            for proto in protocols
-            for value in values
-        ]
-        flat = _replicated_cells(sweep_name, cells, n_runs)
-        table: dict[str, dict[str, dict[str, float]]] = {}
-        for (proto, value_key), metrics in flat.items():
-            table.setdefault(proto, {})[value_key] = metrics
-        return table
-
-    return cached(sweep_name, params, compute)
+    """protocol → str(value) → metric dict over one replicated campaign."""
+    cells = [
+        ((proto, str(value)), replace(apply(base, value), protocol=proto))
+        for proto in protocols
+        for value in values
+    ]
+    flat = _replicated_cells(sweep_name, cells, _reps(quick))
+    table: dict[str, dict[str, dict[str, float]]] = {}
+    for (proto, value_key), metrics in flat.items():
+        table.setdefault(proto, {})[value_key] = metrics
+    return table
 
 
 # ---------------------------------------------------------------------- #
@@ -217,15 +235,17 @@ def _protocol_sweep(
 # 230 m spacing spans ≈2 carrier-sense domains, so spatial reuse exists and
 # load-aware path selection has alternatives to choose between; the
 # contention knee for 10 two-gateway CBR flows sits near 50 pps/flow.
+#
+# Every sweep runs the default scalar kernel.  batched_kernel is
+# byte-identical but slower here: with per-receiver propagation delays
+# its block events shrink to singletons, and at REFERENCE_POINT the
+# refpoint_e2e pair in benchmarks/baseline.py measured batched at 0.65×
+# scalar speed on a 2.1 GHz Xeon (the committed full-mode baseline record).
 def _load_sweep_base(quick: bool) -> tuple[ScenarioConfig, list[float]]:
-    # batched_kernel: byte-identical to the scalar engine (the kernel tests
-    # and benchmarks/baseline.py A/B pairs cross-check it every run), just
-    # faster at sweep scale.
     base = ScenarioConfig(
         grid_nx=5, grid_ny=5, spacing_m=230.0, n_flows=10,
         flow_pattern="gateway", n_gateways=2,
         sim_time_s=25.0 if quick else 40.0, warmup_s=5.0, seed=100,
-        batched_kernel=True,
     )
     rates = [15.0, 30.0, 45.0, 60.0, 75.0]
     return base, rates
@@ -237,7 +257,6 @@ def _size_sweep_base(quick: bool) -> tuple[ScenarioConfig, list[int]]:
     base = ScenarioConfig(
         spacing_m=230.0, flow_pattern="random", flow_rate_pps=40.0,
         sim_time_s=20.0 if quick else 40.0, warmup_s=5.0, seed=200,
-        batched_kernel=True,
     )
     sizes = [3, 4, 5] if quick else [3, 4, 5, 6]
     return base, sizes
@@ -248,8 +267,16 @@ def _size_sweep_base(quick: bool) -> tuple[ScenarioConfig, list[int]]:
 REFERENCE_POINT = dict(
     grid_nx=5, grid_ny=5, spacing_m=230.0, n_flows=10,
     flow_pattern="gateway", n_gateways=2, flow_rate_pps=50.0,
-    warmup_s=5.0, seed=300, batched_kernel=True,
+    warmup_s=5.0, seed=300,
 )
+
+
+def _at_reference_point(protocol: str, quick: bool, **overrides) -> ScenarioConfig:
+    """``protocol`` at :data:`REFERENCE_POINT` for the figure's run length."""
+    return ScenarioConfig(
+        protocol=protocol, sim_time_s=20.0 if quick else 40.0,
+        **REFERENCE_POINT, **overrides,
+    )
 
 
 def _load_sweep(quick: bool):
@@ -269,9 +296,7 @@ def _size_sweep(quick: bool):
     def apply(c: ScenarioConfig, n: int) -> ScenarioConfig:
         return replace(c, grid_nx=n, grid_ny=n, n_flows=max(2, (n * n) // 2))
 
-    return sizes, _protocol_sweep(
-        "size_sweep", base, sizes, apply, quick, variant="flows=n*n//2"
-    )
+    return sizes, _protocol_sweep("size_sweep", base, sizes, apply, quick)
 
 
 # ---------------------------------------------------------------------- #
@@ -459,37 +484,30 @@ def fig6_scalability(quick: bool = True) -> FigureResult:
 def fig5_load_distribution(quick: bool = True) -> FigureResult:
     """Per-node forwarding-load spread at the reference operating point."""
     n_runs = _point_reps(quick)
-    params = {"point": REFERENCE_POINT, "n_runs": n_runs, "quick": quick}
-
-    def compute() -> dict[str, dict[str, float]]:
-        keys, configs = [], []
-        for proto in COMPARED:
-            config = ScenarioConfig(
-                protocol=proto,
-                sim_time_s=20.0 if quick else 40.0,
-                **REFERENCE_POINT,
-            )
-            for k in range(n_runs):
-                keys.append(proto)
-                configs.append(replace(config, seed=config.seed + k))
-        results = run_configs("fig5_load_distribution", configs, tags=keys)
-        out: dict[str, dict[str, float]] = {}
-        for proto in COMPARED:
-            runs = [r for key, r in zip(keys, results) if key == proto]
-            jains, top3, maxs = [], [], []
-            for r in runs:
-                per_node = np.asarray(r.per_node_forwarded)
-                jains.append(jain_index(per_node))
-                top3.append(load_concentration(per_node, top_k=3))
-                maxs.append(float(per_node.max()))
-            out[proto] = {
-                "jain": float(np.mean(jains)),
-                "top3_share": float(np.mean(top3)),
-                "max_forwarded": float(np.mean(maxs)),
-            }
-        return out
-
-    table = cached("fig5_load_distribution", params, compute)
+    keys, configs = [], []
+    for proto in COMPARED:
+        config = _at_reference_point(proto, quick)
+        for k in range(n_runs):
+            keys.append(proto)
+            configs.append(replace(config, seed=config.seed + k))
+    results = run_configs(
+        "fig5_load_distribution", configs, policy=_campaign_policy(),
+        tags=keys,
+    )
+    table: dict[str, dict[str, float]] = {}
+    for proto in COMPARED:
+        runs = [r for key, r in zip(keys, results) if key == proto]
+        jains, top3, maxs = [], [], []
+        for r in runs:
+            per_node = np.asarray(r.per_node_forwarded)
+            jains.append(jain_index(per_node))
+            top3.append(load_concentration(per_node, top_k=3))
+            maxs.append(float(per_node.max()))
+        table[proto] = {
+            "jain": float(np.mean(jains)),
+            "top3_share": float(np.mean(top3)),
+            "max_forwarded": float(np.mean(maxs)),
+        }
     rows = [
         [
             p,
@@ -527,7 +545,7 @@ def fig7_broadcast_storm(quick: bool = True) -> FigureResult:
     densities = [20, 35, 50] if quick else [20, 30, 40, 50, 60]
     policies = ["blind", "gossip", "counter", "nlr"]
     n_runs = _reps(quick)
-    params = {"densities": densities, "policies": policies, "n_runs": n_runs}
+    inputs = {"densities": densities, "policies": policies, "n_runs": n_runs}
 
     def compute() -> dict[str, dict[str, dict[str, float]]]:
         out: dict[str, dict[str, dict[str, float]]] = {}
@@ -545,7 +563,7 @@ def fig7_broadcast_storm(quick: bool = True) -> FigureResult:
                 }
         return out
 
-    table = cached("fig7_broadcast_storm", params, compute)
+    table = _stored_rows("fig7_broadcast_storm", inputs, compute)
     rows = []
     for n in densities:
         row: list[Any] = [n]
@@ -576,27 +594,8 @@ def fig7_broadcast_storm(quick: bool = True) -> FigureResult:
 def table2_summary(quick: bool = True) -> FigureResult:
     """All schemes (incl. oracle) at the reference operating point."""
     protocols = list(COMPARED) + ["dsdv", "oracle"]
-    n_runs = _point_reps(quick)
-    params = {"point": REFERENCE_POINT, "protocols": protocols, "n_runs": n_runs,
-              "quick": quick}
-    if _adaptive_tag() is not None:
-        params["adaptive"] = _adaptive_tag()
-
-    def compute() -> dict[str, dict[str, float]]:
-        cells = [
-            (
-                proto,
-                ScenarioConfig(
-                    protocol=proto,
-                    sim_time_s=20.0 if quick else 40.0,
-                    **REFERENCE_POINT,
-                ),
-            )
-            for proto in protocols
-        ]
-        return _replicated_cells("table2_summary", cells, n_runs)
-
-    table = cached("table2_summary", params, compute)
+    cells = [(proto, _at_reference_point(proto, quick)) for proto in protocols]
+    table = _replicated_cells("table2_summary", cells, _point_reps(quick))
     rows = []
     for p in protocols:
         m = table[p]
@@ -640,27 +639,8 @@ def table2_summary(quick: bool = True) -> FigureResult:
 def _ablation(
     name: str, title: str, protocols: Sequence[str], quick: bool, expectation: str
 ) -> FigureResult:
-    n_runs = _point_reps(quick)
-    params = {"point": REFERENCE_POINT, "protocols": list(protocols),
-              "n_runs": n_runs, "quick": quick}
-    if _adaptive_tag() is not None:
-        params["adaptive"] = _adaptive_tag()
-
-    def compute() -> dict[str, dict[str, float]]:
-        cells = [
-            (
-                proto,
-                ScenarioConfig(
-                    protocol=proto,
-                    sim_time_s=20.0 if quick else 40.0,
-                    **REFERENCE_POINT,
-                ),
-            )
-            for proto in protocols
-        ]
-        return _replicated_cells(name, cells, n_runs)
-
-    table = cached(name, params, compute)
+    cells = [(proto, _at_reference_point(proto, quick)) for proto in protocols]
+    table = _replicated_cells(name, cells, _point_reps(quick))
     rows = []
     for p in protocols:
         m = table[p]
@@ -780,30 +760,17 @@ def ext_rtscts(quick: bool = True) -> FigureResult:
     """
     from repro.mac.csma import MacConfig
 
-    protocols = ("aodv", "nlr")
-    n_runs = _point_reps(quick)
-    params = {"point": REFERENCE_POINT, "protocols": list(protocols),
-              "n_runs": n_runs, "quick": quick}
-    if _adaptive_tag() is not None:
-        params["adaptive"] = _adaptive_tag()
-
-    def compute() -> dict[str, dict[str, float]]:
-        cells = [
-            (
-                f"{proto}{'+rts' if rts else ''}",
-                ScenarioConfig(
-                    protocol=proto,
-                    mac_config=MacConfig(rts_cts_enabled=rts),
-                    sim_time_s=20.0 if quick else 40.0,
-                    **REFERENCE_POINT,
-                ),
-            )
-            for proto in protocols
-            for rts in (False, True)
-        ]
-        return _replicated_cells("ext_rtscts", cells, n_runs)
-
-    table = cached("ext_rtscts", params, compute)
+    cells = [
+        (
+            f"{proto}{'+rts' if rts else ''}",
+            _at_reference_point(
+                proto, quick, mac_config=MacConfig(rts_cts_enabled=rts)
+            ),
+        )
+        for proto in ("aodv", "nlr")
+        for rts in (False, True)
+    ]
+    table = _replicated_cells("ext_rtscts", cells, _point_reps(quick))
     rows = []
     for key in ("aodv", "aodv+rts", "nlr", "nlr+rts"):
         m = table[key]
@@ -844,14 +811,13 @@ def validation_mac(quick: bool = True) -> FigureResult:
 
     counts = [2, 5, 10, 15] if quick else [2, 5, 10, 15, 20, 30]
     duration = 4.0 if quick else 10.0
-    params = {"counts": counts, "duration": duration}
-
-    def compute() -> list[dict[str, float]]:
-        return saturation_comparison(
+    rows_data = _stored_rows(
+        "validation_mac",
+        {"counts": counts, "duration": duration},
+        lambda: saturation_comparison(
             station_counts=counts, duration_s=duration
-        )
-
-    rows_data = cached("validation_mac", params, compute)
+        ),
+    )
     rows = [
         [
             int(r["n"]),
@@ -898,7 +864,7 @@ def ext_energy(quick: bool = True) -> FigureResult:
     n_runs = _point_reps(quick)
     sim_time = 20.0 if quick else 40.0
     battery_j = 100.0
-    params = {"point": REFERENCE_POINT, "protocols": list(protocols),
+    inputs = {"point": REFERENCE_POINT, "protocols": list(protocols),
               "n_runs": n_runs, "sim_time": sim_time, "battery": battery_j}
 
     def compute() -> dict[str, dict[str, float]]:
@@ -931,7 +897,7 @@ def ext_energy(quick: bool = True) -> FigureResult:
             }
         return out
 
-    table = cached("ext_energy", params, compute)
+    table = _stored_rows("ext_energy", inputs, compute)
     rows = [
         [
             p_,
@@ -1019,51 +985,30 @@ def figure_resilience(quick: bool = True) -> FigureResult:
             fault_spec=spec,
         )
 
-    params = {
-        "protocols": protocols,
-        "rates_per_min": rates_per_min,
-        "n_runs": n_runs,
-        "quick": quick,
-        # Captures the whole cell design (topology, traffic, seeds, spec).
-        "base": repr(_cell_config("aodv", rates_per_min[-1])),
-    }
-
-    def compute() -> dict[str, dict[str, dict[str, float]]]:
-        keys: list[tuple[str, float]] = []
-        configs: list[ScenarioConfig] = []
-        tags: list[str] = []
-        for proto in protocols:
-            for rate in rates_per_min:
-                base = _cell_config(proto, rate)
-                for k in range(n_runs):
-                    keys.append((proto, rate))
-                    configs.append(replace(base, seed=base.seed + k))
-                    tags.append(f"{proto}@{rate:g}pm")
-        results = run_configs("figure_resilience", configs, tags=tags)
-        grouped: dict[tuple[str, float], list[ScenarioResult]] = {}
-        for key, result in zip(keys, results):
-            grouped.setdefault(key, []).append(result)
-        table: dict[str, dict[str, dict[str, float]]] = {}
-        for (proto, rate), runs in grouped.items():
-            table.setdefault(proto, {})[str(rate)] = {
-                "pdr": float(np.mean([r.pdr for r in runs])),
-                "reconv_s": _nan_mean_total(runs, "resilience_reconv_mean_s"),
-                "recovery_s": _nan_mean_total(
-                    runs, "resilience_recovery_mean_s"
-                ),
-                "blackout_loss": _nan_mean_total(
-                    runs, "resilience_blackout_loss"
-                ),
-                "repair_control": _nan_mean_total(
-                    runs, "resilience_repair_control"
-                ),
-                "unrecovered": _nan_mean_total(
-                    runs, "resilience_unrecovered"
-                ),
-            }
-        return table
-
-    table = cached("figure_resilience", params, compute)
+    keys: list[tuple[str, float]] = []
+    configs: list[ScenarioConfig] = []
+    tags: list[str] = []
+    for proto in protocols:
+        for rate in rates_per_min:
+            base = _cell_config(proto, rate)
+            for k in range(n_runs):
+                keys.append((proto, rate))
+                configs.append(replace(base, seed=base.seed + k))
+                tags.append(f"{proto}@{rate:g}pm")
+    results = run_configs(
+        "figure_resilience", configs, policy=_campaign_policy(), tags=tags
+    )
+    grouped: dict[tuple[str, float], list[ScenarioResult]] = {}
+    for key, result in zip(keys, results):
+        grouped.setdefault(key, []).append(result)
+    table: dict[str, dict[str, dict[str, float]]] = {}
+    for (proto, rate), runs in grouped.items():
+        table.setdefault(proto, {})[str(rate)] = {
+            "pdr": float(np.mean([r.pdr for r in runs])),
+            "reconv_s": _nan_mean_total(runs, "resilience_reconv_mean_s"),
+            "recovery_s": _nan_mean_total(runs, "resilience_recovery_mean_s"),
+            "repair_control": _nan_mean_total(runs, "resilience_repair_control"),
+        }
     rows = []
     for rate in rates_per_min:
         key = str(rate)

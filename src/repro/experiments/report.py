@@ -76,9 +76,11 @@ or everything (writes this file) with::
 
 Parallel regeneration (``--workers N``) produces byte-identical figures
 to a serial run — fixed-seed cells are bit-deterministic across
-processes and the executor reassembles them in task order.  An
-interrupted regeneration continues from per-cell checkpoints with
-``--resume``.  ``--backend`` picks the execution backend (process pool,
+processes and the executor reassembles them in task order.  Every
+finished cell is checkpointed and every run resumes from the
+checkpoints, so an interrupted regeneration continues where it stopped
+(``REPRO_NO_CACHE=1`` recomputes every cell).  ``--backend`` picks the
+execution backend (process pool,
 persistent warm pool, or multi-launcher ``filestore``) and ``--adaptive
 pdr:0.02`` replicates each cell only until its 95 % CI half-width meets
 the declared target (``--no-adaptive`` forces the fixed budget; the

@@ -13,9 +13,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.analysis.stats import ConfidenceInterval, summarize
 from repro.experiments.scenario import Network, ScenarioConfig, build_network
-from repro.metrics.collectors import network_totals
 from repro.metrics.fairness import forwarding_load, jain_index
 from repro.obs.spec import finalize_observability
+from repro.obs.wiring import totals_from_snapshot
 
 __all__ = ["ScenarioResult", "run_scenario", "replicate"]
 
@@ -25,7 +25,9 @@ class ScenarioResult:
     """Measured outcomes of one simulation run.
 
     The scalar fields are the quantities the reconstructed figures plot;
-    ``totals`` holds the full counter dump and ``per_node_forwarded`` the
+    ``totals`` holds the full counter dump (read off ``metrics_snapshot``
+    through :func:`repro.obs.wiring.totals_from_snapshot`, plus resilience
+    totals on faulted runs) and ``per_node_forwarded`` the
     load-distribution vector (Fig 5).
     """
 
@@ -87,7 +89,8 @@ def collect_result(net: Network, wallclock_s: float = 0.0) -> ScenarioResult:
     """Extract a :class:`ScenarioResult` from a finished network."""
     config = net.config
     collector = net.collector
-    totals = network_totals(net.stacks)
+    snapshot = net.metrics.metrics_json()
+    totals = totals_from_snapshot(snapshot)
     if net.resilience is not None:
         totals.update(net.resilience.totals())
     span = config.sim_time_s - config.warmup_s
@@ -110,7 +113,7 @@ def collect_result(net: Network, wallclock_s: float = 0.0) -> ScenarioResult:
         totals=totals,
         events_executed=net.sim.events_executed,
         wallclock_s=wallclock_s,
-        metrics_snapshot=net.metrics.metrics_json(),
+        metrics_snapshot=snapshot,
     )
 
 

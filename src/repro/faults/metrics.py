@@ -253,7 +253,7 @@ class ResilienceCollector:
         return lost
 
     def totals(self) -> dict[str, float]:
-        """Flat counters to merge into a run's ``network_totals`` dump."""
+        """Flat counters merged into a run's ``ScenarioResult.totals``."""
         reconv = [ep.reconvergence_s for ep in self.episodes]
         return {
             "resilience_faults": float(

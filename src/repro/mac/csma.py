@@ -237,6 +237,11 @@ class CsmaMac:
         """Trailing-window fraction of time the medium was sensed busy."""
         return self.busy_monitor.busy_ratio()
 
+    @property
+    def queue_drops(self) -> int:
+        """Frames refused by the full interface queue."""
+        return self.queue.dropped
+
     # ------------------------------------------------------------------ #
     # Downward interface (network layer calls this)
     # ------------------------------------------------------------------ #

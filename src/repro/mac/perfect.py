@@ -84,9 +84,16 @@ class PerfectMac:
         self.node_id = node_id
         self.rx_upper_callback: Callable[[Any, int, RxInfo], None] | None = None
         self.send_done_callback: Callable[[Any, int, bool], None] | None = None
+        # Same counters as CsmaMac (read by repro.obs.wiring); the ideal
+        # MAC sends no control frames, never retries and has no queue.
         self.data_tx = 0
-        self.data_rx = 0
+        self.ack_tx = 0
+        self.rts_tx = 0
+        self.cts_tx = 0
+        self.retries_total = 0
         self.drops_retry = 0
+        self.queue_drops = 0
+        self.data_rx = 0
 
     # Cross-layer signals: an ideal MAC is never congested.
     @property

@@ -1,7 +1,6 @@
 """Measurement layer: per-flow stats, fairness, time series, summaries."""
 
 from repro.metrics.asciichart import line_chart
-from repro.metrics.collectors import network_totals
 from repro.metrics.fairness import forwarding_load, jain_index
 from repro.metrics.flowstats import FlowRecord, FlowStatsCollector
 from repro.metrics.summary import format_table
@@ -16,5 +15,4 @@ __all__ = [
     "forwarding_load",
     "jain_index",
     "line_chart",
-    "network_totals",
 ]

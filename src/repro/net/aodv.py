@@ -188,13 +188,8 @@ class AodvRouting(RoutingProtocol):
         self._reply_windows: dict[tuple[int, int], _ReplyWindow] = {}
 
         # Extra statistics beyond the base counters.
-        self.rreq_forwarded = 0
         self.rreq_suppressed = 0
         self.discoveries_started = 0
-        self.discoveries_failed = 0
-        self.data_dropped_link = 0
-        self.data_dropped_buffer = 0
-        self.rerr_suppressed = 0
         self._rerr_times: list[float] = []
 
     # ------------------------------------------------------------------ #

@@ -136,13 +136,20 @@ class RoutingProtocol(ABC):
         self.node_id: int = -1
         self.tracer: Tracer = Tracer()
         self.deliver_callback: Callable[[Packet], None] | None = None
-        # Overhead accounting, read by the metrics layer.
+        # Overhead accounting, read directly by the metrics wiring
+        # (repro.obs.wiring) — every scheme carries every counter, so a
+        # renamed one fails loudly instead of reading as zero.
         self.control_tx = {"rreq": 0, "rrep": 0, "rerr": 0, "hello": 0}
         self.control_bytes_tx = 0
         self.data_forwarded = 0
         self.data_originated = 0
         self.data_dropped_no_route = 0
         self.data_dropped_ttl = 0
+        self.data_dropped_link = 0
+        self.data_dropped_buffer = 0
+        self.rreq_forwarded = 0
+        self.rerr_suppressed = 0
+        self.discoveries_failed = 0
 
     def attach(self, stack: "NodeStack") -> None:
         """Bind to a node stack (called by :class:`NodeStack`)."""

@@ -22,7 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scenario import Network
 
-__all__ = ["register_network_metrics"]
+__all__ = ["TOTALS_SERIES", "register_network_metrics", "totals_from_snapshot"]
 
 #: Busy-ratio histogram bounds: the [0, 1] interval in 0.1 steps.
 BUSY_BUCKETS = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -31,6 +31,44 @@ BUSY_BUCKETS = tuple(round(0.1 * k, 1) for k in range(1, 11))
 DELAY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
+
+
+#: ``ScenarioResult.totals`` counter → the ``repro_*`` series it reads.
+#: :func:`totals_from_snapshot` adds the two derived totals
+#: (``control_packets``, ``normalized_routing_load``).
+TOTALS_SERIES = {
+    "rreq_tx": 'repro_net_control_tx_total{kind="rreq"}',
+    "rrep_tx": 'repro_net_control_tx_total{kind="rrep"}',
+    "rerr_tx": 'repro_net_control_tx_total{kind="rerr"}',
+    "hello_tx": 'repro_net_control_tx_total{kind="hello"}',
+    "control_bytes": "repro_net_control_bytes_total",
+    "data_forwarded": "repro_net_data_forwarded_total",
+    "data_originated": "repro_net_data_originated_total",
+    "drops_no_route": 'repro_net_data_dropped_total{reason="no_route"}',
+    "drops_ttl": 'repro_net_data_dropped_total{reason="ttl"}',
+    "mac_data_tx": 'repro_mac_tx_total{kind="data"}',
+    "mac_retries": "repro_mac_retries_total",
+    "mac_retry_drops": 'repro_mac_drops_total{reason="retry"}',
+    "mac_queue_drops": 'repro_mac_drops_total{reason="queue"}',
+}
+
+
+def totals_from_snapshot(snapshot: dict[str, float]) -> dict[str, float]:
+    """The flat counter dump a run reports, read off its metrics snapshot.
+
+    Keys are those of :data:`TOTALS_SERIES` plus ``control_packets`` (all
+    control transmissions) and ``normalized_routing_load`` (control
+    packets per DATA transmission, ``control / max(1, forwarded +
+    originated)``).  A series missing from ``snapshot`` raises ``KeyError``.
+    """
+    totals = {key: snapshot[series] for key, series in TOTALS_SERIES.items()}
+    totals["control_packets"] = (
+        totals["rreq_tx"] + totals["rrep_tx"] + totals["rerr_tx"]
+        + totals["hello_tx"]
+    )
+    denom = max(1.0, totals["data_forwarded"] + totals["data_originated"])
+    totals["normalized_routing_load"] = totals["control_packets"] / denom
+    return totals
 
 
 def register_network_metrics(net: "Network") -> MetricsRegistry:
@@ -95,43 +133,39 @@ def _collect(net: "Network", reg: MetricsRegistry) -> None:
         sum(s.routing.data_dropped_ttl for s in stacks)
     )
     drops.labels(reason="link").set(
-        sum(getattr(s.routing, "data_dropped_link", 0) for s in stacks)
+        sum(s.routing.data_dropped_link for s in stacks)
     )
     drops.labels(reason="buffer").set(
-        sum(getattr(s.routing, "data_dropped_buffer", 0) for s in stacks)
+        sum(s.routing.data_dropped_buffer for s in stacks)
     )
     reg.gauge(
         "repro_net_rreq_forwarded_total", "RREQ rebroadcasts (storm size)"
-    ).set(sum(getattr(s.routing, "rreq_forwarded", 0) for s in stacks))
+    ).set(sum(s.routing.rreq_forwarded for s in stacks))
     reg.gauge(
         "repro_net_rerr_suppressed_total",
         "RERRs suppressed by RFC 3561 rate limiting",
-    ).set(sum(getattr(s.routing, "rerr_suppressed", 0) for s in stacks))
+    ).set(sum(s.routing.rerr_suppressed for s in stacks))
     reg.gauge(
         "repro_net_discoveries_failed_total", "route discoveries given up"
-    ).set(sum(getattr(s.routing, "discoveries_failed", 0) for s in stacks))
+    ).set(sum(s.routing.discoveries_failed for s in stacks))
 
     # --- mac layer ------------------------------------------------------ #
     mac_tx = reg.gauge(
         "repro_mac_tx_total", "MAC frame transmissions by kind"
     )
-    for kind in ("data", "ack", "rts", "cts"):
-        mac_tx.labels(kind=kind).set(
-            sum(getattr(s.mac, f"{kind}_tx", 0) for s in stacks)
-        )
+    mac_tx.labels(kind="data").set(sum(s.mac.data_tx for s in stacks))
+    mac_tx.labels(kind="ack").set(sum(s.mac.ack_tx for s in stacks))
+    mac_tx.labels(kind="rts").set(sum(s.mac.rts_tx for s in stacks))
+    mac_tx.labels(kind="cts").set(sum(s.mac.cts_tx for s in stacks))
     reg.gauge("repro_mac_retries_total", "MAC retransmissions").set(
-        sum(getattr(s.mac, "retries_total", 0) for s in stacks)
+        sum(s.mac.retries_total for s in stacks)
     )
     mac_drops = reg.gauge("repro_mac_drops_total", "MAC drops by reason")
     mac_drops.labels(reason="retry").set(
-        sum(getattr(s.mac, "drops_retry", 0) for s in stacks)
+        sum(s.mac.drops_retry for s in stacks)
     )
     mac_drops.labels(reason="queue").set(
-        sum(
-            q.dropped
-            for s in stacks
-            if (q := getattr(s.mac, "queue", None)) is not None
-        )
+        sum(s.mac.queue_drops for s in stacks)
     )
     busy = reg.histogram(
         "repro_mac_busy_ratio",
@@ -140,9 +174,7 @@ def _collect(net: "Network", reg: MetricsRegistry) -> None:
     )
     busy.reset()
     for s in stacks:
-        ratio = getattr(s.mac, "channel_busy_ratio", None)
-        if ratio is not None:
-            busy.observe(ratio())
+        busy.observe(s.mac.channel_busy_ratio())
 
     # --- phy layer ------------------------------------------------------ #
     if net.channel is not None:
@@ -150,10 +182,16 @@ def _collect(net: "Network", reg: MetricsRegistry) -> None:
             "repro_phy_frames_total", "radio frame outcomes by kind"
         )
         radios = net.channel.radios()
-        for kind in ("sent", "received", "corrupted", "captured"):
-            frames.labels(kind=kind).set(
-                sum(getattr(r, f"frames_{kind}", 0) for r in radios)
-            )
+        frames.labels(kind="sent").set(sum(r.frames_sent for r in radios))
+        frames.labels(kind="received").set(
+            sum(r.frames_received for r in radios)
+        )
+        frames.labels(kind="corrupted").set(
+            sum(r.frames_corrupted for r in radios)
+        )
+        frames.labels(kind="captured").set(
+            sum(r.frames_captured for r in radios)
+        )
 
     # --- flows (application) -------------------------------------------- #
     collector = net.collector

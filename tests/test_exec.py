@@ -143,11 +143,11 @@ class TestSerialExecutor:
         CampaignExecutor(policy).run(campaign)
 
         calls = []
-        import repro.exec.scheduler as scheduler_mod
+        import repro.exec.backends as backends_mod
 
-        real = scheduler_mod.execute_payload
+        real = backends_mod.execute_payload
         monkeypatch.setattr(
-            scheduler_mod, "execute_payload",
+            backends_mod, "execute_payload",
             lambda payload: calls.append(1) or real(payload),
         )
         resumed = CampaignExecutor(ExecPolicy(resume=True)).run(campaign)
@@ -156,9 +156,9 @@ class TestSerialExecutor:
         assert [r.as_dict() for r in resumed.results()]
 
     def test_retry_then_success(self, monkeypatch):
-        import repro.exec.scheduler as scheduler_mod
+        import repro.exec.backends as backends_mod
 
-        real = scheduler_mod.execute_payload
+        real = backends_mod.execute_payload
         attempts = []
 
         def flaky(payload):
@@ -168,7 +168,7 @@ class TestSerialExecutor:
                         "duration_s": 0.0}
             return real(payload)
 
-        monkeypatch.setattr(scheduler_mod, "execute_payload", flaky)
+        monkeypatch.setattr(backends_mod, "execute_payload", flaky)
         campaign = Campaign.from_configs("flaky", [tiny()])
         result = CampaignExecutor(
             ExecPolicy(retries=1, backoff_s=0.0)
@@ -177,10 +177,10 @@ class TestSerialExecutor:
         assert result.outcomes[0].attempts == 2
 
     def test_failure_recorded_and_strict_raises(self, monkeypatch):
-        import repro.exec.scheduler as scheduler_mod
+        import repro.exec.backends as backends_mod
 
         monkeypatch.setattr(
-            scheduler_mod, "execute_payload",
+            backends_mod, "execute_payload",
             lambda payload: {"ok": False, "kind": "error", "error": "boom",
                              "duration_s": 0.0},
         )

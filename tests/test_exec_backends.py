@@ -4,7 +4,7 @@ Covers the byte-identity contract every backend owes the serial
 reference, the warm pool's exact crash attribution, the filestore
 backend's claim protocol (including the stale-lock sweep and
 kill-mid-claim resume), and the scheduler's retry/timeout/quarantine
-paths under ``--workers 4``.
+paths serially and under ``--workers 4``.
 """
 
 import json
@@ -229,16 +229,22 @@ class TestFileStoreResume:
 
 
 class TestRetryTimeoutQuarantine:
-    """Scheduler failure paths under ``--workers 4`` (satellite: retries)."""
+    """Scheduler failure paths, serial (in-process ``SerialBackend``) and
+    under ``--workers 4``; both run through the same retry rounds.  The
+    crash case stays parallel-only: a hard exit in-process would take the
+    test runner down with it."""
 
-    def test_error_retry_then_success_and_identity(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_error_retry_then_success_and_identity(
+        self, tmp_path, monkeypatch, workers
+    ):
         fault_seed = 4
         monkeypatch.setenv(
             FAULT_ENV, f"error_once:{fault_seed}:{tmp_path}"
         )
         configs = [tiny(seed=s) for s in (3, 4, 5, 6)]
         campaign = Campaign.from_configs("retry-err", configs)
-        policy = ExecPolicy(workers=4, retries=1, backoff_s=0.0)
+        policy = ExecPolicy(workers=workers, retries=1, backoff_s=0.0)
         result = CampaignExecutor(policy).run(campaign)
         assert result.ok == 4
         by_seed = {o.task.config.seed: o for o in result.outcomes}
@@ -250,7 +256,8 @@ class TestRetryTimeoutQuarantine:
             [o.result for o in result.outcomes]
         )
 
-    def test_timeout_retry_then_success(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_timeout_retry_then_success(self, tmp_path, monkeypatch, workers):
         fault_seed = 5
         monkeypatch.setenv(
             FAULT_ENV, f"hang_once:{fault_seed}:{tmp_path}"
@@ -258,7 +265,7 @@ class TestRetryTimeoutQuarantine:
         configs = [tiny(seed=s) for s in (3, 5)]
         campaign = Campaign.from_configs("retry-hang", configs)
         policy = ExecPolicy(
-            workers=4, retries=1, backoff_s=0.0, task_timeout_s=2.0
+            workers=workers, retries=1, backoff_s=0.0, task_timeout_s=2.0
         )
         result = CampaignExecutor(policy).run(campaign)
         assert result.ok == 2
@@ -267,14 +274,17 @@ class TestRetryTimeoutQuarantine:
         assert by_seed[fault_seed].attempts == 2
         assert by_seed[3].attempts == 1
 
-    def test_terminal_failure_writes_quarantine_record(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_terminal_failure_writes_quarantine_record(
+        self, tmp_path, monkeypatch, workers
+    ):
         fault_seed = 6
         monkeypatch.setenv(
             FAULT_ENV, f"error_once:{fault_seed}:{tmp_path}"
         )
         configs = [tiny(seed=s) for s in (3, 6)]
         campaign = Campaign.from_configs("quarantine-me", configs)
-        policy = ExecPolicy(workers=4, retries=0, backoff_s=0.0)
+        policy = ExecPolicy(workers=workers, retries=0, backoff_s=0.0)
         result = CampaignExecutor(policy).run(campaign)
         by_seed = {o.task.config.seed: o for o in result.outcomes}
         assert by_seed[3].ok

@@ -1,12 +1,13 @@
 """Tests for scenario construction, the runner, sweeps, cache, and CLI."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.experiments.cache import cache_key, cached
+from repro.experiments.cache import cache_key
 from repro.experiments.runner import ScenarioResult, replicate, run_scenario
 from repro.experiments.scenario import PROTOCOLS, ScenarioConfig, build_network
 from repro.experiments.sweeps import sweep
@@ -170,6 +171,8 @@ class TestCache:
         assert cache_key("x", {"p": 1}) != cache_key("x", {"p": 2})
 
     def test_cached_roundtrip(self, tmp_path, monkeypatch):
+        from repro.experiments.figures import _stored_rows
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         calls = []
 
@@ -177,17 +180,82 @@ class TestCache:
             calls.append(1)
             return {"v": 42}
 
-        assert cached("t", {"p": 1}, compute) == {"v": 42}
-        assert cached("t", {"p": 1}, compute) == {"v": 42}
-        assert len(calls) == 1  # second call hit the cache
+        assert _stored_rows("t", {"p": 1}, compute) == {"v": 42}
+        assert _stored_rows("t", {"p": 1}, compute) == {"v": 42}
+        assert len(calls) == 1  # second call read the stored rows
+        assert _stored_rows("t", {"p": 2}, compute) == {"v": 42}
+        assert len(calls) == 2  # different inputs, different key
 
     def test_no_cache_env(self, tmp_path, monkeypatch):
+        from repro.experiments.figures import _stored_rows
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         calls = []
         for _ in range(2):
-            cached("t", {"p": 1}, lambda: calls.append(1) or 1)
+            _stored_rows("t", {"p": 1}, lambda: calls.append(1) or 1)
         assert len(calls) == 2
+        # Writes still happen: without the override the rows are served.
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        _stored_rows("t", {"p": 1}, lambda: calls.append(1) or 1)
+        assert len(calls) == 2
+
+
+class TestSweepCheckpoints:
+    """Figure sweeps reassemble from content-hashed cell checkpoints."""
+
+    @pytest.fixture
+    def outcomes(self, tmp_path, monkeypatch):
+        """Fresh cache dir; collects every campaign's outcomes per call."""
+        from repro.exec import CampaignExecutor
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        seen: list = []
+        original = CampaignExecutor.run
+
+        def run(self, campaign):
+            result = original(self, campaign)
+            seen.extend(result.outcomes)
+            return result
+
+        monkeypatch.setattr(CampaignExecutor, "run", run)
+        return seen
+
+    @staticmethod
+    def sweep_at(rate):
+        from repro.experiments.figures import _protocol_sweep
+
+        return _protocol_sweep(
+            "stale_sweep", tiny(sim_time_s=6.0), [1],
+            lambda c, _v: replace(c, flow_rate_pps=rate), quick=True,
+            protocols=("aodv",),
+        )
+
+    def test_changed_apply_is_not_served_stale(self, outcomes):
+        from repro.experiments.figures import _summarize_cell
+
+        first = self.sweep_at(2.0)
+        second = self.sweep_at(12.0)
+        cell = replace(tiny(sim_time_s=6.0), flow_rate_pps=12.0)
+        expected = _summarize_cell(
+            [run_scenario(replace(cell, seed=cell.seed + k)) for k in range(2)]
+        )
+        assert json.dumps(second["aodv"]["1"]) == json.dumps(expected)
+        assert second != first
+
+    def test_repeat_runs_zero_cells_and_no_cache_recomputes(
+        self, outcomes, monkeypatch
+    ):
+        first = self.sweep_at(4.0)
+        assert outcomes and all(o.source == "run" for o in outcomes)
+        outcomes.clear()
+        assert self.sweep_at(4.0) == first
+        assert outcomes and all(o.source == "checkpoint" for o in outcomes)
+        outcomes.clear()
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert json.dumps(self.sweep_at(4.0)) == json.dumps(first)
+        assert outcomes and all(o.source == "run" for o in outcomes)
 
 
 class TestStorm:

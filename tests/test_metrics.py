@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.metrics.collectors import network_totals
 from repro.metrics.fairness import forwarding_load, jain_index, load_concentration
 from repro.metrics.flowstats import FlowStatsCollector
 from repro.metrics.summary import format_table, format_value
@@ -177,7 +176,8 @@ class TestSummary:
 
 
 class TestNetworkTotals:
-    def test_totals_over_scenario(self):
+    @staticmethod
+    def _finished_net():
         from repro.experiments.scenario import ScenarioConfig, build_network
 
         net = build_network(
@@ -187,8 +187,26 @@ class TestNetworkTotals:
         net.start()
         net.sim.run(until=10.0)
         net.stop()
-        totals = network_totals(net.stacks)
+        return net
+
+    def test_totals_over_scenario(self):
+        from repro.experiments.runner import collect_result
+
+        result = collect_result(self._finished_net())
+        totals = result.totals
+        assert len(totals) == 15
         assert totals["rreq_tx"] >= 2
         assert totals["control_packets"] >= totals["rreq_tx"]
         assert totals["control_bytes"] > 0
         assert totals["normalized_routing_load"] > 0
+        assert totals["rreq_tx"] == result.metrics_snapshot[
+            'repro_net_control_tx_total{kind="rreq"}'
+        ]
+
+    def test_missing_counter_raises(self):
+        from repro.experiments.runner import collect_result
+
+        net = self._finished_net()
+        del net.stacks[0].routing.rreq_forwarded
+        with pytest.raises(AttributeError):
+            collect_result(net)
