@@ -96,6 +96,31 @@ def bench_engine_block_fanout(benchmark):
     assert benchmark(run) == 50_000
 
 
+def bench_engine_sequence_fanout(benchmark):
+    """50k logical events delivered as 1k 50-event sequence entries.
+
+    The default channel fan-out: one frame's 25 ``rx_start``/``rx_end``
+    pairs become one ``schedule_sequence`` entry drained in place, with
+    the same ordering as the 50 ``schedule_cb`` calls it replaces.
+    """
+
+    def run():
+        sim = Simulator()
+        fn = lambda *a: None  # noqa: E731
+        for k in range(1_000):
+            t = k * 1e-3
+            events = []
+            for j in range(25):
+                t0 = t + j * 1e-8
+                events.append((t0, fn, (j,)))
+                events.append((t0 + 3e-4, fn, ()))
+            sim.schedule_sequence(events)
+        sim.run()
+        return sim.events_executed
+
+    assert benchmark(run) == 50_000
+
+
 def bench_channel_dispatch(benchmark):
     """1k broadcast dispatches across a 49-node mesh (cached plan path)."""
     from repro.phy.frame import PhyFrame

@@ -50,16 +50,25 @@ from repro.phy.channel import Channel
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import TwoRayGround
 from repro.phy.radio import PhyConfig, Radio
-from repro.sim.engine import Simulator
+from repro.sim.engine import (
+    _ARGS,
+    _CANCELLED,
+    _EVENTS,
+    _FIRED,
+    _FN,
+    _NEXT,
+    _PRIORITY,
+    _SEQ,
+    _SEQUENCE,
+    _STATE,
+    _TIME,
+    Simulator,
+)
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "obs-1"
-
-# Heap-entry slots / states, mirroring repro.sim.engine's layout.
-_TIME, _PRIORITY, _SEQ, _STATE, _FN, _ARGS = range(6)
-_PENDING, _FIRED, _CANCELLED = range(3)
 
 
 # --------------------------------------------------------------------- #
@@ -72,7 +81,9 @@ def seed_replica_run(
 
     Instruction-for-instruction the seed's ``Simulator.run`` (including
     the ``budget`` bookkeeping), minus the hoisted profiler locals and
-    the per-event ``if profiler is None`` branch.
+    the per-event ``if profiler is None`` branch.  Sequence entries
+    (``Simulator.schedule_sequence``, the channel's fan-out) drain in
+    place as in ``Simulator._drain_sequence``, minus its profiler branch.
     """
     sim._running = True
     sim._stopped = False
@@ -82,7 +93,8 @@ def seed_replica_run(
     try:
         while heap and not sim._stopped and budget > 0:
             entry = pop(heap)
-            if entry[_STATE] == _CANCELLED:
+            state = entry[_STATE]
+            if state == _CANCELLED:
                 sim._dead -= 1
                 continue
             if entry[_TIME] > until:
@@ -90,6 +102,9 @@ def seed_replica_run(
                 if math.isfinite(until):
                     sim._now = until
                 break
+            if state == _SEQUENCE:
+                budget -= _replica_drain_sequence(sim, entry, until, budget)
+                continue
             sim._now = entry[_TIME]
             entry[_STATE] = _FIRED
             fn = entry[_FN]
@@ -104,6 +119,51 @@ def seed_replica_run(
                 sim._now = until
     finally:
         sim._running = False
+
+
+def _replica_drain_sequence(
+    sim: Simulator, entry: list, until: float, budget: float
+) -> int:
+    """``Simulator._drain_sequence`` minus the profiler branch."""
+    heap = sim._heap
+    events = entry[_EVENTS]
+    pri = entry[_PRIORITY]
+    seq = entry[_SEQ]
+    n = len(events)
+    i = first = entry[_NEXT]
+    stop = n if budget >= n - i else i + int(budget)
+    sim._extra -= n - i - 1
+    sim._inflight_mark = sim._events_executed + n - i - 1
+    sim._inflight = entry
+    t, fn, args = events[i]
+    try:
+        while True:
+            i += 1
+            sim._now = t
+            fn(*args)
+            sim._events_executed += 1
+            if i == stop or sim._stopped:
+                break
+            t, fn, args = events[i]
+            if t > until:
+                break
+            if heap:
+                head = heap[0]
+                ht = head[_TIME]
+                if t >= ht and (
+                    t > ht
+                    or pri > head[_PRIORITY]
+                    or (pri == head[_PRIORITY] and head[_SEQ] < seq)
+                ):
+                    break
+    finally:
+        sim._inflight = None
+        if i < n:
+            entry[_TIME] = events[i][0]
+            entry[_NEXT] = i
+            sim._extra += n - i - 1
+            heapq.heappush(heap, entry)
+    return i - first
 
 
 class SeedTracer:

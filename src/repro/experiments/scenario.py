@@ -430,7 +430,6 @@ def build_network(config: ScenarioConfig) -> Network:
                     replace(config.mac_config),
                     net.streams.stream(f"mac.backoff.{i}"),
                     tracer=net.tracer,
-                    batched=config.batched_kernel,
                 )
             )
     else:

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.sim.engine import Simulator
 
-__all__ = ["BusyMonitor", "ArrayBusyMonitor"]
+__all__ = ["BusyMonitor"]
 
 
 class BusyMonitor:
@@ -52,16 +50,20 @@ class BusyMonitor:
     def on_medium_state(self, busy: bool) -> None:
         """Feed a busy/idle transition (idempotent on repeats)."""
         now = self.sim.now
+        since = self._busy_since
         if busy:
-            if self._busy_since is None:
+            if since is None:
                 self._busy_since = now
-        else:
-            if self._busy_since is not None:
-                if now > self._busy_since:
-                    self._intervals.append((self._busy_since, now))
-                    self._busy_sum += now - self._busy_since
-                self._busy_since = None
-        self._prune(now)
+        elif since is not None:
+            if now > since:
+                self._intervals.append((since, now))
+                self._busy_sum += now - since
+            self._busy_since = None
+        # Fed on every carrier-sense flip: prune only once the oldest
+        # interval has aged out (the same test _prune loops on).
+        intervals = self._intervals
+        if intervals and intervals[0][1] <= now - self.window_s:
+            self._prune(now)
 
     def _prune(self, now: float) -> None:
         horizon = now - self.window_s
@@ -92,99 +94,3 @@ class BusyMonitor:
     def currently_busy(self) -> bool:
         """True if the last transition reported busy."""
         return self._busy_since is not None
-
-
-class ArrayBusyMonitor(BusyMonitor):
-    """:class:`BusyMonitor` with the interval deque replaced by a numpy
-    ring buffer (DESIGN.md §8).
-
-    Pruning a batch of aged-out intervals becomes one ``searchsorted``
-    over the sorted end times instead of a Python pop loop — the win in
-    dense networks, where a busy-ratio query after a quiet spell can
-    retire dozens of intervals at once.
-
-    Bit-exactness: ``_busy_sum`` is updated by the *same sequence of
-    Python-float subtractions* the deque version performs (every numpy
-    read goes through ``float(...)``), so the busy-ratio float sequence —
-    and hence every NLR forwarding decision fed by it — is byte-identical
-    to the scalar monitor's.
-    """
-
-    _INITIAL = 64
-
-    def __init__(self, sim: Simulator, window_s: float = 1.0) -> None:
-        super().__init__(sim, window_s)
-        self._intervals = None  # type: ignore[assignment]  # ring replaces deque
-        self._starts = np.empty(self._INITIAL)
-        self._ends = np.empty(self._INITIAL)
-        self._head = 0
-        self._tail = 0
-
-    def on_medium_state(self, busy: bool) -> None:
-        now = self.sim.now
-        if busy:
-            if self._busy_since is None:
-                self._busy_since = now
-        else:
-            if self._busy_since is not None:
-                if now > self._busy_since:
-                    self._append(self._busy_since, now)
-                    self._busy_sum += now - self._busy_since
-                self._busy_since = None
-        self._prune(now)
-
-    def _append(self, start: float, end: float) -> None:
-        if self._tail == len(self._starts):
-            live = self._tail - self._head
-            if live == len(self._starts):
-                grown_s = np.empty(2 * live)
-                grown_e = np.empty(2 * live)
-                grown_s[:live] = self._starts
-                grown_e[:live] = self._ends
-                self._starts, self._ends = grown_s, grown_e
-            else:
-                # Compact: shift the live region back to the front.
-                self._starts[:live] = self._starts[self._head : self._tail]
-                self._ends[:live] = self._ends[self._head : self._tail]
-            self._head = 0
-            self._tail = live
-        self._starts[self._tail] = start
-        self._ends[self._tail] = end
-        self._tail += 1
-
-    def _prune(self, now: float) -> None:
-        head, tail = self._head, self._tail
-        if head == tail:
-            return
-        horizon = now - self.window_s
-        # Ends are appended in non-decreasing time order, so the aged-out
-        # prefix is found with one binary search (side="right" matches the
-        # deque loop's ``end <= horizon`` condition).
-        n = int(np.searchsorted(self._ends[head:tail], horizon, side="right"))
-        if n == 0:
-            return
-        starts, ends = self._starts, self._ends
-        # Sequential Python-float subtraction, one interval at a time, in
-        # the deque pop order — keeps the _busy_sum rounding history (and
-        # thus every downstream busy-ratio float) bit-identical.
-        for i in range(head, head + n):
-            self._busy_sum -= float(ends[i]) - float(starts[i])
-        self._head = head + n
-        if self._head == self._tail:
-            self._head = self._tail = 0
-
-    def busy_ratio(self) -> float:
-        now = self.sim.now
-        self._prune(now)
-        horizon = now - self.window_s
-        busy = self._busy_sum
-        if self._head != self._tail:
-            # Intervals are disjoint and time-ordered, so after pruning at
-            # most the oldest one can straddle the horizon; clip just it.
-            start0 = float(self._starts[self._head])
-            if start0 < horizon:
-                busy -= horizon - start0
-        if self._busy_since is not None:
-            busy += now - max(self._busy_since, horizon)
-        span = min(self.window_s, max(now - self._created, 1e-12))
-        return min(1.0, max(0.0, busy / span))

@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.mac.busy_monitor import ArrayBusyMonitor, BusyMonitor
+from repro.mac.busy_monitor import BusyMonitor
 from repro.mac.mac_types import BROADCAST_MAC, MacFrame, MacFrameKind
 from repro.mac.queue import DropTailQueue
 from repro.phy.frame import PhyFrame, RxInfo
@@ -119,7 +119,6 @@ class CsmaMac:
         config: MacConfig,
         rng: np.random.Generator,
         tracer: Tracer | None = None,
-        batched: bool = False,
     ) -> None:
         self.sim = sim
         self.radio = radio
@@ -129,10 +128,7 @@ class CsmaMac:
         self.node_id = radio.node_id
 
         self.queue = DropTailQueue(sim, config.queue_capacity)
-        # ArrayBusyMonitor is the ring-buffer variant with bit-identical
-        # busy-ratio output (DESIGN.md §8); selected with the batched kernel.
-        monitor_cls = ArrayBusyMonitor if batched else BusyMonitor
-        self.busy_monitor = monitor_cls(sim, config.busy_window_s)
+        self.busy_monitor = BusyMonitor(sim, config.busy_window_s)
 
         radio.rx_callback = self._on_phy_rx
         radio.cca_callback = self._on_cca
@@ -342,7 +338,10 @@ class CsmaMac:
         self._state = _ContendState.WAIT_IDLE
 
     def _on_cca(self, busy: bool) -> None:
-        self.busy_monitor.on_medium_state(busy or self.nav_active)
+        # Every rx event that flips carrier sense lands here: read the
+        # clock once (nothing below moves it or the NAV).
+        nav = self.sim.now < self._nav_until
+        self.busy_monitor.on_medium_state(busy or nav)
         if busy:
             if self._state is _ContendState.DIFS:
                 self._timer.cancel()
@@ -350,7 +349,7 @@ class CsmaMac:
             elif self._state is _ContendState.COUNTDOWN:
                 self._freeze_countdown()
         else:
-            if self._state is _ContendState.WAIT_IDLE and not self.nav_active:
+            if self._state is _ContendState.WAIT_IDLE and not nav:
                 self._start_difs()
 
     def _on_timer(self) -> None:

@@ -101,9 +101,10 @@ class Channel:
     batched:
         When True, fan-out schedules *block events* — one heap entry per
         (frame, propagation-delay group) handled by the vectorised
-        reception kernel — instead of two events per receiver, and
-        enables the simulator's batched drain loop.  Byte-identical to
-        the scalar path (DESIGN.md §8); off by default, selectable via
+        reception kernel — instead of the default path's one sequence
+        entry of per-receiver events, and enables the simulator's
+        batched drain loop.  Byte-identical to the default path
+        (DESIGN.md §8); off by default, selectable via
         ``ScenarioConfig(batched_kernel=True)``.
     """
 
@@ -644,11 +645,17 @@ class Channel:
                 (tx_node, frame.tx_power_w), plan, frame, now, dur
             )
             return
-        schedule_cb = self.sim.schedule_cb
+        # One sequence entry for the whole fan-out.  List order is the
+        # tie-break among equal times (receiver order, each rx_start before
+        # its rx_end).  Handlers are looked up on the instance here, so a
+        # method replaced on the class (a profiling wrapper) is the one run.
+        events = []
+        append = events.append
         for k, radio in enumerate(receivers):
             t0 = now + delays[k]
-            schedule_cb(t0, radio.on_rx_start, frame, powers[k])
-            schedule_cb(t0 + dur, radio.on_rx_end, frame)
+            append((t0, radio.on_rx_start, (frame, powers[k])))
+            append((t0 + dur, radio.on_rx_end, (frame,)))
+        self.sim.schedule_sequence(events)
 
     def _transmit_batched(
         self, key: _PlanKey, plan: _Plan, frame: PhyFrame, now: float, dur: float

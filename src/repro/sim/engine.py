@@ -23,6 +23,20 @@ Design notes
   their entry's ``seq`` and treat a mismatch as "already fired", which
   keeps recycled entries invisible to stale handles.
 
+Sequence entries (DESIGN.md §8)
+-------------------------------
+:meth:`Simulator.schedule_sequence` hands a whole fan-out to the engine
+as one heap entry — the channel's default path schedules each frame's
+per-receiver ``rx_start``/``rx_end`` pairs this way.  The sequence
+consumes the ``seq`` numbers the equivalent :meth:`~Simulator.schedule_cb`
+calls would have; its events are sorted once by ``(time, seq)``, and the
+run loop executes them in place while the next one stays below the heap's
+head ``(time, priority, seq)`` and ``until``, ``max_events`` and
+:meth:`~Simulator.stop` allow, re-pushing the entry only when a foreign
+event comes in between.  Callback order, ``now``, ``events_executed``,
+``pending``, profiler counts and hence every RNG draw are those of the
+scalar loop; the saving is 2n heap pushes and pops per frame.
+
 Batched execution (DESIGN.md §8)
 --------------------------------
 Two opt-in mechanisms let homogeneous event storms execute as one Python
@@ -54,6 +68,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterator
 
@@ -67,15 +82,19 @@ DEFAULT_PRIORITY = 0
 
 # Heap-entry slots (plain lists for C-speed heap comparisons).  Block
 # entries carry a seventh slot, _COUNT; list comparison never reaches it
-# because ``seq`` (slot 2) is unique.
+# because ``seq`` (slot 2) is unique.  Sequence entries keep six slots and
+# reuse _FN/_ARGS for their time-sorted ``(time, fn, args)`` list and the
+# index of their next event (see :meth:`Simulator.schedule_sequence`).
 _TIME, _PRIORITY, _SEQ, _STATE, _FN, _ARGS = range(6)
 _COUNT = 6
+_EVENTS, _NEXT = _FN, _ARGS
 
 # Entry states.  _PENDING_NOHANDLE marks entries created by the
 # fire-and-forget :meth:`Simulator.schedule_cb` path: no EventHandle can
 # reference them, so the run loop may recycle their lists through the free
-# pool after they fire.  "Still pending" is therefore ``state < _FIRED``.
-_PENDING, _PENDING_NOHANDLE, _FIRED, _CANCELLED = range(4)
+# pool after they fire.  _SEQUENCE marks a sequence entry (also handle-less).
+# "Still pending" is therefore ``state < _FIRED``.
+_PENDING, _PENDING_NOHANDLE, _SEQUENCE, _FIRED, _CANCELLED = range(5)
 
 # Heap compaction: once at least this many cancelled entries linger *and*
 # they outnumber the live ones, the heap is rebuilt in place.  Rebuilding
@@ -95,6 +114,7 @@ _POOL_MAX = 1024
 # the old ``isfinite`` call (NaN fails both sides, +inf fails the right).
 _heappush = heapq.heappush
 _INF = math.inf
+_time_of = itemgetter(0)
 
 
 class EventHandle:
@@ -169,7 +189,8 @@ class Simulator:
 
     __slots__ = ("_now", "_heap", "_seq", "_running", "_stopped",
                  "_events_executed", "_dead", "_profiler", "_pool",
-                 "_batch_handlers", "_batch_mode")
+                 "_batch_handlers", "_batch_mode", "_extra", "_inflight",
+                 "_inflight_mark")
 
     def __init__(self, start_time: float = 0.0) -> None:
         if not math.isfinite(start_time):
@@ -185,6 +206,13 @@ class Simulator:
         self._pool: list[list] = []  # recycled fired entry lists
         self._batch_handlers: dict[Any, Callable] = {}
         self._batch_mode = False
+        # Sequence bookkeeping: queued sequence entries stand for
+        # ``_extra`` more logical events than their heap slots; the entry
+        # being drained in place (if any) has left the heap, and its
+        # events still to come are ``_inflight_mark - _events_executed``.
+        self._extra = 0
+        self._inflight: list | None = None
+        self._inflight_mark = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -201,13 +229,29 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still in the queue."""
-        return len(self._heap) - self._dead
+        """Number of live (non-cancelled) events still in the queue.
+
+        Counts logical events: a sequence entry counts every event it has
+        left, including those of a sequence being drained right now.
+        """
+        live = len(self._heap) - self._dead + self._extra
+        if self._inflight is not None:
+            live += self._inflight_mark - self._events_executed
+        return live
 
     def peek(self) -> float | None:
         """Time of the next live event, or None if the queue is empty."""
         self._drop_dead_head()
-        return self._heap[0][_TIME] if self._heap else None
+        t = self._heap[0][_TIME] if self._heap else None
+        entry = self._inflight
+        if entry is not None:
+            events = entry[_EVENTS]
+            left = self._inflight_mark - self._events_executed
+            if left > 0:
+                t_seq = events[len(events) - left][0]
+                if t is None or t_seq < t:
+                    t = t_seq
+        return t
 
     @property
     def profiler(self):
@@ -282,6 +326,44 @@ class Simulator:
             entry = [time, priority, seq, _PENDING_NOHANDLE, fn, args]
         self._seq = seq + 1
         _heappush(self._heap, entry)
+
+    def schedule_sequence(
+        self, events: list[tuple[float, Callable[..., None], tuple]]
+    ) -> None:
+        """Schedule ``(time, fn, args)`` triples as one heap entry.
+
+        Equivalent to calling ``schedule_cb(time, fn, *args)`` for each
+        triple in list order (default priority): the sequence consumes
+        the same consecutive ``seq`` numbers those calls would have, so
+        the run loop fires its events in exactly the scalar order,
+        interleaved with every other event.  The events are sorted by
+        ``(time, seq)`` once here (a stable sort on time, as ``seq``
+        follows list order); the run loop then executes them in place
+        while the next one stays below the heap's head, and re-pushes
+        the entry only when a foreign event comes in between.  For
+        fan-outs such as the channel's per-receiver ``rx_start``/
+        ``rx_end`` pairs this trades 2n heap pushes and pops for one of
+        each per interleaving.
+        """
+        now = self._now
+        for t, _, _ in events:
+            if not (now <= t < _INF):
+                raise SchedulingError(
+                    f"cannot schedule at t={t!r} (now={now:.9f})"
+                )
+        if not events:
+            return
+        seq = self._seq
+        self._seq = seq + len(events)
+        self._extra += len(events) - 1
+        ordered = sorted(events, key=_time_of)
+        # The entry carries the sequence's first seq for good: every other
+        # entry's seq lies outside [seq, self._seq), so it orders against
+        # them exactly as each of its events' own seq would.
+        _heappush(
+            self._heap,
+            [ordered[0][0], DEFAULT_PRIORITY, seq, _SEQUENCE, ordered, 0],
+        )
 
     def schedule_in(
         self,
@@ -391,7 +473,8 @@ class Simulator:
         try:
             while heap and not self._stopped and budget > 0:
                 entry = pop(heap)
-                if entry[_STATE] == _CANCELLED:
+                state = entry[_STATE]
+                if state == _CANCELLED:
                     self._dead -= 1
                     continue
                 if entry[_TIME] > until:
@@ -400,8 +483,14 @@ class Simulator:
                     if math.isfinite(until):
                         self._now = until
                     break
+                if state == _SEQUENCE:
+                    n, tick = self._drain_sequence(
+                        entry, until, budget, profiler, stride, tick
+                    )
+                    budget -= n
+                    continue
                 self._now = entry[_TIME]
-                recycle = entry[_STATE] == _PENDING_NOHANDLE
+                recycle = state == _PENDING_NOHANDLE
                 entry[_STATE] = _FIRED
                 fn = entry[_FN]
                 args = entry[_ARGS]
@@ -456,7 +545,8 @@ class Simulator:
         try:
             while heap and not self._stopped and budget > 0:
                 entry = pop(heap)
-                if entry[_STATE] == _CANCELLED:
+                state = entry[_STATE]
+                if state == _CANCELLED:
                     self._dead -= 1
                     continue
                 if entry[_TIME] > until:
@@ -464,8 +554,14 @@ class Simulator:
                     if math.isfinite(until):
                         self._now = until
                     break
+                if state == _SEQUENCE:
+                    n, tick = self._drain_sequence(
+                        entry, until, budget, profiler, stride, tick
+                    )
+                    budget -= n
+                    continue
                 self._now = entry[_TIME]
-                recycle = entry[_STATE] == _PENDING_NOHANDLE
+                recycle = state == _PENDING_NOHANDLE
                 entry[_STATE] = _FIRED
                 fn = entry[_FN]
                 args = entry[_ARGS]
@@ -523,8 +619,10 @@ class Simulator:
                         pop(heap)
                         self._dead -= 1
                         continue
+                    if len(head) == 7 or head[_STATE] == _SEQUENCE:
+                        break
                     hfn = head[_FN]
-                    if len(head) == 7 or getattr(hfn, "__func__", hfn) is not kind:
+                    if getattr(hfn, "__func__", hfn) is not kind:
                         break
                     pop(heap)
                     recycle_h = head[_STATE] == _PENDING_NOHANDLE
@@ -548,6 +646,79 @@ class Simulator:
                     self._now = until
         finally:
             self._running = False
+
+    def _drain_sequence(
+        self,
+        entry: list,
+        until: float,
+        budget: float,
+        profiler,
+        stride: int,
+        tick: int,
+    ) -> tuple[int, int]:
+        """Execute a popped sequence entry's events in place.
+
+        Runs events while the next key ``(time, priority, seq)`` is still
+        below the heap's head, within ``until`` and ``budget``, and no
+        callback has called :meth:`stop`; re-pushes the entry at its next
+        key if events remain, also when a callback raises (the raising
+        event counts as fired, as in the scalar loop).  Returns the
+        number of events executed and the profiler's sampling tick.
+        """
+        heap = self._heap
+        events = entry[_EVENTS]
+        pri = entry[_PRIORITY]
+        seq = entry[_SEQ]
+        n = len(events)
+        i = first = entry[_NEXT]
+        stop = n if budget >= n - i else i + int(budget)
+        # The entry has left the heap: move its count from _extra to the
+        # in-flight mark (its remaining events after the current one).
+        self._extra -= n - i - 1
+        self._inflight_mark = self._events_executed + n - i - 1
+        self._inflight = entry
+        t, fn, args = events[i]
+        try:
+            while True:
+                i += 1
+                self._now = t
+                if profiler is None:
+                    fn(*args)
+                else:
+                    tick += 1
+                    if tick >= stride:
+                        tick = 0
+                        t1 = perf_counter()
+                        fn(*args)
+                        profiler.record(fn, perf_counter() - t1)
+                    else:
+                        profiler.count_only(fn)
+                        fn(*args)
+                self._events_executed += 1
+                if i == stop or self._stopped:
+                    break
+                t, fn, args = events[i]
+                if t > until:
+                    break
+                if heap:
+                    # Break once the head's (time, priority, seq) is lower;
+                    # on a full tie the older seq (below ours) goes first.
+                    head = heap[0]
+                    ht = head[_TIME]
+                    if t >= ht and (
+                        t > ht
+                        or pri > head[_PRIORITY]
+                        or (pri == head[_PRIORITY] and head[_SEQ] < seq)
+                    ):
+                        break
+        finally:
+            self._inflight = None
+            if i < n:
+                entry[_TIME] = events[i][0]
+                entry[_NEXT] = i
+                self._extra += n - i - 1
+                heapq.heappush(heap, entry)
+        return i - first, tick
 
     def step(self) -> bool:
         """Execute exactly one live event.  Returns False if queue empty."""
@@ -587,10 +758,24 @@ class Simulator:
 
     def drain(self) -> Iterator[tuple[float, Callable[..., None], tuple]]:
         """Remove and yield remaining live events as ``(time, fn, args)``
-        tuples (mainly for tests)."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry[_STATE] < _FIRED:
+        tuples, in firing order (mainly for tests).  A sequence entry
+        yields each of its remaining events as its own tuple."""
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            state = entry[_STATE]
+            if state == _SEQUENCE:
+                events = entry[_EVENTS]
+                i = entry[_NEXT]
+                t, fn, args = events[i]
+                i += 1
+                if i < len(events):
+                    entry[_TIME] = events[i][0]
+                    entry[_NEXT] = i
+                    self._extra -= 1
+                    heapq.heappush(heap, entry)
+                yield (t, fn, args)
+            elif state < _FIRED:
                 yield (entry[_TIME], entry[_FN], entry[_ARGS])
             else:
                 self._dead -= 1

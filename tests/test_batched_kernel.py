@@ -1,7 +1,7 @@
 """Batched kernel (DESIGN.md §8): engine block events, vectorised
-SINR/capture decisions, array busy monitor, pair propagation, plan
-warming — each verified byte-identical to its scalar reference — plus
-the end-to-end 3-seed × {static, mobility, faults} equality matrix."""
+SINR/capture decisions, pair propagation, plan warming — each verified
+byte-identical to its scalar reference — plus the end-to-end 3-seed ×
+{static, mobility, faults} equality matrix."""
 
 import json
 import math
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig, build_network
-from repro.mac.busy_monitor import ArrayBusyMonitor, BusyMonitor
+from repro.mac.busy_monitor import BusyMonitor
 from repro.phy import sinr_kernel
 from repro.phy.channel import Channel
 from repro.phy.error_models import (
@@ -205,59 +205,6 @@ class TestFrameSuccessMany:
         min_sinrs = np.array([lin - 1e-9, lin, lin + 1.0, np.inf])
         # inf = no closed segments = empty product = success
         assert m.frame_ok_many(min_sinrs).tolist() == [False, True, True, True]
-
-
-# --------------------------------------------------------------------- #
-# ArrayBusyMonitor ≡ BusyMonitor
-# --------------------------------------------------------------------- #
-class TestArrayBusyMonitor:
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_bit_identical_ratio_sequence(self, seed):
-        rng = np.random.default_rng(seed)
-        sim_a, sim_b = Simulator(), Simulator()
-        window = float(rng.uniform(0.05, 2.0))
-        a = BusyMonitor(sim_a, window)
-        b = ArrayBusyMonitor(sim_b, window)
-        now = 0.0
-        for _ in range(int(rng.integers(10, 300))):
-            now += float(rng.uniform(0.0, window / 3))
-            sim_a._now = sim_b._now = now
-            busy = bool(rng.integers(0, 2))
-            a.on_medium_state(busy)
-            b.on_medium_state(busy)
-            ra, rb = a.busy_ratio(), b.busy_ratio()
-            assert ra == rb  # bit-identical, not approx
-            assert a.currently_busy == b.currently_busy
-
-    def test_ring_compaction_and_growth(self):
-        sim = Simulator()
-        m = ArrayBusyMonitor(sim, window_s=1e6)  # nothing ever prunes
-        ref = BusyMonitor(Simulator(), window_s=1e6)
-        ref.sim._now = 0.0
-        now = 0.0
-        for k in range(500):  # > initial capacity, forces growth
-            now += 0.5
-            sim._now = ref.sim._now = now
-            m.on_medium_state(True)
-            ref.on_medium_state(True)
-            now += 0.25
-            sim._now = ref.sim._now = now
-            m.on_medium_state(False)
-            ref.on_medium_state(False)
-        assert m.busy_ratio() == ref.busy_ratio()
-        assert m._tail - m._head == 500
-
-    def test_prune_resets_ring_when_empty(self):
-        sim = Simulator()
-        m = ArrayBusyMonitor(sim, window_s=0.1)
-        sim._now = 0.0
-        m.on_medium_state(True)
-        sim._now = 0.01
-        m.on_medium_state(False)
-        sim._now = 10.0
-        m.on_medium_state(True)  # prunes the aged-out interval
-        assert (m._head, m._tail) == (0, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -521,7 +468,7 @@ class TestBatchedKernelByteEquality:
         key = Timer._fire.__func__ if hasattr(Timer._fire, "__func__") \
             else Timer._fire
         assert key in net.sim._batch_handlers
-        assert isinstance(net.stacks[0].mac.busy_monitor, ArrayBusyMonitor)
+        assert isinstance(net.stacks[0].mac.busy_monitor, BusyMonitor)
 
     def test_scalar_config_keeps_scalar_types(self):
         net = build_network(ScenarioConfig(
