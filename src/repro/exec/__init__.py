@@ -8,10 +8,11 @@ such a grid into a :class:`Campaign` of deterministic, content-addressed
 * ``workers=1`` (the default) runs cells in-process, in task order —
   bit-identical to the historical serial loops, so seed tests and
   determinism guarantees are untouched.
-* ``workers>1`` fans cells out over a ``ProcessPoolExecutor`` with
-  per-task wall-clock timeouts, bounded retry with backoff, and
-  worker-crash isolation (a dead or hung cell is recorded as failed and
-  the campaign continues).
+* ``workers>1`` fans cells out over one process-wide
+  ``ProcessPoolExecutor`` that stays up across campaigns, with per-task
+  wall-clock timeouts, bounded retry with backoff, and worker-crash
+  isolation (a dead or hung cell is recorded as failed and the campaign
+  continues).
 * Completed cells are checkpointed one file each under
   ``results/cache/cells/`` so an interrupted campaign resumes from what
   finished instead of recomputing the whole sweep.
@@ -22,22 +23,24 @@ Because each cell is simulated from its own seed in a fresh engine, the
 aggregate of a parallel campaign is byte-identical to the serial one —
 results are reassembled in task order, never completion order.
 
-Execution is pluggable (:mod:`repro.exec.backends`): beyond the fresh
-process pool there is a persistent *warm* work-stealing pool (amortises
-spawn + import across campaigns — the dominant cost for short cells) and
-a coordinator-free *filestore* backend where N independent launcher
-processes cooperate over the content-addressed cell directory via atomic
-claim files (kill-safe: stale claims from dead launchers are swept).  On
+Execution is pluggable (:mod:`repro.exec.backends`): beyond the shared
+process pool there is a coordinator-free *filestore* backend where N
+independent launcher processes cooperate over the content-addressed cell
+directory via atomic claim files (kill-safe: stale claims from dead
+launchers are swept).  Pool workers keep the environment they were forked
+with: call :func:`shutdown_shared_pools` after changing ``REPRO_*``
+variables that cells should see.  On
 top, :mod:`repro.exec.adaptive` adds sequential-statistics early stopping:
 campaigns declare a metric + CI half-width and stop buying seeds for
 cells that already converged, with every stop decision audit-logged.
 
 Quickstart::
 
-    from repro.exec import ExecPolicy, run_configs
+    from repro.exec import ExecPolicy, run_configs, shutdown_shared_pools
 
     results = run_configs("my-sweep", configs, ExecPolicy(workers=4))
-    results = run_configs("warm", configs, ExecPolicy(workers=4, backend="warm"))
+    results = run_configs("again", configs, ExecPolicy(workers=4))  # same workers
+    shutdown_shared_pools()  # e.g. after changing REPRO_* variables
 
 or process-wide (the experiments CLI does this for ``--workers``)::
 
@@ -60,9 +63,7 @@ from repro.exec.backends import (
     FileStoreBackend,
     PoolBackend,
     SerialBackend,
-    WarmPoolBackend,
     make_backend,
-    shared_warm_pool,
     shutdown_shared_pools,
 )
 from repro.exec.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
@@ -96,7 +97,6 @@ __all__ = [
     "SerialBackend",
     "Task",
     "TaskOutcome",
-    "WarmPoolBackend",
     "configure",
     "current_policy",
     "make_backend",
@@ -104,7 +104,6 @@ __all__ = [
     "quarantine_dir",
     "run_adaptive_cells",
     "run_configs",
-    "shared_warm_pool",
     "shutdown_shared_pools",
     "using",
 ]

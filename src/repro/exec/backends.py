@@ -9,18 +9,14 @@ actual running of a batch of cells to a :class:`Backend`:
     reference every other backend must match byte-for-byte.
 
 ``pool``
-    A fresh ``ProcessPoolExecutor`` per batch (the pre-backend parallel
-    path).  Hard worker death breaks the whole pool, so the scheduler
-    re-runs every in-flight sibling as a crash suspect.
-
-``warm``
-    A *persistent* worker pool that survives across batches and campaigns
-    within the process.  Workers keep their interpreter + numpy state warm
-    and steal work from one shared queue, which amortises the per-campaign
-    process spawn and import cost — the dominant overhead when cells are
-    short (replicate waves, DSE generations).  Worker death is attributed
-    to exactly the cell the worker had claimed; siblings are unaffected
-    and the dead worker is respawned.
+    Cells fan out over one process-wide ``ProcessPoolExecutor`` (default
+    start method, sized ``policy.workers``).  The executor stays up across
+    batches and campaigns, so a burst of small campaigns (replicate waves,
+    DSE generations) forks its workers once; it is re-forked only when a
+    batch asks for a different size, when it is found broken, or on
+    :func:`shutdown_shared_pools`.  Workers keep the environment they were
+    forked with.  Hard worker death breaks the whole pool, so the
+    scheduler re-runs every in-flight sibling as a crash suspect.
 
 ``filestore``
     No worker processes at all: N *independent launcher processes* (e.g.
@@ -34,9 +30,8 @@ actual running of a batch of cells to a :class:`Backend`:
     releases it so a resumed or surviving launcher finishes the work —
     kill-safe with no coordinator.
 
-Backend instances are cheap veneers; the warm pool's processes are shared
-process-wide (see :func:`shared_warm_pool`) so repeated campaigns reuse
-them.
+Backend instances are cheap veneers; the pool's processes are shared
+process-wide so repeated campaigns reuse them.
 """
 
 from __future__ import annotations
@@ -49,9 +44,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
-
-import multiprocessing as mp
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exec.checkpoint import CheckpointStore
 from repro.exec.worker import execute_payload, payload_for_config, watch_parent
@@ -67,9 +60,7 @@ __all__ = [
     "FileStoreBackend",
     "PoolBackend",
     "SerialBackend",
-    "WarmPoolBackend",
     "make_backend",
-    "shared_warm_pool",
     "shutdown_shared_pools",
 ]
 
@@ -93,14 +84,13 @@ class Backend(ABC):
         campaign: "Campaign",
         batch: Sequence[Entry],
         policy: "ExecPolicy",
-        workers: int,
         absorb: Absorb,
         crashed: Crashed,
     ) -> None:
         """Run ``batch``; report every entry via ``absorb`` or ``crashed``."""
 
     def close(self) -> None:
-        """Release per-campaign resources (shared pools stay warm)."""
+        """Release per-campaign resources (the shared pool stays up)."""
 
 
 # --------------------------------------------------------------------- #
@@ -111,7 +101,7 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def run_batch(self, campaign, batch, policy, workers, absorb, crashed):
+    def run_batch(self, campaign, batch, policy, absorb, crashed):
         for i, attempt, crashes in batch:
             out = execute_payload(
                 payload_for_config(campaign.tasks[i].config, policy.task_timeout_s)
@@ -120,29 +110,68 @@ class SerialBackend(Backend):
 
 
 # --------------------------------------------------------------------- #
-# pool (fresh ProcessPoolExecutor per batch)
+# pool (one process-wide ProcessPoolExecutor, kept up across batches)
 # --------------------------------------------------------------------- #
-class PoolBackend(Backend):
-    """One ``ProcessPoolExecutor`` per batch; broken pools crash-suspect
-    every unfinished entry (the pool cannot say which cell killed it)."""
+_shared_pool: ProcessPoolExecutor | None = None
+_shared_workers = 0
 
-    name = "pool"
 
-    def run_batch(self, campaign, batch, policy, workers, absorb, crashed):
-        pool = ProcessPoolExecutor(
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide executor, forked on first use and re-forked when a
+    batch asks for a different size."""
+    global _shared_pool, _shared_workers
+    if _shared_pool is not None and _shared_workers != workers:
+        shutdown_shared_pools()
+    if _shared_pool is None:
+        _shared_pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=watch_parent,
             initargs=(os.getpid(),),
         )
-        futures = {
-            pool.submit(
-                execute_payload,
-                payload_for_config(
-                    campaign.tasks[i].config, policy.task_timeout_s
-                ),
-            ): (i, attempt, crashes)
-            for i, attempt, crashes in batch
-        }
+        _shared_workers = workers
+    return _shared_pool
+
+
+def shutdown_shared_pools() -> None:
+    """Shut the shared pool down; the next parallel batch forks a new one.
+
+    Workers keep the environment they were forked with, so call this after
+    changing ``REPRO_*`` variables (or the cwd) that cells should see.
+    """
+    global _shared_pool
+    pool, _shared_pool = _shared_pool, None
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+class PoolBackend(Backend):
+    """Cells on the shared ``ProcessPoolExecutor``; a broken pool
+    crash-suspects every unfinished entry (it cannot say which cell
+    killed it) and is replaced before the next batch."""
+
+    name = "pool"
+
+    def run_batch(self, campaign, batch, policy, absorb, crashed):
+        def submit_all() -> dict:
+            pool = _pool(policy.workers)
+            return {
+                pool.submit(
+                    execute_payload,
+                    payload_for_config(
+                        campaign.tasks[i].config, policy.task_timeout_s
+                    ),
+                ): (i, attempt, crashes)
+                for i, attempt, crashes in batch
+            }
+
+        try:
+            futures = submit_all()
+        except BrokenProcessPool:
+            # A worker died while the pool sat idle (OOM killer, SIGKILL):
+            # none of our cells ran, so fork a fresh pool and resubmit.
+            shutdown_shared_pools()
+            futures = submit_all()
+        healthy = False
         try:
             for fut in as_completed(futures):
                 i, attempt, crashes = futures.pop(fut)
@@ -159,6 +188,7 @@ class PoolBackend(Backend):
                         "duration_s": 0.0,
                     }
                 absorb(i, attempt, crashes, out)
+            healthy = True
         except BrokenProcessPool:
             # A worker died hard.  Finished futures that slipped through
             # before the break are absorbed normally; the rest (victim
@@ -175,156 +205,10 @@ class PoolBackend(Backend):
                 else:
                     crashed(i, attempt, crashes)
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
-# --------------------------------------------------------------------- #
-# warm (persistent work-stealing pool)
-# --------------------------------------------------------------------- #
-def _warm_worker_main(
-    parent_pid: int, task_q: "mp.Queue", result_q
-) -> None:
-    """Persistent worker loop: claim → execute → report, until sentinel.
-
-    The ``("claim", wid, key)`` message *before* execution is what lets the
-    parent attribute a hard death to exactly one cell; everything the
-    worker has not claimed is untouched by its demise.  ``result_q`` is a
-    ``SimpleQueue`` deliberately: its ``put`` is a synchronous pipe write
-    (no feeder thread), so a worker that dies the instant after claiming —
-    ``os._exit`` inside the cell — cannot lose the claim in an unflushed
-    buffer.  Only the claim→execute window itself (no user code) is
-    unattributable.
-    """
-    watch_parent(parent_pid)
-    wid = os.getpid()
-    while True:
-        item = task_q.get()
-        if item is None:  # shutdown sentinel
-            break
-        key, payload = item
-        result_q.put(("claim", wid, key))
-        out = execute_payload(payload)
-        result_q.put(("done", wid, key, out))
-
-
-class _WarmPool:
-    """The shared persistent worker processes behind ``warm`` backends."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-        self._ctx = mp.get_context("spawn")
-        self.task_q: mp.Queue = self._ctx.Queue()
-        # SimpleQueue: synchronous writes, so claims survive worker death.
-        self.result_q = self._ctx.SimpleQueue()
-        self._procs: list = []
-        for _ in range(workers):
-            self._spawn_one()
-
-    def _spawn_one(self) -> None:
-        proc = self._ctx.Process(
-            target=_warm_worker_main,
-            args=(os.getpid(), self.task_q, self.result_q),
-            daemon=True,
-        )
-        proc.start()
-        self._procs.append(proc)
-
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        items: dict[int, dict[str, Any]],
-        absorb_out: Callable[[int, dict], None],
-        crashed_key: Callable[[int], None],
-        poll_s: float = 0.2,
-    ) -> None:
-        """Push ``items`` (key → payload) and drain until all accounted for.
-
-        A worker that dies holding a claim gets its cell reported via
-        ``crashed_key`` and is replaced; unclaimed cells stay queued for
-        the survivors — work stealing makes the reassignment automatic.
-        """
-        outstanding = set(items)
-        for key, payload in items.items():
-            self.task_q.put((key, payload))
-        claimed: dict[int, int] = {}  # worker pid → cell key
-        while outstanding:
-            # SimpleQueue has no timeout; poll its read pipe directly so
-            # corpse detection still runs while the queue is quiet.
-            if not self.result_q._reader.poll(poll_s):
-                for proc in list(self._procs):
-                    if proc.is_alive():
-                        continue
-                    self._procs.remove(proc)
-                    victim = claimed.pop(proc.pid, None)
-                    self._spawn_one()
-                    if victim is not None and victim in outstanding:
-                        outstanding.discard(victim)
-                        crashed_key(victim)
-                continue
-            msg = self.result_q.get()
-            if msg[0] == "claim":
-                _, wid, key = msg
-                claimed[wid] = key
-            else:
-                _, wid, key, out = msg
-                claimed.pop(wid, None)
-                if key in outstanding:
-                    outstanding.discard(key)
-                    absorb_out(key, out)
-
-    def shutdown(self) -> None:
-        for _ in self._procs:
-            self.task_q.put(None)
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-        self._procs.clear()
-
-
-_shared_pools: dict[int, _WarmPool] = {}
-
-
-def shared_warm_pool(workers: int) -> _WarmPool:
-    """Process-wide warm pool of ``workers`` processes (created once).
-
-    Sharing is what amortises spawn + import cost across campaigns: a DSE
-    search or figure regeneration issues many small campaigns, and all of
-    them reuse the same warm interpreters.
-    """
-    pool = _shared_pools.get(workers)
-    if pool is None or not pool._procs:
-        pool = _WarmPool(workers)
-        _shared_pools[workers] = pool
-    return pool
-
-
-def shutdown_shared_pools() -> None:
-    """Tear down every shared warm pool (tests, interpreter exit)."""
-    for pool in _shared_pools.values():
-        pool.shutdown()
-    _shared_pools.clear()
-
-
-class WarmPoolBackend(Backend):
-    """Persistent work-stealing pool; see module docstring."""
-
-    name = "warm"
-
-    def run_batch(self, campaign, batch, policy, workers, absorb, crashed):
-        pool = shared_warm_pool(max(workers, 1))
-        meta = {i: (attempt, crashes) for i, attempt, crashes in batch}
-        items = {
-            i: payload_for_config(
-                campaign.tasks[i].config, policy.task_timeout_s
-            )
-            for i in meta
-        }
-        pool.run(
-            items,
-            lambda i, out: absorb(i, *meta[i], out),
-            lambda i: crashed(i, *meta[i]),
-        )
+            if not healthy:
+                # A broken pool cannot be reused, and an interrupted batch
+                # must not leave its cells running on the shared pool.
+                shutdown_shared_pools()
 
 
 # --------------------------------------------------------------------- #
@@ -429,7 +313,7 @@ class FileStoreBackend(Backend):
         )
         self.poll_s = poll_s
 
-    def run_batch(self, campaign, batch, policy, workers, absorb, crashed):
+    def run_batch(self, campaign, batch, policy, absorb, crashed):
         pending: dict[int, Entry] = {entry[0]: entry for entry in batch}
         ttl = policy.claim_ttl_s
         last_sweep = 0.0
@@ -480,7 +364,6 @@ class FileStoreBackend(Backend):
 BACKENDS: dict[str, type[Backend]] = {
     SerialBackend.name: SerialBackend,
     PoolBackend.name: PoolBackend,
-    WarmPoolBackend.name: WarmPoolBackend,
     FileStoreBackend.name: FileStoreBackend,
 }
 

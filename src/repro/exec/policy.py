@@ -27,7 +27,7 @@ __all__ = ["ExecPolicy", "configure", "current_policy", "using"]
 #: Backend names accepted by :attr:`ExecPolicy.backend` (see
 #: :mod:`repro.exec.backends`); ``auto`` resolves to ``serial`` for one
 #: worker and ``pool`` otherwise.
-BACKEND_CHOICES = ("auto", "serial", "pool", "warm", "filestore")
+BACKEND_CHOICES = ("auto", "serial", "pool", "filestore")
 
 
 @dataclass(slots=True, frozen=True)
@@ -61,8 +61,9 @@ class ExecPolicy:
     backend:
         Execution backend (see :mod:`repro.exec.backends`): ``auto``
         (serial for one worker, process pool otherwise), ``serial``,
-        ``pool``, ``warm`` (persistent work-stealing pool), or
-        ``filestore`` (cooperating launchers over the cell directory).
+        ``pool`` (one process-wide ``ProcessPoolExecutor`` of ``workers``
+        processes, kept up across campaigns), or ``filestore``
+        (cooperating launchers over the cell directory).
     claim_ttl_s:
         File-store backend only: age beyond which a claim whose owner
         cannot be probed (foreign host) is presumed dead and reaped.

@@ -2,8 +2,8 @@
 
 The :class:`CampaignExecutor` runs a :class:`~repro.exec.task.Campaign`
 under an :class:`~repro.exec.policy.ExecPolicy`.  Every backend
-(``serial`` — the ``auto`` default at ``workers == 1`` — ``pool``,
-``warm``, ``filestore``; see :mod:`repro.exec.backends`) runs cells in
+(``serial`` — the ``auto`` default at ``workers == 1`` — ``pool`` and
+``filestore``; see :mod:`repro.exec.backends`) runs cells in
 retry *rounds*.  Failure containment is layered: simulation errors and
 wall-clock timeouts are returned as structured failures by the worker
 (retried with exponential backoff up to ``retries`` times); hard process
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.exec.backends import Backend, PoolBackend, make_backend
+from repro.exec.backends import Backend, make_backend
 from repro.exec.checkpoint import CheckpointStore
 from repro.exec.policy import ExecPolicy, current_policy
 from repro.exec.progress import ProgressReporter
@@ -199,17 +199,15 @@ class CampaignExecutor:
 
     # ------------------------------------------------------------------ #
     def _run_rounds(self, campaign, pending, policy, record, backend) -> None:
-        # Crash containment: a backend that cannot attribute a hard worker
-        # death to one cell (the fresh-pool backend: the whole pool breaks)
+        # Crash containment: the pool backend cannot attribute a hard
+        # worker death to one cell (the whole stdlib pool breaks), so it
         # reports every unfinished in-flight cell as a *suspect*.  Suspects
-        # re-run one per single-task batch, so a poisoned cell can only
-        # break its own pool.  A cell that crashes ``crash_limit`` times
-        # (once shared, then solo) is recorded as failed; innocents
-        # complete solo on their first quarantined run.  Backends with
-        # exact attribution (warm pool, filestore) simply report fewer
-        # suspects.
+        # re-run one per single-task batch, alone on the shared pool, so a
+        # poisoned cell can only break the pool under itself.  A cell that
+        # crashes ``crash_limit`` times (once shared, then solo) is
+        # recorded as failed; innocents complete solo on their first
+        # quarantined run.  Only the pool backend reports suspects.
         crash_limit = max(2, policy.retries + 1)
-        solo_isolation = isinstance(backend, PoolBackend)
         queue: list[tuple[int, int, int]] = [(i, 1, 0) for i in pending]
         round_no = 0
         while queue:
@@ -247,21 +245,12 @@ class CampaignExecutor:
                 else:
                     retry.append((index, attempt, crashes))
 
-            if solo_isolation:
-                fresh = [e for e in batch if e[2] == 0]
-                suspects = [e for e in batch if e[2] > 0]
-            else:
-                fresh, suspects = list(batch), []
-
+            fresh = [e for e in batch if e[2] == 0]
+            suspects = [e for e in batch if e[2] > 0]
             if fresh:
-                backend.run_batch(
-                    campaign, fresh, policy,
-                    min(policy.workers, len(fresh)), absorb, crashed,
-                )
+                backend.run_batch(campaign, fresh, policy, absorb, crashed)
             for entry in suspects:
-                backend.run_batch(
-                    campaign, [entry], policy, 1, absorb, crashed
-                )
+                backend.run_batch(campaign, [entry], policy, absorb, crashed)
             queue = retry
 
     # ------------------------------------------------------------------ #

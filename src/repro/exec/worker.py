@@ -80,13 +80,21 @@ def _deadline(timeout_s: float | None) -> Iterator[None]:
         yield
         return
 
+    fired = False
+
     def _on_alarm(signum, frame):
+        nonlocal fired
+        fired = True
         raise _TaskTimeout
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
         yield
+        if fired:
+            # The alarm landed in a finalizer (``__del__``, a weakref
+            # callback), where Python prints and swallows the exception.
+            raise _TaskTimeout
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)

@@ -14,7 +14,7 @@ cell is checkpointed and every run resumes from the checkpoints, so an
 interrupted regeneration picks up where it stopped and a repeat render
 simulates nothing (``REPRO_NO_CACHE=1`` recomputes every cell).
 ``--backend`` selects how workers run
-(``pool``/``warm``/``filestore`` — see docs/CAMPAIGNS.md) and
+(``pool``/``filestore`` — see docs/CAMPAIGNS.md) and
 ``--adaptive METRIC:HALFWIDTH[:MIN_REPS]`` turns replication counts into
 budgets with sequential-CI early stopping (``--no-adaptive`` is the
 explicit fixed-budget default, byte-identical to historical output).

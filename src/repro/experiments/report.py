@@ -80,8 +80,8 @@ processes and the executor reassembles them in task order.  Every
 finished cell is checkpointed and every run resumes from the
 checkpoints, so an interrupted regeneration continues where it stopped
 (``REPRO_NO_CACHE=1`` recomputes every cell).  ``--backend`` picks the
-execution backend (process pool,
-persistent warm pool, or multi-launcher ``filestore``) and ``--adaptive
+execution backend (a process pool kept up across campaigns, or
+multi-launcher ``filestore``) and ``--adaptive
 pdr:0.02`` replicates each cell only until its 95 % CI half-width meets
 the declared target (``--no-adaptive`` forces the fixed budget; the
 per-cell stop decisions are logged to a JSONL audit file) — see

@@ -3,17 +3,34 @@
 ``make_perfect_net`` assembles a network of routing protocols over the
 idealised :class:`~repro.mac.perfect.PerfectMac` so tests assert on
 protocol logic without stochastic MAC effects.
+
+``fresh_shared_pool`` gives a test its own campaign worker pool.  Modules
+that change ``REPRO_*`` variables (or the cwd) and run ``workers > 1``
+use it autouse via ``pytestmark``: pool workers keep the environment they
+were forked with, so a pool left up by an earlier test would not see the
+variables a later test sets.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import pytest
+
+from repro.exec import shutdown_shared_pools
 from repro.mac.perfect import PerfectMacNetwork
 from repro.net.node import NodeStack
 from repro.net.routing_base import RoutingProtocol
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+
+@pytest.fixture
+def fresh_shared_pool():
+    """No shared worker pool before the test, none left up after it."""
+    shutdown_shared_pools()
+    yield
+    shutdown_shared_pools()
 
 
 def make_perfect_net(

@@ -35,6 +35,10 @@ from repro.dse import (
 from repro.exec.policy import ExecPolicy
 from repro.experiments.scenario import ScenarioConfig
 
+#: Pool workers keep the environment they were forked with, and these
+#: tests set ``REPRO_*`` variables per test: fork a fresh pool each time.
+pytestmark = pytest.mark.usefixtures("fresh_shared_pool")
+
 
 @pytest.fixture()
 def isolated_cache(tmp_path, monkeypatch):

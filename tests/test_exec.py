@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -20,6 +21,10 @@ from repro.exec.worker import FAULT_ENV, execute_payload, payload_for_config
 from repro.experiments.runner import replicate, run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import result_from_dict, result_to_dict
+
+#: Pool workers keep the environment they were forked with, and these
+#: tests set ``REPRO_*`` variables per test: fork a fresh pool each time.
+pytestmark = pytest.mark.usefixtures("fresh_shared_pool")
 
 
 def tiny(protocol="aodv", **kw):
@@ -210,6 +215,26 @@ class TestWorker:
         heavy = tiny(grid_nx=5, grid_ny=5, n_flows=10, flow_rate_pps=50.0,
                      sim_time_s=120.0, warmup_s=1.0)
         out = execute_payload(payload_for_config(heavy, 0.1))
+        assert not out["ok"] and out["kind"] == "timeout"
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_timeout_survives_alarm_in_finalizer(self, monkeypatch):
+        import repro.exec.worker as worker_mod
+
+        class SlowFinalizer:
+            def __del__(self):
+                time.sleep(0.5)  # the 0.1 s alarm fires in here
+
+        real = worker_mod.run_scenario
+
+        def run_after_finalizer(config):
+            SlowFinalizer()  # collected at once: __del__ runs right here
+            return real(config)
+
+        monkeypatch.setattr(worker_mod, "run_scenario", run_after_finalizer)
+        out = execute_payload(payload_for_config(tiny(sim_time_s=2.0), 0.1))
         assert not out["ok"] and out["kind"] == "timeout"
 
 

@@ -263,12 +263,12 @@ class TestCliSpecWiring:
         from repro.exec import configure, current_policy
 
         assert main(["--list", "--adaptive", "pdr:0.02:3",
-                     "--backend", "warm"]) == 0
+                     "--backend", "pool"]) == 0
         pol = current_policy()
         try:
             assert pol.adaptive is not None
             assert pol.adaptive.metric == "pdr"
-            assert pol.backend == "warm"
+            assert pol.backend == "pool"
         finally:
             configure(adaptive=None, backend="auto", workers=1,
                       progress=False, resume=False)

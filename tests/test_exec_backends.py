@@ -1,14 +1,17 @@
 """Tests for the pluggable execution backends (repro.exec.backends).
 
 Covers the byte-identity contract every backend owes the serial
-reference, the warm pool's exact crash attribution, the filestore
+reference, the shared process pool (reuse across campaigns, crash
+attribution, replacement of a pool broken while idle), the filestore
 backend's claim protocol (including the stale-lock sweep and
 kill-mid-claim resume), and the scheduler's retry/timeout/quarantine
 paths serially and under ``--workers 4``.
 """
 
 import json
+import multiprocessing as mp
 import os
+import signal
 import subprocess
 import threading
 import time
@@ -24,11 +27,14 @@ from repro.exec import (
     FileStoreBackend,
     quarantine_dir,
     run_configs,
-    shared_warm_pool,
     shutdown_shared_pools,
 )
 from repro.exec.worker import FAULT_ENV
 from repro.experiments.scenario import ScenarioConfig
+
+#: Pool workers keep the environment they were forked with, and these
+#: tests set ``REPRO_*`` variables per test: fork a fresh pool each time.
+pytestmark = pytest.mark.usefixtures("fresh_shared_pool")
 
 
 def tiny(protocol="aodv", **kw):
@@ -50,23 +56,20 @@ def isolated_cache(tmp_path, monkeypatch):
     yield tmp_path
 
 
-@pytest.fixture
-def warm_pools():
-    """Fresh warm pools per test (they are process-wide otherwise)."""
-    shutdown_shared_pools()
-    yield
-    shutdown_shared_pools()
+def pool_pids() -> set[int]:
+    """PIDs of this process's live worker processes."""
+    return {proc.pid for proc in mp.active_children()}
 
 
 class TestBackendIdentity:
-    def test_warm_matches_serial(self, warm_pools):
+    def test_reused_pool_matches_serial(self):
         configs = [tiny(p, seed=s) for p in ("aodv", "nlr") for s in (3, 4)]
         serial = run_configs("id-serial", configs, ExecPolicy())
-        warm = run_configs(
-            "id-warm", configs,
-            ExecPolicy(workers=2, backend="warm", checkpoint=False),
-        )
-        assert metric_dump(serial) == metric_dump(warm)
+        policy = ExecPolicy(workers=2, backend="pool", checkpoint=False)
+        first = run_configs("id-pool-a", configs, policy)
+        second = run_configs("id-pool-b", configs, policy)  # same workers
+        assert metric_dump(serial) == metric_dump(first)
+        assert metric_dump(serial) == metric_dump(second)
 
     def test_filestore_matches_serial(self):
         configs = [tiny(seed=s) for s in (3, 4, 5)]
@@ -86,46 +89,63 @@ class TestBackendIdentity:
         assert metric_dump(serial) == metric_dump(pool)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ExecPolicy(backend="carrier-pigeon")
+        for name in ("carrier-pigeon", "warm"):
+            with pytest.raises(ValueError, match="backend"):
+                ExecPolicy(backend=name)
 
 
-class TestWarmPool:
-    def test_pool_is_shared_and_workers_persist(self, warm_pools):
-        pool = shared_warm_pool(2)
-        assert shared_warm_pool(2) is pool
-        pids_before = sorted(p.pid for p in pool._procs)
-        configs = [tiny(seed=s) for s in (3, 4, 5)]
-        run_configs(
-            "warm-a", configs,
-            ExecPolicy(workers=2, backend="warm", checkpoint=False),
-        )
-        run_configs(
-            "warm-b", [tiny(seed=6)],
-            ExecPolicy(workers=2, backend="warm", checkpoint=False),
-        )
-        assert sorted(p.pid for p in pool._procs) == pids_before
+class TestSharedPool:
+    POLICY = ExecPolicy(
+        workers=2, backend="pool", retries=0, backoff_s=0.0,
+        checkpoint=False,
+    )
 
-    def test_crash_attributed_to_exact_cell(self, warm_pools, monkeypatch):
+    def test_workers_persist_across_campaigns(self):
+        run_configs("pool-a", [tiny(seed=s) for s in (3, 4, 5)], self.POLICY)
+        pids = pool_pids()
+        assert len(pids) == 2
+        run_configs("pool-b", [tiny(seed=6)], self.POLICY)
+        assert pool_pids() == pids
+        shutdown_shared_pools()
+        assert pool_pids() == set()
+
+    def test_crash_attributed_to_exact_cell(self, monkeypatch):
         crash_seed = 777
         monkeypatch.setenv(FAULT_ENV, f"exit:{crash_seed}")
         campaign = Campaign.from_configs(
-            "warm-crashy", [tiny(seed=3), tiny(seed=4), tiny(seed=crash_seed)]
+            "pool-crashy", [tiny(seed=3), tiny(seed=4), tiny(seed=crash_seed)]
         )
-        policy = ExecPolicy(
-            workers=2, backend="warm", retries=0, backoff_s=0.0,
-            checkpoint=False,
-        )
-        result = CampaignExecutor(policy).run(campaign)
+        result = CampaignExecutor(self.POLICY).run(campaign)
         by_seed = {o.task.config.seed: o for o in result.outcomes}
         assert by_seed[3].ok and by_seed[4].ok
         assert by_seed[crash_seed].status == "failed"
         assert by_seed[crash_seed].kind == "crash"
-        # The pool replaced its casualty and keeps serving.
+        # A pool forked for the solo re-runs may still carry the fault in
+        # its environment: clear it, fork fresh workers, and the next
+        # campaign succeeds.
         monkeypatch.delenv(FAULT_ENV)
         shutdown_shared_pools()
-        again = CampaignExecutor(policy).run(campaign)
+        again = CampaignExecutor(self.POLICY).run(campaign)
         assert again.ok == 3
+
+    def test_idle_worker_killed_between_campaigns(self):
+        configs = [tiny(seed=s) for s in (3, 4, 5)]
+        run_configs("pool-before", configs, self.POLICY)
+        pids = pool_pids()
+        os.kill(min(pids), signal.SIGKILL)
+        # The executor notices the corpse, marks itself broken and reaps
+        # the survivors; the next submit must then hit a broken pool.
+        deadline = time.monotonic() + 10.0
+        while pool_pids() & pids and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not pool_pids() & pids
+        result = CampaignExecutor(self.POLICY).run(
+            Campaign.from_configs("pool-after", configs)
+        )
+        assert [(o.status, o.attempts) for o in result.outcomes] == [
+            ("ok", 1)
+        ] * 3
+        assert len(pool_pids()) == 2
 
 
 class TestClaimStore:

@@ -26,6 +26,10 @@ from repro.obs.schema import validate_trace_line
 from repro.obs.spec import TraceSpec, artifact_root
 from repro.obs import trace_cli
 
+#: Pool workers keep the environment they were forked with, and these
+#: tests set ``REPRO_*`` variables per test: fork a fresh pool each time.
+pytestmark = pytest.mark.usefixtures("fresh_shared_pool")
+
 
 def small_config(**overrides) -> ScenarioConfig:
     base = dict(
