@@ -2,10 +2,11 @@
 """Perf-regression baseline runner.
 
 Executes the substrate kernels the figure sweeps stress (event heap, timer
-churn, channel dispatch with/without the spatial index, mobility-driven
-cache invalidation, busy-ratio tracking, a fig-6-style end-to-end
-scalability scenario at N ≥ 100 nodes, and the figures' reference
-operating point with both kernels), then emits ``BENCH_<rev>.json``
+churn, channel dispatch on the sized cell grid and on the one-cell grid
+that unbounded-reach models use, mobility-driven cache invalidation,
+busy-ratio tracking, a fig-6-style end-to-end scalability scenario at
+N ≥ 100 nodes, and the figures' reference operating point with both
+kernels), then emits ``BENCH_<rev>.json``
 at the repo root with wall-clock, events/s, and peak RSS per kernel plus
 machine-independent derived speedup ratios.
 
@@ -13,8 +14,13 @@ The emitted file is the perf trajectory: each run diffs against the most
 recent comparable baseline (same ``--quick`` mode) and ``--check`` turns a
 >``--tolerance`` regression into a non-zero exit for CI.  Wall-clock gates
 only apply when the baseline was recorded on the same CPU model; across
-machines only the derived speedup ratios (spatial vs exhaustive) are
+machines only the derived speedup ratios (e.g. spatial vs exhaustive) are
 gated, since those are dimensionless.
+
+The ``*_exhaustive`` kernels run inside :func:`one_cell_grid`, which gives
+the two-ray model an unbounded interference range, so the channel puts
+every node in one cell and scans the whole position table per plan: the
+path log-normal shadowing runs take.
 
 Usage::
 
@@ -25,7 +31,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import platform
 import resource
 import subprocess
@@ -56,10 +64,25 @@ SCHEMA = 1
 # --------------------------------------------------------------------- #
 # Kernels
 # --------------------------------------------------------------------- #
-def _grid_channel(nx: int, ny: int, spacing: float, spatial: bool) -> Channel:
+@contextlib.contextmanager
+def one_cell_grid():
+    """Give :class:`TwoRayGround` an unbounded interference range inside
+    the block, so every channel built or sized there runs one cell
+    covering the plane (the full-table dispatch of shadowing runs)."""
+    own = TwoRayGround.__dict__.get("max_interference_range")
+    TwoRayGround.max_interference_range = lambda self, p, t: math.inf
+    try:
+        yield
+    finally:
+        if own is None:
+            del TwoRayGround.max_interference_range
+        else:
+            TwoRayGround.max_interference_range = own
+
+
+def _grid_channel(nx: int, ny: int, spacing: float) -> Channel:
     sim = Simulator()
-    ch = Channel(sim, TwoRayGround(), propagation_delay=False,
-                 spatial_index=spatial)
+    ch = Channel(sim, TwoRayGround(), propagation_delay=False)
     rs = RandomStreams(1)
     for i in range(nx * ny):
         r = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
@@ -92,14 +115,14 @@ def kernel_timer_churn(quick: bool) -> dict:
             "final_heap_len": len(sim._heap)}
 
 
-def _kernel_dispatch(quick: bool, spatial: bool) -> dict:
-    # Cold-plan regime: every plan rebuilt each round.  The exhaustive
-    # path's single vectorised pass is hard to beat at small N (crossover
+def _kernel_dispatch(quick: bool) -> dict:
+    # Cold-plan regime: every plan rebuilt each round.  The one-cell
+    # grid's single vectorised pass is hard to beat at small N (crossover
     # sits near N ≈ 500 on 2026 hardware), so this kernel measures the
     # asymptotic regime; the steady-state win is the mobility kernel below.
     nx = 40 if quick else 50
     rounds = 3 if quick else 5
-    ch = _grid_channel(nx, nx, 300.0, spatial)
+    ch = _grid_channel(nx, nx, 300.0)
     power = PhyConfig().tx_power_w
     n = nx * nx
     t0 = time.perf_counter()
@@ -114,21 +137,22 @@ def _kernel_dispatch(quick: bool, spatial: bool) -> dict:
 
 
 def kernel_dispatch_spatial(quick: bool) -> dict:
-    return _kernel_dispatch(quick, True)
+    return _kernel_dispatch(quick)
 
 
 def kernel_dispatch_exhaustive(quick: bool) -> dict:
-    return _kernel_dispatch(quick, False)
+    with one_cell_grid():
+        return _kernel_dispatch(quick)
 
 
-def _kernel_mobility(quick: bool, spatial: bool) -> dict:
+def _kernel_mobility(quick: bool) -> dict:
     # One node moves per round, then every node needs a dispatch plan:
     # incremental invalidation keeps plans outside the mover's
-    # neighbourhood cached; the exhaustive path recomputes all of them.
+    # neighbourhood cached; the one-cell grid recomputes all of them.
     # This is the steady-state regime of a mesh with roaming clients.
     nx = 20
     rounds = 20 if quick else 60
-    ch = _grid_channel(nx, nx, 300.0, spatial)
+    ch = _grid_channel(nx, nx, 300.0)
     power = PhyConfig().tx_power_w
     n = nx * nx
     rng = np.random.default_rng(5)
@@ -147,11 +171,12 @@ def _kernel_mobility(quick: bool, spatial: bool) -> dict:
 
 
 def kernel_mobility_spatial(quick: bool) -> dict:
-    return _kernel_mobility(quick, True)
+    return _kernel_mobility(quick)
 
 
 def kernel_mobility_exhaustive(quick: bool) -> dict:
-    return _kernel_mobility(quick, False)
+    with one_cell_grid():
+        return _kernel_mobility(quick)
 
 
 def kernel_busy_monitor(quick: bool) -> dict:
@@ -181,9 +206,9 @@ def _run_fig6(config: ScenarioConfig) -> dict:
             "pdr": result.pdr}
 
 
-def _kernel_fig6(quick: bool, spatial: bool) -> dict:
+def _kernel_fig6(quick: bool) -> dict:
     # Fig-6-style static scalability point at N = 100 (the acceptance
-    # floor).  Static plans are fully cached in both channel paths, so
+    # floor).  Static plans are fully cached under either cell size, so
     # this pair is the determinism cross-check and the whole-simulator
     # events/s tracker, not a spatial-index showcase.  batched_kernel=True
     # matches what the figure sweeps now run; the fig6_e2e pair below
@@ -192,22 +217,23 @@ def _kernel_fig6(quick: bool, spatial: bool) -> dict:
         protocol="nlr", grid_nx=10, grid_ny=10, spacing_m=200.0,
         n_flows=6, flow_rate_pps=2.0, flow_stagger_s=0.2,
         sim_time_s=4.0 if quick else 8.0, warmup_s=1.0, seed=42,
-        spatial_index=spatial, batched_kernel=True,
+        batched_kernel=True,
     ))
 
 
 def kernel_fig6_spatial(quick: bool) -> dict:
-    return _kernel_fig6(quick, True)
+    return _kernel_fig6(quick)
 
 
 def kernel_fig6_exhaustive(quick: bool) -> dict:
-    return _kernel_fig6(quick, False)
+    with one_cell_grid():
+        return _kernel_fig6(quick)
 
 
-def _kernel_fig6_scale(quick: bool, spatial: bool) -> dict:
+def _kernel_fig6_scale(quick: bool) -> dict:
     # End-to-end scalability regime: a static router backbone with a
     # roaming client (WMN clients over mesh routers).  Every mobility tick
-    # the exhaustive path drops the whole dispatch cache; the grid drops
+    # the one-cell grid drops the whole dispatch cache; the sized grid drops
     # only plans near the mover.  Plan rebuilding is ~3–4× cheaper with
     # the index but only ~5% of e2e runtime at this N (the MAC dominates),
     # so the pair's wall ratio hovers near 1.0 — its real jobs are the
@@ -219,17 +245,17 @@ def _kernel_fig6_scale(quick: bool, spatial: bool) -> dict:
         n_flows=8, flow_rate_pps=4.0, flow_stagger_s=0.2,
         sim_time_s=3.0 if quick else 4.0, warmup_s=1.0, seed=42,
         mobility="rwp", mobile_fraction=0.005, speed_range=(2.0, 8.0),
-        pause_s=0.5, mobility_update_s=0.1, spatial_index=spatial,
-        batched_kernel=True,
+        pause_s=0.5, mobility_update_s=0.1, batched_kernel=True,
     ))
 
 
 def kernel_fig6_scale_spatial(quick: bool) -> dict:
-    return _kernel_fig6_scale(quick, True)
+    return _kernel_fig6_scale(quick)
 
 
 def kernel_fig6_scale_exhaustive(quick: bool) -> dict:
-    return _kernel_fig6_scale(quick, False)
+    with one_cell_grid():
+        return _kernel_fig6_scale(quick)
 
 
 def _kernel_sinr_slot(quick: bool, batched: bool) -> dict:

@@ -6,8 +6,11 @@ channel dispatch, a full DCF unicast exchange, and a small end-to-end
 scenario per protocol.
 """
 
+import contextlib
+
 import pytest
 
+from benchmarks.baseline import one_cell_grid
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.mac.csma import CsmaMac, MacConfig
@@ -146,10 +149,9 @@ def bench_channel_dispatch(benchmark):
     benchmark(run)
 
 
-def _mesh_channel(nx: int, spacing_m: float, spatial: bool) -> Channel:
+def _mesh_channel(nx: int, spacing_m: float) -> Channel:
     sim = Simulator()
-    ch = Channel(sim, TwoRayGround(), propagation_delay=False,
-                 spatial_index=spatial)
+    ch = Channel(sim, TwoRayGround(), propagation_delay=False)
     rs = RandomStreams(1)
     for i in range(nx * nx):
         r = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
@@ -157,11 +159,16 @@ def _mesh_channel(nx: int, spacing_m: float, spatial: bool) -> Channel:
     return ch
 
 
+def _arm(spatial: bool):
+    """The sized cell grid, or (``exhaustive``) the one-cell grid."""
+    return contextlib.nullcontext() if spatial else one_cell_grid()
+
+
 @pytest.mark.parametrize("spatial", [True, False],
                          ids=["spatial", "exhaustive"])
 def bench_channel_dispatch_cold_n400(benchmark, spatial):
     """Fresh dispatch plans for all 400 nodes (the post-invalidation cost)."""
-    ch = _mesh_channel(20, 300.0, spatial)
+    ch = _mesh_channel(20, 300.0)
     power = PhyConfig().tx_power_w
 
     def run():
@@ -170,7 +177,8 @@ def bench_channel_dispatch_cold_n400(benchmark, spatial):
             ch._dispatch_plan(tx, power)
         return len(ch._dispatch_cache)
 
-    assert benchmark(run) == 400
+    with _arm(spatial):
+        assert benchmark(run) == 400
 
 
 @pytest.mark.parametrize("spatial", [True, False],
@@ -178,16 +186,17 @@ def bench_channel_dispatch_cold_n400(benchmark, spatial):
 def bench_channel_dispatch_mobile_n400(benchmark, spatial):
     """One node roams a 400-node mesh; every node re-plans each step.
 
-    The spatial path's incremental invalidation keeps plans outside the
-    mover's neighbourhood cached; the exhaustive path rebuilds all 400.
+    The sized grid's incremental invalidation keeps plans outside the
+    mover's neighbourhood cached; the one-cell grid rebuilds all 400.
     """
     import numpy as np
 
-    ch = _mesh_channel(20, 300.0, spatial)
+    ch = _mesh_channel(20, 300.0)
     power = PhyConfig().tx_power_w
     rng = np.random.default_rng(5)
-    for tx in range(400):
-        ch._dispatch_plan(tx, power)
+    with _arm(spatial):
+        for tx in range(400):
+            ch._dispatch_plan(tx, power)  # sizes the grid
 
     def run():
         mover = int(rng.integers(400))

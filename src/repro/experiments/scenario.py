@@ -91,9 +91,6 @@ class ScenarioConfig:
     mac_config: MacConfig = field(default_factory=MacConfig)
     sinr_threshold_db: float = 10.0
     propagation_delay: bool = True
-    #: Spatial-grid channel dispatch (byte-identical to exhaustive; keep
-    #: the flag for A/B determinism verification and perf bisection).
-    spatial_index: bool = True
     #: Batched simulation kernel (DESIGN.md §8): block-event fan-out,
     #: vectorised SINR/capture decisions, slot-batched CSMA timers.
     #: Byte-identical to the scalar engine; off by default so the scalar
@@ -138,9 +135,9 @@ class ScenarioConfig:
     # Measurement ------------------------------------------------------- #
     sim_time_s: float = 60.0
     warmup_s: float = 5.0
-    trace: bool = False
-    #: Streaming-trace spec (see :mod:`repro.obs.spec`): JSON-able, so it
-    #: content-hashes into exec cells.  Implies tracing when set.
+    #: Trace spec (see :mod:`repro.obs.spec`): JSON-able, so it
+    #: content-hashes into exec cells.  Set = tracing on (``{}`` records
+    #: in memory only); ``None`` = off.
     trace_spec: dict | None = None
     #: Attach the engine profiler (wall-time per callback); off by default
     #: — profiling output is wall-clock and never enters metrics snapshots.
@@ -299,7 +296,7 @@ class Network:
         self.config = config
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
-        self.tracer = Tracer(enabled=config.trace)
+        self.tracer = Tracer()
         self.positions: np.ndarray = np.empty((0, 2))
         self.graph: nx.Graph = nx.Graph()
         self.oracle: RouteOracle | None = None
@@ -405,7 +402,6 @@ def build_network(config: ScenarioConfig) -> Network:
             net.sim,
             propagation,
             propagation_delay=config.propagation_delay,
-            spatial_index=config.spatial_index,
             batched=config.batched_kernel,
         )
         if config.batched_kernel:

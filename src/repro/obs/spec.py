@@ -27,7 +27,8 @@ Recognised keys (all optional; an empty dict just enables tracing):
 * ``categories`` — record only these trace categories.
 * ``ring`` — capacity of an in-memory :class:`~repro.obs.sinks.RingSink`.
 * ``retain`` — keep records in the tracer's in-memory list too (default:
-  only when no streaming path is given, matching ``trace=True`` habits).
+  only when no streaming path is given, so ``trace_spec={}`` keeps every
+  record in memory).
 * ``max_records`` — in-memory retention bound (default 1M).
 * ``buffer_lines`` — sink write-buffer size.
 

@@ -10,17 +10,23 @@ SINR are never materialised as events.
 
 Spatial index
 -------------
-With ``spatial_index=True`` (the default) the channel maintains a uniform
-cell grid sized from the propagation model's *maximum interference range*
-at the cull threshold (``PropagationModel.max_interference_range``).  The
-grid uses the sorted-cell-key layout from particle simulation: each node's
-cell is packed into one ``int64`` key (``cx·2³¹ + cy``), and an argsorted
-key array turns "all nodes in a row of cells" into a contiguous slice
-found by a single ``searchsorted`` over the row bounds.  A dispatch then
+Every dispatch goes through a uniform cell grid sized from the
+propagation model's *maximum interference range* at the cull threshold
+(``PropagationModel.max_interference_range``).  The grid uses the
+sorted-cell-key layout from particle simulation: each node's cell is
+packed into one ``int64`` key (``cx·2³¹ + cy``), and an argsorted key
+array turns "all nodes in a row of cells" into a contiguous slice found
+by a single ``searchsorted`` over the row bounds.  A dispatch then
 evaluates propagation only over the nodes in the cell block covering the
 interference range instead of the full ``(n, 2)`` table — with numpy
 doing both the gather and the evaluation, so per-dispatch Python overhead
 stays flat as N grows.
+
+A model that cannot bound its reach (log-normal shadowing with
+``sigma > 0``, or a non-positive range) gets *one cell covering the
+plane*: the cell size is ``inf``, so every key is 0, the block around cell
+0 holds every node in index order, and any move or registration
+invalidates every plan.  That is a full-table scan through the same code.
 
 The plan cache is invalidated *incrementally*: each cached plan records
 the cells its candidate block covered (a cell → dependent-plans reverse
@@ -29,15 +35,13 @@ contains *i*'s old or new cell.  Mobility runs therefore keep their plan
 cache for every transmitter outside the mover's neighbourhood — previously
 any move cleared the cache wholesale.
 
-**Determinism contract:** the spatial path is byte-identical to the
-exhaustive path.  Candidate sets are always supersets of the true receiver
-set (cells are sized with a safety margin over the interference range),
-per-receiver powers/delays are element-wise numpy expressions whose values
-do not depend on which other rows share the array, and receivers are
-ordered by position-table index in both paths.  Propagation models that
-cannot bound their reach (log-normal shadowing with ``sigma > 0``) report
-an infinite interference range and the channel silently falls back to
-exhaustive dispatch with wholesale invalidation.
+**Determinism contract:** a plan does not depend on the cell size.
+Candidate sets are always supersets of the true receiver set (cells are
+sized with a safety margin over the interference range), per-receiver
+powers/delays are element-wise numpy expressions whose values do not
+depend on which other rows share the array, and receivers are ordered by
+position-table index.  Every plan therefore equals, float for float, the
+one a scan of the whole position table would give.
 """
 
 from __future__ import annotations
@@ -93,11 +97,6 @@ class Channel:
     propagation_delay:
         When True (default) receptions start after distance/c; disabling it
         makes unit tests easier to reason about.
-    spatial_index:
-        When True (default) dispatch and neighbour queries use the cell
-        grid described in the module docstring; when False every query
-        scans the full position table (the exhaustive reference path, kept
-        selectable for A/B determinism verification).
     batched:
         When True, fan-out schedules *block events* — one heap entry per
         (frame, propagation-delay group) handled by the vectorised
@@ -114,14 +113,12 @@ class Channel:
         propagation: PropagationModel,
         track_threshold_w: float | None = None,
         propagation_delay: bool = True,
-        spatial_index: bool = True,
         batched: bool = False,
     ) -> None:
         self.sim = sim
         self.propagation = propagation
         self._track_threshold_w = track_threshold_w
         self.propagation_delay = propagation_delay
-        self.spatial_index = spatial_index
         self.batched = batched
         if batched:
             sim.enable_batching()
@@ -146,9 +143,8 @@ class Channel:
         # power so heterogeneous-power scenarios can never reuse a plan
         # computed for a different power.
         self._dispatch_cache: dict[_PlanKey, _Plan] = {}
-        # Spatial grid (built lazily on first query; inactive = exhaustive).
+        # Spatial grid (built lazily on the first dispatch).
         self._grid_active = False
-        self._grid_disabled = False  # unbounded propagation reach
         self._cell_size = 0.0
         self._reach = 0
         self._grid_power_w = 0.0
@@ -191,13 +187,11 @@ class Channel:
         self._id2idx[radio.node_id] = idx
         self._n += 1
         if not self._grid_active:
-            self._invalidate_all()
-            return
+            return  # no plan exists before the first build
         if radio.config.tx_power_w > self._grid_power_w:
             # A stronger transmitter outranges the current cell sizing;
             # tear the grid down and rebuild lazily at the new maximum.
             self._teardown_grid()
-            self._invalidate_all()
             return
         if self._n > len(self._key_buf):
             self._key_buf = np.concatenate(
@@ -207,16 +201,6 @@ class Channel:
         self._key_buf[idx] = key
         self._order = None
         self._invalidate_cells((key,))
-
-    @property
-    def _positions(self) -> np.ndarray:
-        """Live ``(n, 2)`` view of the position table."""
-        return self._pos_buf[: self._n]
-
-    @property
-    def _ids(self) -> np.ndarray:
-        """Live ``(n,)`` view of the node-id table."""
-        return self._id_buf[: self._n]
 
     def position_of(self, node_id: int) -> np.ndarray:
         """Current position of ``node_id`` (copy)."""
@@ -236,12 +220,9 @@ class Channel:
         once instead of per mover.
         """
         if not self._grid_active:
-            moved = False
+            # No plan exists before the first build.
             for node_id, position in updates:
                 self._pos_buf[self._index_of(node_id)] = position
-                moved = True
-            if moved and self._dispatch_cache:
-                self._invalidate_all()
             return
         touched: set[int] = set()
         key_buf = self._key_buf
@@ -283,28 +264,26 @@ class Channel:
         c = self._cell_size
         return math.floor(x / c) * _KSTRIDE + math.floor(y / c)
 
-    def _ensure_grid(self) -> bool:
-        """Build the grid if enabled and possible; True when active."""
-        if self._grid_active:
-            return True
-        if not self.spatial_index or self._grid_disabled or self._n == 0:
-            return False
-        pmax = max(r.config.tx_power_w for r in self._radios.values())
-        self._build_grid(pmax)
-        return self._grid_active
+    def _ensure_grid(self) -> None:
+        """Build the grid, sized for the strongest registered radio."""
+        if not self._grid_active and self._n:
+            pmax = max(r.config.tx_power_w for r in self._radios.values())
+            self._build_grid(pmax)
 
     def _build_grid(self, power_w: float) -> None:
         rng = self.propagation.max_interference_range(
             power_w, self._cull_threshold()
         )
-        if not math.isfinite(rng) or rng <= 0.0:
-            self._grid_disabled = True
-            return
-        self._cell_size = rng * _RANGE_MARGIN / _CELLS_PER_RANGE
-        # A node outside the (2·reach+1)² block around the transmitter is
-        # at least reach·cell = range·margin away, hence below the cull
-        # threshold by the max_interference_range contract.
-        self._reach = _CELLS_PER_RANGE
+        if math.isfinite(rng) and rng > 0.0:
+            self._cell_size = rng * _RANGE_MARGIN / _CELLS_PER_RANGE
+            # A node outside the (2·reach+1)² block around the transmitter
+            # is at least reach·cell = range·margin away, hence below the
+            # cull threshold by the max_interference_range contract.
+            self._reach = _CELLS_PER_RANGE
+        else:
+            # Unbounded reach: one cell covering the plane (every key is 0).
+            self._cell_size = math.inf
+            self._reach = 0
         self._grid_power_w = power_w
         if len(self._key_buf) < len(self._id_buf):
             self._key_buf = np.empty(len(self._id_buf), dtype=np.int64)
@@ -314,9 +293,8 @@ class Channel:
         )
         self._order = None
         self._block_cache.clear()
-        self._cell_cands.clear()
-        # Row-bounds template for the dispatch-reach candidate query: the
-        # block rows of cell k are the key ranges k + _bounds_off[2r..2r+1].
+        # Row-bounds template for the candidate query: the block rows of
+        # cell k are the key ranges k + _bounds_off[2r..2r+1].
         reach = self._reach
         off = np.empty(2 * (2 * reach + 1), dtype=np.int64)
         for r, dx in enumerate(range(-reach, reach + 1)):
@@ -327,9 +305,7 @@ class Channel:
 
     def _teardown_grid(self) -> None:
         self._grid_active = False
-        self._order = None
-        self._block_cache.clear()
-        self._cell_cands.clear()
+        self._invalidate_all()
 
     def _ensure_order(self) -> None:
         if self._order is None:
@@ -337,36 +313,29 @@ class Channel:
             self._order = np.argsort(keys, kind="stable")
             self._sorted_keys = keys[self._order]
 
-    def _candidates(self, center_key: int, reach: int) -> np.ndarray:
+    def _candidates(self, center_key: int) -> np.ndarray:
         """Node indices in the cell block around ``center_key``, ascending
-        (= position-table order, which is what the exhaustive path emits).
+        (= position-table order).
 
         One ``searchsorted`` over the per-row key bounds turns the block
         into ``2·reach + 1`` contiguous slices of the sorted-key layout.
         """
         self._ensure_order()
-        span = 2 * reach + 1
-        if reach == self._reach:
-            bounds = center_key + self._bounds_off
-        else:  # neighbour queries with a caller-chosen radius
-            bounds = np.empty(2 * span, dtype=np.int64)
-            base = center_key - reach * _KSTRIDE
-            for r in range(span):
-                bounds[2 * r] = base - reach
-                bounds[2 * r + 1] = base + reach + 1
-                base += _KSTRIDE
+        bounds = center_key + self._bounds_off
         locs = np.searchsorted(self._sorted_keys, bounds)
         order = self._order
+        span = 2 * self._reach + 1
         cand = np.concatenate(
             [order[locs[2 * r]: locs[2 * r + 1]] for r in range(span)]
         )
         cand.sort()
         return cand
 
-    def _block_keys(self, center_key: int, reach: int) -> tuple[int, ...]:
+    def _block_keys(self, center_key: int) -> tuple[int, ...]:
         """Linear keys of the cells in the block (memoised per centre)."""
         block = self._block_cache.get(center_key)
         if block is None:
+            reach = self._reach
             cy = center_key % _KSTRIDE
             if cy >= _KSTRIDE >> 1:
                 cy -= _KSTRIDE
@@ -397,9 +366,8 @@ class Channel:
         cell_plans = self._cell_plans
         cell_cands = self._cell_cands
         cache = self._dispatch_cache
-        reach = self._reach
         for d in cells:
-            for c in self._block_keys(d, reach):
+            for c in self._block_keys(d):
                 cell_cands.pop(c, None)
                 plans = cell_plans.pop(c, None)
                 if plans:
@@ -477,38 +445,29 @@ class Channel:
 
     def _plan_inputs(
         self, tx_node: int, tx_power_w: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, bool]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
         """Candidate gather for one dispatch evaluation.
 
-        Returns ``(tx_pos, pos, ids, self_idx, center, use_grid)`` — the
-        candidate positions/ids to evaluate propagation over, the
-        transmitter's own row index among them, and the grid cell the
-        plan must register under for incremental invalidation.
+        Returns ``(tx_pos, pos, ids, self_idx, center)`` — the candidate
+        positions/ids to evaluate propagation over, the transmitter's own
+        row index among them, and the grid cell the plan must register
+        under for incremental invalidation.
         """
         tx_idx = self._index_of(tx_node)
-        tx_pos = self._pos_buf[tx_idx]
-        use_grid = self._ensure_grid()
-        if use_grid and tx_power_w > self._grid_power_w:
+        self._ensure_grid()
+        if tx_power_w > self._grid_power_w:
             # Frame power exceeds what the cells were sized for; resize.
             self._teardown_grid()
-            self._invalidate_all()
             self._build_grid(tx_power_w)
-            use_grid = self._grid_active
-        center = 0
-        if use_grid:
-            center = int(self._key_buf[tx_idx])
-            cached = self._cell_cands.get(center)
-            if cached is None:
-                cand = self._candidates(center, self._reach)
-                cached = (cand, self._pos_buf[cand], self._id_buf[cand])
-                self._cell_cands[center] = cached
-            cand, pos, ids = cached
-            self_idx = int(np.searchsorted(cand, tx_idx))
-        else:
-            pos = self._positions
-            ids = self._ids
-            self_idx = tx_idx
-        return tx_pos, pos, ids, self_idx, center, use_grid
+        center = int(self._key_buf[tx_idx])
+        cached = self._cell_cands.get(center)
+        if cached is None:
+            cand = self._candidates(center)
+            cached = (cand, self._pos_buf[cand], self._id_buf[cand])
+            self._cell_cands[center] = cached
+        cand, pos, ids = cached
+        self_idx = int(np.searchsorted(cand, tx_idx))
+        return self._pos_buf[tx_idx], pos, ids, self_idx, center
 
     def _finish_plan(
         self,
@@ -518,7 +477,6 @@ class Channel:
         ids: np.ndarray,
         self_idx: int,
         center: int,
-        use_grid: bool,
         powers: np.ndarray,
     ) -> _Plan:
         """Cull, delays, radio lookup, and cache registration — everything
@@ -545,12 +503,11 @@ class Channel:
         # radio hot path (and list indexing is faster there anyway).
         plan = (receivers, powers[rx].tolist(), delays.tolist())
         self._dispatch_cache[key] = plan
-        if use_grid:
-            dependents = self._cell_plans.get(center)
-            if dependents is None:
-                self._cell_plans[center] = {key}
-            else:
-                dependents.add(key)
+        dependents = self._cell_plans.get(center)
+        if dependents is None:
+            self._cell_plans[center] = {key}
+        else:
+            dependents.add(key)
         return plan
 
     def _dispatch_plan(self, tx_node: int, tx_power_w: float) -> _Plan:
@@ -560,7 +517,7 @@ class Channel:
         plan = self._dispatch_cache.get(key)
         if plan is not None:
             return plan
-        tx_pos, pos, ids, self_idx, center, use_grid = self._plan_inputs(
+        tx_pos, pos, ids, self_idx, center = self._plan_inputs(
             tx_node, tx_power_w
         )
         if isinstance(self.propagation, LogNormalShadowing):
@@ -569,9 +526,7 @@ class Channel:
             self.propagation.rx_power_many(tx_power_w, tx_pos, pos, rx_ids=ids),
             dtype=float,
         )
-        return self._finish_plan(
-            key, tx_pos, pos, ids, self_idx, center, use_grid, powers
-        )
+        return self._finish_plan(key, tx_pos, pos, ids, self_idx, center, powers)
 
     def warm_plans(self, pairs: "list[_PlanKey] | tuple") -> None:
         """Precompute dispatch plans for several ``(tx_node, tx_power_w)``
@@ -594,10 +549,7 @@ class Channel:
         if (
             len(todo) == 1
             or isinstance(self.propagation, LogNormalShadowing)
-            or (
-                self._grid_active
-                and any(p > self._grid_power_w for _, p in todo)
-            )
+            or any(p > self._grid_power_w for _, p in todo)
         ):
             # Per-pair fallback: shadowing needs its per-transmitter id
             # protocol, and a power above the grid sizing would rebuild
@@ -624,11 +576,11 @@ class Channel:
             dtype=float,
         )
         off = 0
-        for (key, (tx_pos, pos, ids, self_idx, center, use_grid)), m in zip(
+        for (key, (tx_pos, pos, ids, self_idx, center)), m in zip(
             inputs, counts
         ):
             self._finish_plan(
-                key, tx_pos, pos, ids, self_idx, center, use_grid,
+                key, tx_pos, pos, ids, self_idx, center,
                 powers_flat[off : off + m],
             )
             off += m
@@ -702,24 +654,3 @@ class Channel:
                 schedule_block(
                     t0 + dur, len(rxs), rx_end_block, rxs, frame, cache
                 )
-
-    def neighbors_within(self, node_id: int, radius_m: float) -> list[int]:
-        """Node ids within ``radius_m`` of ``node_id`` (excluding itself)."""
-        idx = self._index_of(node_id)
-        p = self._pos_buf[idx]
-        if math.isfinite(radius_m) and radius_m >= 0 and self._ensure_grid():
-            reach = int(math.ceil(radius_m / self._cell_size))
-            # Wide queries (radius ≫ arena) degenerate to a full scan; the
-            # exhaustive path below is then cheaper than walking the rows.
-            if (2 * reach + 1) ** 2 <= 4 * self._n:
-                cand = self._candidates(int(self._key_buf[idx]), reach)
-                pos = self._pos_buf[cand]
-                d = np.hypot(pos[:, 0] - p[0], pos[:, 1] - p[1])
-                mask = d <= radius_m
-                mask[np.searchsorted(cand, idx)] = False
-                ids = self._id_buf
-                return [int(ids[cand[i]]) for i in np.nonzero(mask)[0]]
-        d = np.hypot(self._positions[:, 0] - p[0], self._positions[:, 1] - p[1])
-        mask = d <= radius_m
-        mask[idx] = False
-        return [int(i) for i in self._ids[mask]]

@@ -161,8 +161,9 @@ class PropagationModel(ABC):
         than ``threshold_w`` and may be skipped without evaluating the
         model.  Deterministic monotone models bound it exactly via
         :meth:`range_for`; models that cannot bound their reach (e.g.
-        shadowing with unbounded per-link gain) return ``math.inf``, which
-        disables spatial culling and falls back to exhaustive dispatch.
+        shadowing with unbounded per-link gain) return ``math.inf``, and
+        the channel then puts every node in one cell, so each dispatch
+        evaluates the whole position table.
         """
         return self.range_for(tx_power_w, threshold_w)
 

@@ -437,7 +437,7 @@ class TestBatchedKernelByteEquality:
         base = ScenarioConfig(
             protocol="nlr", grid_nx=3, grid_ny=3, n_flows=2,
             flow_rate_pps=4.0, sim_time_s=4.0, warmup_s=1.0, seed=5,
-            trace=True,
+            trace_spec={},
         )
         summaries = []
         for flag in (False, True):

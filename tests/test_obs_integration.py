@@ -161,7 +161,7 @@ class TestTracedRun:
         assert len(records) == net.tracer.recorded
 
     def test_plain_trace_flag_unchanged(self):
-        result = run_scenario(small_config(trace=True))
+        result = run_scenario(small_config(trace_spec={}))
         assert result.metrics_snapshot["repro_flows_pdr"] >= 0.0
 
     def test_snapshot_round_trips_serialization(self):

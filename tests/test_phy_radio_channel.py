@@ -203,11 +203,6 @@ class TestChannel:
         with pytest.raises(SimulationError):
             ch.position_of(42)
 
-    def test_neighbors_within(self):
-        sim, ch, radios = make_net([(0, 0), (100, 0), (600, 0)])
-        assert ch.neighbors_within(0, 250.0) == [1]
-        assert set(ch.neighbors_within(1, 550.0)) == {0, 2}
-
     def test_propagation_delay_defers_arrival(self):
         sim, ch, radios = make_net([(0, 0), (200, 0)], prop_delay=True)
         infos = []

@@ -1,30 +1,22 @@
 """Spatial-grid channel dispatch: grid mechanics, incremental
-invalidation, and byte-identity with the exhaustive reference path."""
+invalidation, and plan identity with a brute-force full-table oracle."""
 
-import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import ScenarioConfig
 from repro.phy.channel import _KSTRIDE, Channel
-from repro.phy.propagation import (
-    FreeSpace,
-    LogNormalShadowing,
-    TwoRayGround,
-)
+from repro.phy.propagation import LogNormalShadowing, TwoRayGround
 from repro.phy.radio import PhyConfig, Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.units import SPEED_OF_LIGHT
 
 
-def _make_channel(positions, spatial_index=True, node_ids=None, phy=None):
+def _make_channel(positions, node_ids=None, phy=None, propagation=None):
     sim = Simulator()
-    ch = Channel(sim, TwoRayGround(), propagation_delay=True,
-                 spatial_index=spatial_index)
+    ch = Channel(sim, propagation or TwoRayGround(), propagation_delay=True)
     rs = RandomStreams(7)
     ids = node_ids if node_ids is not None else range(len(positions))
     for nid, pos in zip(ids, positions):
@@ -43,18 +35,39 @@ def _plan_signature(ch, tx, power):
     return ([r.node_id for r in receivers], powers, delays)
 
 
+def _brute_force_plan(ch, tx, power):
+    """The plan a scan of the whole position table gives: propagation over
+    every node, link impairments, the cull, self excluded, delays."""
+    pos, ids = ch._pos_buf[: ch._n], ch._id_buf[: ch._n]
+    tx_idx = ch._index_of(tx)
+    tx_pos = pos[tx_idx]
+    if isinstance(ch.propagation, LogNormalShadowing):
+        ch.propagation.set_transmitter(tx)
+    powers = np.array(
+        ch.propagation.rx_power_many(power, tx_pos, pos, rx_ids=ids), dtype=float
+    )
+    for (a, b), loss_db in ch._impairments.items():
+        if tx in (a, b):
+            powers[ids == (b if a == tx else a)] *= 10.0 ** (-loss_db / 10.0)
+    mask = powers >= ch._cull_threshold()
+    mask[tx_idx] = False
+    rx = np.nonzero(mask)[0]
+    d = np.hypot(pos[rx, 0] - tx_pos[0], pos[rx, 1] - tx_pos[1])
+    delays = d / SPEED_OF_LIGHT if ch.propagation_delay else np.zeros(len(rx))
+    return ids[rx].tolist(), powers[rx].tolist(), delays.tolist()
+
+
 class TestPlanEquivalence:
-    """Spatial and exhaustive dispatch agree bit-for-bit."""
+    """Grid dispatch agrees bit-for-bit with the brute-force oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_static_plans_identical(self, seed):
         pos = _random_layout(60, 3000.0, seed)
-        spatial = _make_channel(pos, spatial_index=True)
-        exact = _make_channel(pos, spatial_index=False)
+        ch = _make_channel(pos)
         p = PhyConfig().tx_power_w
         for tx in range(60):
-            ids_s, pw_s, dl_s = _plan_signature(spatial, tx, p)
-            ids_e, pw_e, dl_e = _plan_signature(exact, tx, p)
+            ids_s, pw_s, dl_s = _plan_signature(ch, tx, p)
+            ids_e, pw_e, dl_e = _brute_force_plan(ch, tx, p)
             assert ids_s == ids_e
             assert pw_s == pw_e  # exact float equality, not approx
             assert dl_s == dl_e
@@ -63,38 +76,40 @@ class TestPlanEquivalence:
     def test_plans_identical_under_moves(self, seed):
         rng = np.random.default_rng(seed)
         pos = _random_layout(40, 2500.0, seed)
-        spatial = _make_channel(pos, spatial_index=True)
-        exact = _make_channel(pos, spatial_index=False)
+        ch = _make_channel(pos)
         p = PhyConfig().tx_power_w
         for step in range(30):
             tx = int(rng.integers(40))
-            assert _plan_signature(spatial, tx, p) == _plan_signature(exact, tx, p)
+            assert _plan_signature(ch, tx, p) == _brute_force_plan(ch, tx, p)
             mover = int(rng.integers(40))
-            new = tuple(rng.uniform(-200.0, 2700.0, size=2))
-            spatial.set_position(mover, new)
-            exact.set_position(mover, new)
-            assert _plan_signature(spatial, mover, p) == _plan_signature(exact, mover, p)
+            ch.set_position(mover, tuple(rng.uniform(-200.0, 2700.0, size=2)))
+            assert _plan_signature(ch, mover, p) == \
+                _brute_force_plan(ch, mover, p)
 
-    def test_neighbors_within_identical(self):
-        pos = _random_layout(80, 2000.0, 9)
-        spatial = _make_channel(pos, spatial_index=True)
-        exact = _make_channel(pos, spatial_index=False)
-        for nid in range(0, 80, 7):
-            for radius in (0.0, 55.5, 250.0, 900.0, 1e4):
-                assert spatial.neighbors_within(nid, radius) == \
-                    exact.neighbors_within(nid, radius)
+    def test_impaired_plans_identical(self):
+        pos = _random_layout(30, 1200.0, 8)
+        ch = _make_channel(pos)
+        p = PhyConfig().tx_power_w
+        ch.set_link_impairment(0, 1, 20.0)
+        ch.set_link_impairment(2, 0, 35.0)
+        for tx in range(30):
+            assert _plan_signature(ch, tx, p) == _brute_force_plan(ch, tx, p)
 
-    def test_shadowing_falls_back_to_exhaustive(self):
-        sim = Simulator()
+    def test_shadowing_runs_one_cell_grid(self):
+        # Unbounded reach: one cell covering the plane, not a second path.
         rs = RandomStreams(5)
         prop = LogNormalShadowing(TwoRayGround(), 4.0, rs)
-        ch = Channel(sim, prop, spatial_index=True)
-        for i in range(9):
-            ch.register(Radio(sim, i, PhyConfig(), rs.stream(f"p{i}")),
-                        (300.0 * (i % 3), 300.0 * (i // 3)))
-        ch._dispatch_plan(4, PhyConfig().tx_power_w)
-        assert not ch._grid_active and ch._grid_disabled
-        # zero-sigma shadowing degenerates to the base model: grid allowed
+        ch = _make_channel(_random_layout(30, 2000.0, 5), propagation=prop)
+        rng = np.random.default_rng(6)
+        p = PhyConfig().tx_power_w
+        for step in range(60):
+            tx = int(rng.integers(30))
+            assert _plan_signature(ch, tx, p) == _brute_force_plan(ch, tx, p)
+            mover = int(rng.integers(30))
+            ch.set_position(mover, tuple(rng.uniform(-500.0, 2500.0, size=2)))
+        assert ch._grid_active and ch._cell_size == math.inf
+        assert not ch._key_buf[: ch._n].any()
+        # zero-sigma shadowing degenerates to the base model: finite cells
         assert math.isfinite(
             LogNormalShadowing(TwoRayGround(), 0.0, rs).max_interference_range(
                 0.28, 1e-12
@@ -106,14 +121,15 @@ class TestGridMechanics:
     def test_colocated_nodes_share_a_cell(self):
         pos = [(100.0, 100.0)] * 4 + [(900.0, 900.0)]
         ch = _make_channel(pos)
-        assert ch._ensure_grid()
+        ch._ensure_grid()
         cells = {int(ch._key_buf[i]) for i in range(4)}
         assert len(cells) == 1
-        assert sorted(ch.neighbors_within(0, 1.0)) == [1, 2, 3]
+        ids, _, _ = _plan_signature(ch, 0, PhyConfig().tx_power_w)
+        assert {1, 2, 3} <= set(ids)
 
     def test_boundary_and_negative_coordinates(self):
         ch = _make_channel([(0.0, 0.0), (500.0, 0.0)])
-        assert ch._ensure_grid()
+        ch._ensure_grid()
         c = ch._cell_size
         # Exactly on a cell edge, and in negative space.
         ch.register(
@@ -121,31 +137,30 @@ class TestGridMechanics:
             (c, -c),
         )
         assert int(ch._key_buf[ch._index_of(7)]) == 1 * _KSTRIDE + (-1)
-        exact = _make_channel(
-            [(0.0, 0.0), (500.0, 0.0), (c, -c)], spatial_index=False,
-            node_ids=[0, 1, 7],
-        )
+        p = PhyConfig().tx_power_w
         for nid in (0, 1, 7):
-            assert ch.neighbors_within(nid, 800.0) == \
-                exact.neighbors_within(nid, 800.0)
+            assert _plan_signature(ch, nid, p) == _brute_force_plan(ch, nid, p)
 
     def test_radius_larger_than_arena(self):
+        # The interference range covers the whole arena: everyone hears 3.
         pos = _random_layout(25, 400.0, 11)
-        spatial = _make_channel(pos)
-        exact = _make_channel(pos, spatial_index=False)
-        assert spatial.neighbors_within(3, 1e6) == exact.neighbors_within(3, 1e6)
-        assert set(spatial.neighbors_within(3, 1e6)) == set(range(25)) - {3}
+        ch = _make_channel(pos)
+        p = PhyConfig().tx_power_w
+        ids, _, _ = _plan_signature(ch, 3, p)
+        assert ids == _brute_force_plan(ch, 3, p)[0]
+        assert set(ids) == set(range(25)) - {3}
 
     def test_move_updates_grid_membership(self):
         ch = _make_channel([(0.0, 0.0), (100.0, 0.0)])
-        assert ch._ensure_grid()
+        ch._ensure_grid()
+        p = PhyConfig().tx_power_w
         far = 50 * ch._cell_size
         ch.set_position(1, (far, far))
         idx = ch._index_of(1)
         assert int(ch._key_buf[idx]) == ch._key_of(far, far)
-        assert ch.neighbors_within(0, 200.0) == []
+        assert _plan_signature(ch, 0, p)[0] == []
         ch.set_position(1, (100.0, 0.0))
-        assert ch.neighbors_within(0, 200.0) == [1]
+        assert _plan_signature(ch, 0, p)[0] == [1]
 
     def test_register_after_grid_build_is_queryable(self):
         ch = _make_channel([(0.0, 0.0), (200.0, 0.0)])
@@ -203,8 +218,7 @@ class TestIncrementalInvalidation:
 
     def test_move_many_batches(self):
         pos = _random_layout(30, 2000.0, 13)
-        spatial = _make_channel(pos)
-        exact = _make_channel(pos, spatial_index=False)
+        ch = _make_channel(pos)
         rng = np.random.default_rng(17)
         p = PhyConfig().tx_power_w
         for _ in range(5):
@@ -212,35 +226,7 @@ class TestIncrementalInvalidation:
                 (int(nid), tuple(rng.uniform(0.0, 2000.0, size=2)))
                 for nid in rng.integers(30, size=6)
             ]
-            spatial.move_many(updates)
-            exact.move_many(updates)
+            ch.move_many(updates)
             for tx in range(0, 30, 5):
-                assert _plan_signature(spatial, tx, p) == \
-                    _plan_signature(exact, tx, p)
-
-
-def _result_blob(config: ScenarioConfig) -> str:
-    r = run_scenario(config)
-    blob = dict(r.as_dict())
-    blob["per_node_forwarded"] = r.per_node_forwarded.tolist()
-    blob["packets_sent"] = r.packets_sent
-    blob["packets_received"] = r.packets_received
-    blob["events_executed"] = r.events_executed
-    blob["totals"] = r.totals
-    return json.dumps(blob, sort_keys=True)
-
-
-class TestCrossPathDeterminism:
-    """run_scenario is byte-identical with the spatial index on and off."""
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("mobility", ["static", "rwp"])
-    def test_run_scenario_identical(self, seed, mobility):
-        base = ScenarioConfig(
-            protocol="nlr", grid_nx=3, grid_ny=3, n_flows=2,
-            flow_rate_pps=4.0, sim_time_s=6.0, warmup_s=1.0, seed=seed,
-            mobility=mobility, speed_range=(2.0, 8.0), pause_s=0.5,
-        )
-        spatial = _result_blob(replace(base, spatial_index=True))
-        exact = _result_blob(replace(base, spatial_index=False))
-        assert spatial == exact
+                assert _plan_signature(ch, tx, p) == \
+                    _brute_force_plan(ch, tx, p)

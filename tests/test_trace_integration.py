@@ -6,7 +6,7 @@ from repro.experiments.scenario import ScenarioConfig, build_network
 def test_traced_scenario_records_all_layers():
     config = ScenarioConfig(
         protocol="nlr", grid_nx=3, grid_ny=3, n_flows=2,
-        sim_time_s=8.0, warmup_s=1.0, seed=13, trace=True,
+        sim_time_s=8.0, warmup_s=1.0, seed=13, trace_spec={},
     )
     net = build_network(config)
     net.start()
@@ -31,7 +31,7 @@ def test_traced_scenario_records_all_layers():
 def test_untraced_scenario_records_nothing():
     config = ScenarioConfig(
         protocol="aodv", grid_nx=3, grid_ny=3, n_flows=1,
-        sim_time_s=5.0, warmup_s=1.0, seed=13, trace=False,
+        sim_time_s=5.0, warmup_s=1.0, seed=13,
     )
     net = build_network(config)
     net.start()
