@@ -18,10 +18,10 @@ Three claims of the campaign fabric, measured and gated:
    before every campaign, which is what a fresh pool per campaign cost),
    kept up with its one fork charged inside the window, and steady-state
    (workers already up, the sustained regime of a long sweep session).
-   The record keeps its historical keys: ``pool_wall_s`` is the cold arm,
-   ``warm_cold_wall_s``/``warm_steady_wall_s`` the kept-up arms.  Both
-   speedups are recorded; on multi-core machines steady-state must exceed
-   1.05×.
+   The record's ``pool_kept_up_vs_reforked`` section holds
+   ``reforked_wall_s`` (the cold arm) and ``kept_up_wall_s`` /
+   ``kept_up_steady_wall_s`` (the kept-up arms).  Both speedups are
+   recorded; on multi-core machines steady-state must exceed 1.05×.
 
 3. **``--no-adaptive --backend pool`` stays byte-identical.**  The sweep's
    fixed-budget aggregate through the pool backend must equal the serial
@@ -209,9 +209,9 @@ def bench_pool_reuse(quick: bool, workers: int) -> dict:
         "campaigns": n_campaigns,
         "cells_per_campaign": workers,
         "workers": workers,
-        "pool_wall_s": round(cold_each_wall, 3),
-        "warm_cold_wall_s": round(kept_up_wall, 3),
-        "warm_steady_wall_s": round(steady_wall, 3),
+        "reforked_wall_s": round(cold_each_wall, 3),
+        "kept_up_wall_s": round(kept_up_wall, 3),
+        "kept_up_steady_wall_s": round(steady_wall, 3),
         "cold_speedup": round(cold_each_wall / kept_up_wall, 3),
         "steady_speedup": round(cold_each_wall / steady_wall, 3),
     }
@@ -264,9 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     print("  [2/3] shared pool kept up vs re-forked per campaign ...",
           flush=True)
     reuse = bench_pool_reuse(args.quick, workers)
-    print(f"        re-forked {reuse['pool_wall_s']}s vs kept up "
-          f"{reuse['warm_steady_wall_s']}s steady "
-          f"({reuse['warm_cold_wall_s']}s incl. first fork) → "
+    print(f"        re-forked {reuse['reforked_wall_s']}s vs kept up "
+          f"{reuse['kept_up_steady_wall_s']}s steady "
+          f"({reuse['kept_up_wall_s']}s incl. first fork) → "
           f"{reuse['steady_speedup']}× steady, "
           f"{reuse['cold_speedup']}× cold")
 
@@ -283,12 +283,12 @@ def main(argv: list[str] | None = None) -> int:
         "cpu": _cpu_model(),
         "cores": cores,
         "sweep": sweep,
-        "warm_pool": reuse,
+        "pool_kept_up_vs_reforked": reuse,
         "identity": identity,
         "derived": {
             "replicate_seconds_saved": sweep[
                 "saved_replicate_seconds_fraction"],
-            "warm_pool_steady_speedup": reuse["steady_speedup"],
+            "kept_up_vs_reforked_steady_speedup": reuse["steady_speedup"],
         },
     }
     args.out.mkdir(parents=True, exist_ok=True)

@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from repro.mac.csma import MacConfig
 from repro.phy.radio import PhyConfig
 
@@ -71,6 +69,8 @@ def transmission_probability(n: int, mac: MacConfig) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError(f"Bianchi's model needs ≥ 2 stations, got {n}")
+    from scipy.optimize import brentq
+
     w, m = _stages(mac)
 
     def tau_of_p(p: float) -> float:

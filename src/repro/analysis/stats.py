@@ -10,7 +10,13 @@ The two families deliberately disagree on ``n = 1``: a report CI prints a
 half-width of 0 for a single observation (there is nothing to spread),
 while a *stopping rule* must never conclude from one sample — so
 ``sequential_halfwidth`` returns ``inf`` until two finite values exist.
-Zero-variance samples yield a half-width of exactly ``0.0`` in both.
+Zero-variance samples yield a half-width of exactly ``0.0`` in both,
+unless the sequential helpers are given ``trials`` (packets per run
+behind a proportion such as PDR): then the per-run variance never falls
+below the binomial :func:`proportion_variance_floor`.
+
+scipy is imported inside :func:`t_critical` only, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -20,11 +26,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "ConfidenceInterval",
     "mean_ci",
+    "proportion_variance_floor",
     "reps_to_target",
     "sequential_halfwidth",
     "summarize",
@@ -77,6 +83,8 @@ def t_critical(n: int, level: float = 0.95) -> float:
         raise ValueError(f"t_critical needs n ≥ 2, got {n}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    from scipy import stats as sps
+
     return float(sps.t.ppf(0.5 + level / 2.0, df=n - 1))
 
 
@@ -85,7 +93,33 @@ def _finite(values: Sequence[float]) -> np.ndarray:
     return x[~np.isnan(x)]
 
 
-def sequential_halfwidth(values: Sequence[float], level: float = 0.95) -> float:
+def proportion_variance_floor(mean: float, trials: float) -> float:
+    """Binomial per-run variance ``p̄(1−p̄)/m̄`` of a packet proportion.
+
+    ``mean`` is the sample mean p̄ of the proportion and ``trials`` the
+    mean number of packets m̄ behind each value.  p̄ is first kept half a
+    packet away from 0 and 1, so a sample in which every packet arrived
+    (or none did) still gets a positive floor instead of the zero the
+    raw formula gives.  No packets (``trials ≤ 0``) give no floor.
+    """
+    if trials <= 0.0:
+        return 0.0
+    edge = 0.5 / trials
+    p = min(max(mean, edge), 1.0 - edge)
+    return max(p * (1.0 - p), 0.0) / trials
+
+
+def _sd(x: np.ndarray, trials: float | None) -> float:
+    """Sample SD of ``x``, floored at the binomial SD when ``trials`` is given."""
+    sd = float(np.std(x, ddof=1))
+    if trials is not None:
+        sd = max(sd, math.sqrt(proportion_variance_floor(float(np.mean(x)), trials)))
+    return sd
+
+
+def sequential_halfwidth(
+    values: Sequence[float], level: float = 0.95, trials: float | None = None,
+) -> float:
     """Student-t CI half-width as a *sequential stopping* statistic.
 
     Degenerate inputs are pinned to the conservative side, because this
@@ -93,14 +127,17 @@ def sequential_halfwidth(values: Sequence[float], level: float = 0.95) -> float:
 
     * fewer than two finite values → ``inf`` (one sample proves nothing;
       NaNs — e.g. delay with zero deliveries — are dropped first);
-    * zero sample variance → exactly ``0.0`` (identical replicates, the
-      interval is degenerate and any positive target is met).
+    * ``trials`` given (the values are packet proportions over ``trials``
+      packets per run on average) → the per-run variance is at least
+      :func:`proportion_variance_floor`, so agreeing replicates still
+      leave a half-width of order ``t·√(p̄(1−p̄)/(m̄·n))``;
+    * otherwise zero sample variance → exactly ``0.0``.
     """
     x = _finite(values)
     n = len(x)
     if n < 2:
         return math.inf
-    sd = float(np.std(x, ddof=1))
+    sd = _sd(x, trials)
     if sd == 0.0:
         return 0.0
     return t_critical(n, level) * sd / math.sqrt(n)
@@ -108,12 +145,14 @@ def sequential_halfwidth(values: Sequence[float], level: float = 0.95) -> float:
 
 def reps_to_target(
     values: Sequence[float], target: float, level: float = 0.95,
+    trials: float | None = None,
 ) -> int:
     """Estimated *total* replicates needed to reach ``target`` half-width.
 
     Plans the next wave from the current sample's variance:
     ``n* = (t · s / target)²`` with the t value of the current sample
-    (conservative for the larger n it predicts).  Returns at least the
+    (conservative for the larger n it predicts); ``trials`` floors ``s``
+    exactly as in :func:`sequential_halfwidth`.  Returns at least the
     current sample size; with fewer than two finite values (no variance
     estimate yet) or a non-positive target it returns ``n + 1`` — "buy at
     least one more and re-ask".
@@ -122,7 +161,7 @@ def reps_to_target(
     n = len(x)
     if n < 2 or target <= 0.0:
         return n + 1
-    sd = float(np.std(x, ddof=1))
+    sd = _sd(x, trials)
     if sd == 0.0:
         return n
     need = math.ceil((t_critical(n, level) * sd / target) ** 2)

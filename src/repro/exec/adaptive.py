@@ -25,9 +25,16 @@ replicates are a strict prefix of the full-budget cell's — which is what
 makes the accuracy claim auditable: the adaptive mean must lie within the
 declared half-width of the full-budget mean.
 
+For a packet proportion (``pdr``) the half-width never uses a per-run
+variance below the binomial ``p̄(1−p̄)/m̄`` (``m̄`` the mean
+``packets_sent`` per run), so replicates that happen to agree cannot
+stop a cell on a zero or round-off half-width.
+
 Every stop decision is recorded as an :class:`AdaptiveDecision` (and
 appended to a JSONL audit log when a path is given): cell key, seeds
-bought, mean, half-width, target, and why sampling ended.  ``--no-adaptive``
+bought, mean, half-width, target, why sampling ended, which bound
+decided it, and whether the half-width came from the sample spread or
+the binomial floor.  ``--no-adaptive``
 paths never enter this module, so they stay byte-identical to the
 fixed-budget behaviour.
 """
@@ -114,17 +121,26 @@ class AdaptivePolicy:
             self, max_reps=max(cap, 2), min_reps=min(self.min_reps, max(cap, 2))
         )
 
-    def converged(self, mean: float, halfwidth: float) -> bool:
-        """The declared stop test."""
+    def met_bound(self, mean: float, halfwidth: float) -> str | None:
+        """Name of the declared target ``halfwidth`` meets, else ``None``.
+
+        ``"ci_halfwidth"`` (absolute) is tested before ``"rel_halfwidth"``.
+        """
         if math.isinf(halfwidth) or math.isnan(halfwidth):
-            return False
+            return None
         if self.ci_halfwidth is not None and halfwidth <= self.ci_halfwidth:
-            return True
-        return (
+            return "ci_halfwidth"
+        if (
             self.rel_halfwidth is not None
             and not math.isnan(mean)
             and halfwidth <= self.rel_halfwidth * abs(mean)
-        )
+        ):
+            return "rel_halfwidth"
+        return None
+
+    def converged(self, mean: float, halfwidth: float) -> bool:
+        """The declared stop test."""
+        return self.met_bound(mean, halfwidth) is not None
 
     def describe(self) -> str:
         parts = [f"metric={self.metric}"]
@@ -148,8 +164,14 @@ class AdaptiveDecision:
     halfwidth: float
     target_halfwidth: float | None
     stopped_early: bool
-    reason: str  # "converged" | "budget" | "degenerate"
+    reason: str  # "converged" | "budget"
     waves: int
+    #: The bound that decided the stop: ``"ci_halfwidth"`` or
+    #: ``"rel_halfwidth"`` (converged) or ``"max_reps"`` (budget).
+    bound: str
+    #: Where the half-width's variance came from: ``"sample"`` or, when
+    #: agreeing replicates fell below it, ``"binomial_floor"``.
+    variance: str
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -163,6 +185,8 @@ class AdaptiveDecision:
             "stopped_early": self.stopped_early,
             "reason": self.reason,
             "waves": self.waves,
+            "bound": self.bound,
+            "variance": self.variance,
         }
 
 
@@ -218,6 +242,14 @@ def parse_adaptive_spec(spec: str) -> AdaptivePolicy:
 # --------------------------------------------------------------------- #
 def _metric_values(runs: Sequence[ScenarioResult], metric: str) -> list[float]:
     return [float(r.as_dict()[metric]) for r in runs]
+
+
+def _mean_trials(runs: Sequence[ScenarioResult], metric: str) -> float | None:
+    """Mean ``packets_sent`` per run when ``metric`` is the packet
+    proportion ``pdr`` (the binomial floor's ``m̄``), else ``None``."""
+    if metric != "pdr":
+        return None
+    return sum(r.packets_sent for r in runs) / len(runs)
 
 
 def run_adaptive_cells(
@@ -280,23 +312,29 @@ def run_adaptive_cells(
         for k in list(active):
             runs = results[k]
             values = _metric_values(runs, pol.metric)
-            hw = sequential_halfwidth(values, pol.level)
+            trials = _mean_trials(runs, pol.metric)
+            hw = sequential_halfwidth(values, pol.level, trials=trials)
             finite = [v for v in values if not math.isnan(v)]
             mean = sum(finite) / len(finite) if finite else math.nan
-            if pol.converged(mean, hw):
-                reason = "degenerate" if hw == 0.0 else "converged"
-                stopped = len(runs) < n_budget
+            bound = pol.met_bound(mean, hw)
+            if bound is not None:
+                reason = "converged"
             elif len(runs) >= pol.max_reps:
-                reason, stopped = "budget", len(runs) < n_budget
+                reason, bound = "budget", "max_reps"
             else:
                 continue  # buys another wave
+            floored = trials is not None and hw > sequential_halfwidth(
+                values, pol.level
+            )
             del active[k]
             decisions.append(
                 AdaptiveDecision(
                     key=k, metric=pol.metric, n_used=len(runs),
                     n_budget=n_budget, mean=mean, halfwidth=hw,
                     target_halfwidth=pol.ci_halfwidth,
-                    stopped_early=stopped, reason=reason, waves=wave_no,
+                    stopped_early=len(runs) < n_budget, reason=reason,
+                    waves=wave_no, bound=bound,
+                    variance="binomial_floor" if floored else "sample",
                 )
             )
 

@@ -15,9 +15,8 @@ grid at 200 m spacing, 512-byte CBR flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import networkx as nx
 import numpy as np
 
 from repro.core.nlr import NlrConfig, NlrRouting
@@ -56,6 +55,9 @@ from repro.traffic.flows import FlowSpec, gateway_flows, random_flow_pairs
 from repro.traffic.generators import CbrSource, OnOffSource, PoissonSource, Source
 from repro.traffic.sink import PacketSink
 from repro.util.validation import canonical_json_value
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ScenarioConfig", "Network", "build_network", "PROTOCOLS"]
 
@@ -298,7 +300,7 @@ class Network:
         self.streams = RandomStreams(config.seed)
         self.tracer = Tracer()
         self.positions: np.ndarray = np.empty((0, 2))
-        self.graph: nx.Graph = nx.Graph()
+        self._graph: nx.Graph | None = None
         self.oracle: RouteOracle | None = None
         self.channel: Channel | None = None
         self.perfect_net: PerfectMacNetwork | None = None
@@ -318,6 +320,15 @@ class Network:
         self.trace_sink: JsonlTraceSink | None = None
         self.trace_ring: RingSink | None = None
         self.profiler: EngineProfiler | None = None
+
+    @property
+    def graph(self) -> nx.Graph:
+        """Unit-disk connectivity graph of :attr:`positions` at the
+        transmission range, built on first access and cached (the
+        positions are assigned once, by :func:`build_network`)."""
+        if self._graph is None:
+            self._graph = connectivity_graph(self.positions, DEFAULT_TX_RANGE_M)
+        return self._graph
 
     @property
     def protocols(self) -> list[RoutingProtocol]:
@@ -385,7 +396,6 @@ def build_network(config: ScenarioConfig) -> Network:
     """Assemble a deterministic, ready-to-start network from ``config``."""
     net = Network(config)
     net.positions = _positions_for(config, net.streams)
-    net.graph = connectivity_graph(net.positions, DEFAULT_TX_RANGE_M)
     if config.protocol == "oracle":
         net.oracle = RouteOracle(net.graph)
 

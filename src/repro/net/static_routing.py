@@ -8,11 +8,14 @@ counts, and its delivery ratio isolates MAC losses from routing losses.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.net.packet import Packet, PacketKind
 from repro.net.routing_base import RoutingProtocol
 from repro.phy.frame import RxInfo
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["RouteOracle", "StaticRouting"]
 
@@ -28,6 +31,8 @@ class RouteOracle:
     """
 
     def __init__(self, graph: nx.Graph) -> None:
+        import networkx as nx
+
         self.graph = graph
         self._next_hop: dict[int, dict[int, int]] = {}
         for src, paths in nx.all_pairs_dijkstra_path(graph):
@@ -43,6 +48,8 @@ class RouteOracle:
 
     def hop_count(self, src: int, dst: int) -> int | None:
         """Shortest-path length in hops, or None if unreachable."""
+        import networkx as nx
+
         try:
             return nx.shortest_path_length(self.graph, src, dst)
         except nx.NetworkXNoPath:

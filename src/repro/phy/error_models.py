@@ -15,6 +15,9 @@ Three models are provided:
 * :class:`Dsss11ErrorModel` — 802.11b DSSS/CCK approximations at
   1/2/5.5/11 Mb/s following the standard Pursley–Taipale-style curves used
   in ns-3's ``DsssErrorRateModel``.
+
+``erfc`` is imported where the curves are evaluated: the default
+threshold model never needs scipy, so a run does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "ErrorModel",
@@ -35,6 +37,8 @@ __all__ = [
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = 0.5·erfc(x/√2)."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
@@ -161,6 +165,8 @@ class PskErrorModel(ErrorModel):
     def segment_success_probability_many(
         self, sinr: np.ndarray, bits: np.ndarray
     ) -> np.ndarray:
+        from scipy.special import erfc
+
         sinr = np.asarray(sinr, dtype=float)
         bits = np.asarray(bits, dtype=float)
         pos = np.maximum(sinr, 0.0)
@@ -223,6 +229,8 @@ class Dsss11ErrorModel(ErrorModel):
     def segment_success_probability_many(
         self, sinr: np.ndarray, bits: np.ndarray
     ) -> np.ndarray:
+        from scipy.special import erfc
+
         sinr = np.asarray(sinr, dtype=float)
         bits = np.asarray(bits, dtype=float)
         pos = np.maximum(sinr, 0.0)

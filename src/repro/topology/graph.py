@@ -1,9 +1,17 @@
-"""Connectivity graphs from positions and transmission range."""
+"""Connectivity graphs from positions and transmission range.
+
+networkx is imported by the functions that build or test a graph, so
+that importing the simulator does not load it.
+"""
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["connectivity_graph", "ensure_connected_positions", "mean_degree"]
 
@@ -15,6 +23,8 @@ def connectivity_graph(positions: np.ndarray, range_m: float) -> nx.Graph:
     """
     if range_m <= 0:
         raise ValueError(f"range must be positive, got {range_m!r}")
+    import networkx as nx
+
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
     g = nx.Graph()
@@ -43,6 +53,8 @@ def ensure_connected_positions(
         If no connected placement appears within ``max_tries`` draws
         (density too low for the range).
     """
+    import networkx as nx
+
     for _ in range(max_tries):
         pos = generator()
         if nx.is_connected(connectivity_graph(pos, range_m)):

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.stats import (
     ConfidenceInterval,
     mean_ci,
+    proportion_variance_floor,
     reps_to_target,
     sequential_halfwidth,
     summarize,
@@ -167,3 +168,44 @@ class TestSequentialHelpers:
         loose = reps_to_target([1.0, 2.0, 3.0], 1.0)
         tight = reps_to_target([1.0, 2.0, 3.0], 0.01)
         assert tight > loose > 0
+
+
+class TestProportionFloor:
+    """The binomial variance floor for packet proportions (PDR)."""
+
+    def test_floor_is_binomial_variance_per_run(self):
+        assert proportion_variance_floor(0.9, 100.0) == pytest.approx(0.0009)
+
+    def test_floor_positive_when_every_packet_arrived(self):
+        # p̄ is kept half a packet from 1: (1/2m)(1 − 1/2m)/m.
+        m = 876.0
+        assert proportion_variance_floor(1.0, m) \
+            == pytest.approx((0.5 / m) * (1 - 0.5 / m) / m)
+        assert proportion_variance_floor(0.0, m) \
+            == pytest.approx(proportion_variance_floor(1.0, m))
+
+    def test_no_packets_no_floor(self):
+        assert proportion_variance_floor(0.5, 0.0) == 0.0
+
+    def test_zero_variance_prefix_keeps_a_halfwidth(self):
+        # Three equal PDRs of 1 − 1/876: the sample half-width is
+        # round-off (3.4e-16) and would meet any target at n = 3.
+        values = [1 - 1 / 876] * 3
+        assert sequential_halfwidth(values) < 1e-15
+        floored = sequential_halfwidth(values, trials=876.0)
+        p = 1 - 1 / 876
+        assert floored == pytest.approx(
+            t_critical(3) * math.sqrt(p * (1 - p) / 876) / math.sqrt(3)
+        )
+
+    def test_floor_only_raises_the_sample_spread(self):
+        values = [0.2, 0.9, 0.5, 0.7]
+        assert sequential_halfwidth(values, trials=1000.0) \
+            == sequential_halfwidth(values)
+
+    def test_reps_to_target_uses_the_floor(self):
+        # Zero variance used to mean "already enough"; over 100 packets a
+        # run, a ±0.01 target on p̄ = 0.9 needs (t·0.03/0.01)² runs.
+        assert reps_to_target([0.9, 0.9, 0.9], 0.01) == 3
+        need = reps_to_target([0.9, 0.9, 0.9], 0.01, trials=100.0)
+        assert need == math.ceil((t_critical(3) * 0.03 / 0.01) ** 2)

@@ -13,6 +13,7 @@ from repro.exec import (
     run_adaptive_cells,
     using,
 )
+from repro.analysis.stats import sequential_halfwidth, t_critical
 from repro.exec.adaptive import AdaptiveReport
 from repro.experiments.runner import replicate
 from repro.experiments.scenario import ScenarioConfig
@@ -34,22 +35,25 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 class FakeResult:
-    """Stand-in carrying just the metric dict the stopper reads."""
+    """Stand-in carrying just what the stopper reads: the metric dict and
+    the packet count behind ``pdr`` (large by default, so the binomial
+    variance floor stays far below the targets unless a test lowers it)."""
 
-    def __init__(self, value: float) -> None:
+    def __init__(self, value: float, packets_sent: int = 10**6) -> None:
         self.value = value
+        self.packets_sent = packets_sent
 
     def as_dict(self) -> dict[str, float]:
         return {"pdr": self.value}
 
 
-def fake_run_fn(value_of):
+def fake_run_fn(value_of, packets_sent=10**6):
     """run_fn double: metric value is a pure function of the seed."""
     calls = []
 
     def run_fn(name, configs, policy=None, tags=None):
         calls.append((name, [c.seed for c in configs]))
-        return [FakeResult(value_of(c.seed)) for c in configs]
+        return [FakeResult(value_of(c.seed), packets_sent) for c in configs]
 
     run_fn.calls = calls
     return run_fn
@@ -117,9 +121,73 @@ class TestWaveScheduler:
         )
         (d,) = report.decisions
         assert d.n_used == 3
-        assert d.reason == "degenerate"
+        # Identical PDRs over 10^6 packets a run: the binomial floor
+        # (not a zero sample variance) sets a small positive half-width.
+        assert d.reason == "converged"
+        assert d.bound == "ci_halfwidth"
+        assert d.variance == "binomial_floor"
+        assert 0.0 < d.halfwidth <= 0.01
         assert d.stopped_early
         assert report.saved_fraction == pytest.approx(0.7)
+
+    def test_zero_variance_prefix_does_not_stop_on_nothing(self):
+        # Seeds 0-2 agree exactly, later ones do not.  Their zero sample
+        # variance alone would stop the cell at 3 with the wrong mean; the
+        # binomial floor over 100 packets a run keeps it buying.
+        run_fn = fake_run_fn(
+            lambda seed: 0.9 if seed < 3 else 0.6, packets_sent=100
+        )
+        assert sequential_halfwidth([0.9, 0.9, 0.9]) == 0.0
+        report = run_adaptive_cells(
+            "t", [("a", tiny(seed=0))], n_budget=10,
+            adaptive=AdaptivePolicy(ci_halfwidth=0.05, min_reps=3, wave=2),
+            run_fn=run_fn,
+        )
+        (d,) = report.decisions
+        assert d.n_used == 10
+        assert (d.reason, d.bound, d.variance) == ("budget", "max_reps", "sample")
+        assert d.mean == pytest.approx(0.69)
+        assert [seeds for _, seeds in run_fn.calls] == [
+            [0, 1, 2], [3, 4], [5, 6], [7, 8], [9],
+        ]
+
+    def test_constant_prefix_stops_once_floor_is_met(self):
+        # 0.9 over 100 packets: floor SD 0.03, half-width 0.075 at n=3
+        # (> 0.05, buy on) and 0.037 at n=5 (stop), decided by the floor.
+        report = run_adaptive_cells(
+            "t", [("a", tiny())], n_budget=10,
+            adaptive=AdaptivePolicy(ci_halfwidth=0.05, min_reps=3, wave=2),
+            run_fn=fake_run_fn(lambda seed: 0.9, packets_sent=100),
+        )
+        (d,) = report.decisions
+        assert d.n_used == 5
+        assert (d.reason, d.bound, d.variance) == (
+            "converged", "ci_halfwidth", "binomial_floor",
+        )
+        assert d.halfwidth == pytest.approx(
+            t_critical(5) * math.sqrt(0.9 * 0.1 / 100) / math.sqrt(5)
+        )
+
+    def test_metric_without_packet_count_has_no_floor(self):
+        # Only packet proportions are floored; a constant delay still
+        # stops at min_reps on its sample variance of zero.
+        class Delay(FakeResult):
+            def as_dict(self):
+                return {"mean_delay_s": self.value}
+
+        report = run_adaptive_cells(
+            "t", [("a", tiny())], n_budget=10,
+            adaptive=AdaptivePolicy(
+                metric="mean_delay_s", ci_halfwidth=0.01, min_reps=3),
+            run_fn=lambda name, configs, policy=None, tags=None: [
+                Delay(0.02) for _ in configs
+            ],
+        )
+        (d,) = report.decisions
+        assert (d.n_used, d.halfwidth) == (3, 0.0)
+        assert (d.reason, d.bound, d.variance) == (
+            "converged", "ci_halfwidth", "sample",
+        )
 
     def test_noisy_cell_runs_to_budget(self):
         run_fn = fake_run_fn(lambda seed: 100.0 * (seed % 2))
@@ -131,6 +199,7 @@ class TestWaveScheduler:
         (d,) = report.decisions
         assert d.n_used == 6
         assert d.reason == "budget"
+        assert d.bound == "max_reps"
         assert not d.stopped_early
         assert report.saved_fraction == 0.0
 
@@ -205,6 +274,9 @@ class TestWaveScheduler:
         assert stops[0]["key"] == "a"
         assert stops[0]["n_used"] == 2
         assert stops[0]["campaign"] == "audited"
+        assert stops[0]["reason"] == "converged"
+        assert stops[0]["bound"] == "ci_halfwidth"
+        assert stops[0]["variance"] == "binomial_floor"
         assert summaries[0]["replicates_used"] == 2
         assert summaries[0]["replicates_budget"] == 5
 
