@@ -1,21 +1,23 @@
 #!/usr/bin/env python
-"""Perf-regression baseline runner.
+"""Perf-regression kernel harness: the repo's one set of timed kernels.
 
-Executes the substrate kernels the figure sweeps stress (event heap, timer
-churn, channel dispatch on the sized cell grid and on the one-cell grid
-that unbounded-reach models use, mobility-driven cache invalidation,
-busy-ratio tracking, a fig-6-style end-to-end scalability scenario at
-N ≥ 100 nodes, and the figures' reference operating point with both
-kernels), then emits ``BENCH_<rev>.json``
-at the repo root with wall-clock, events/s, and peak RSS per kernel plus
-machine-independent derived speedup ratios.
+Executes the substrate kernels the figure sweeps stress (event heap, event
+cancellation, timer churn, sequence fan-out, channel dispatch on the sized
+cell grid and on the one-cell grid that unbounded-reach models use,
+mobility-driven cache invalidation, busy-ratio tracking, an acknowledged
+DCF unicast exchange, a small end-to-end scenario per protocol, a
+fig-6-style end-to-end scalability scenario at N ≥ 100 nodes, and the
+figures' reference operating point with both kernels), then writes
+``BENCH_<rev>[-quick].json`` (the ``baseline`` kind of the envelope in
+``record.py``).  Each kernel records its best-of-3 wall time plus its own
+counts and throughput; ``detail.peak_rss_kb`` is the peak RSS of the
+whole process over all kernels, not per kernel.  ``derived`` holds the
+machine-independent speedup ratios of the A/B kernel pairs.
 
-The emitted file is the perf trajectory: each run diffs against the most
-recent comparable baseline (same ``--quick`` mode) and ``--check`` turns a
->``--tolerance`` regression into a non-zero exit for CI.  Wall-clock gates
-only apply when the baseline was recorded on the same CPU model; across
-machines only the derived speedup ratios (e.g. spatial vs exhaustive) are
-gated, since those are dimensionless.
+Every A/B pair that must agree bit for bit (events, PDR) is cross-checked
+and a divergence exits non-zero; so does a kernel whose own result count
+is off.  Diffing against a committed record and gating regressions is
+``compare.py``'s job.
 
 The ``*_exhaustive`` kernels run inside :func:`one_cell_grid`, which gives
 the two-ray model an unbounded interference range, so the channel puts
@@ -24,22 +26,19 @@ path log-normal shadowing runs take.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/baseline.py [--quick] [--check]
-        [--tolerance 0.25] [--ratio-tolerance 0.4] [--rev LABEL] [--out DIR]
+    PYTHONPATH=src python benchmarks/baseline.py [--quick] [--rev LABEL]
+        [--out DIR]
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import functools
 import math
-import platform
 import resource
-import subprocess
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +47,7 @@ from repro.experiments.figures import REFERENCE_POINT
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.mac.busy_monitor import BusyMonitor
+from repro.mac.csma import CsmaMac, MacConfig
 from repro.phy.channel import Channel
 from repro.phy.error_models import SinrThresholdErrorModel
 from repro.phy.frame import PhyFrame
@@ -56,9 +56,9 @@ from repro.phy.radio import PhyConfig, Radio
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
 from repro.sim.rng import RandomStreams
+from record import envelope, git_rev, write
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 1
 
 
 # --------------------------------------------------------------------- #
@@ -100,6 +100,50 @@ def kernel_engine_events(quick: bool) -> dict:
     sim.run()
     wall = time.perf_counter() - t0
     return {"wall_s": wall, "events": n, "events_per_s": n / wall}
+
+
+def _expect(kernel: str, what: str, got, want) -> None:
+    if got != want:
+        raise SystemExit(f"{kernel}: {what} {got!r}, expected {want!r}")
+
+
+def kernel_engine_cancel_heavy(quick: bool) -> dict:
+    # Half the scheduled events are cancelled before the run.
+    n = 20_000 if quick else 100_000
+    fn = lambda: None  # noqa: E731
+    t0 = time.perf_counter()
+    sim = Simulator()
+    handles = [sim.schedule(k * 1e-6, fn) for k in range(n)]
+    for h in handles[::2]:
+        h.cancel()
+    sim.run()
+    wall = time.perf_counter() - t0
+    _expect("engine_cancel_heavy", "events", sim.events_executed, n // 2)
+    return {"wall_s": wall, "scheduled": n, "events": sim.events_executed,
+            "scheduled_per_s": n / wall}
+
+
+def kernel_engine_sequence_fanout(quick: bool) -> dict:
+    # The default channel fan-out: each frame's 25 rx_start/rx_end pairs
+    # are one schedule_sequence entry, drained in place.
+    frames = 1_000 if quick else 4_000
+    fn = lambda *a: None  # noqa: E731
+    t0 = time.perf_counter()
+    sim = Simulator()
+    for k in range(frames):
+        t = k * 1e-3
+        events = []
+        for j in range(25):
+            start = t + j * 1e-8
+            events.append((start, fn, (j,)))
+            events.append((start + 3e-4, fn, ()))
+        sim.schedule_sequence(events)
+    sim.run()
+    wall = time.perf_counter() - t0
+    _expect("engine_sequence_fanout", "events", sim.events_executed,
+            50 * frames)
+    return {"wall_s": wall, "events": sim.events_executed,
+            "events_per_s": sim.events_executed / wall}
 
 
 def kernel_timer_churn(quick: bool) -> dict:
@@ -196,6 +240,31 @@ def kernel_busy_monitor(quick: bool) -> dict:
     return {"wall_s": wall, "queries": n, "queries_per_s": n / wall}
 
 
+def kernel_dcf_unicast_exchange(quick: bool) -> dict:
+    # 100 acknowledged unicast frames between two DCF MACs.
+    frames = 100
+    t0 = time.perf_counter()
+    sim = Simulator()
+    ch = Channel(sim, TwoRayGround(), propagation_delay=False)
+    rs = RandomStreams(2)
+    macs = []
+    for i, pos in enumerate([(0.0, 0.0), (150.0, 0.0)]):
+        radio = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
+        ch.register(radio, pos)
+        # The queue must hold the whole burst (default drop-tail is 50).
+        macs.append(CsmaMac(sim, radio, MacConfig(queue_capacity=128),
+                            rs.stream(f"m{i}")))
+    delivered = []
+    macs[1].rx_upper_callback = lambda p, s, i: delivered.append(p)
+    for k in range(frames):
+        macs[0].send(k, 1, 512)
+    sim.run()
+    wall = time.perf_counter() - t0
+    _expect("dcf_unicast_exchange", "delivered", len(delivered), frames)
+    return {"wall_s": wall, "frames": frames, "events": sim.events_executed,
+            "events_per_s": sim.events_executed / wall}
+
+
 def _run_fig6(config: ScenarioConfig) -> dict:
     t0 = time.perf_counter()
     result = run_scenario(config)
@@ -204,6 +273,17 @@ def _run_fig6(config: ScenarioConfig) -> dict:
             "events": result.events_executed,
             "events_per_s": result.events_executed / wall,
             "pdr": result.pdr}
+
+
+def kernel_small_scenario(quick: bool, protocol: str) -> dict:
+    # End-to-end 3×3 scenario (8 s simulated) of one protocol.
+    out = _run_fig6(ScenarioConfig(
+        protocol=protocol, grid_nx=3, grid_ny=3, n_flows=2,
+        flow_rate_pps=5.0, sim_time_s=8.0, warmup_s=1.0, seed=3,
+    ))
+    if not out["pdr"] > 0.9:
+        raise SystemExit(f"small_scenario_{protocol}: pdr {out['pdr']} <= 0.9")
+    return out
 
 
 def _kernel_fig6(quick: bool) -> dict:
@@ -347,14 +427,24 @@ def kernel_refpoint_e2e_scalar(quick: bool) -> dict:
     return _kernel_refpoint_e2e(quick, False)
 
 
+SMALL_SCENARIO_PROTOCOLS = ("aodv", "nlr", "oracle")
+
 KERNELS = {
     "engine_events": kernel_engine_events,
+    "engine_cancel_heavy": kernel_engine_cancel_heavy,
+    "engine_sequence_fanout": kernel_engine_sequence_fanout,
     "timer_churn": kernel_timer_churn,
     "dispatch_spatial": kernel_dispatch_spatial,
     "dispatch_exhaustive": kernel_dispatch_exhaustive,
     "mobility_spatial": kernel_mobility_spatial,
     "mobility_exhaustive": kernel_mobility_exhaustive,
     "busy_monitor": kernel_busy_monitor,
+    "dcf_unicast_exchange": kernel_dcf_unicast_exchange,
+    **{
+        f"small_scenario_{p}": functools.partial(kernel_small_scenario,
+                                                 protocol=p)
+        for p in SMALL_SCENARIO_PROTOCOLS
+    },
     "fig6_n100_spatial": kernel_fig6_spatial,
     "fig6_n100_exhaustive": kernel_fig6_exhaustive,
     "fig6_scale_spatial": kernel_fig6_scale_spatial,
@@ -380,7 +470,11 @@ _PAIRED = (
     ("fig6_e2e", "batched", "scalar"),
     ("refpoint_e2e", "batched", "scalar"),
 )
-_SINGLE = ("engine_events", "timer_churn", "busy_monitor")
+_SINGLE = (
+    "engine_events", "engine_cancel_heavy", "engine_sequence_fanout",
+    "timer_churn", "busy_monitor", "dcf_unicast_exchange",
+    *(f"small_scenario_{p}" for p in SMALL_SCENARIO_PROTOCOLS),
+)
 
 #: Kernel pairs that must agree bit-for-bit on the listed result keys
 #: (the byte-determinism gate): (kernel_a, kernel_b, keys).
@@ -397,33 +491,8 @@ _BEST_OF = 3
 
 
 # --------------------------------------------------------------------- #
-# Record assembly / diffing
+# Record assembly
 # --------------------------------------------------------------------- #
-def _cpu_model() -> str:
-    """CPU model string for the wall-clock comparability check.
-
-    ``platform.processor()`` is often empty on Linux and ``machine()`` is
-    just "x86_64", which would wrongly treat all machines as comparable.
-    """
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except Exception:
-        return "local"
-
-
 def run_all(quick: bool, rev: str) -> dict:
     # Warm the process (allocator, numpy, import side effects) so the
     # first timed kernel is not systematically penalised.
@@ -475,114 +544,29 @@ def run_all(quick: bool, rev: str) -> dict:
         "refpoint_batched_speedup": kernels["refpoint_e2e_scalar"]["wall_s"]
         / kernels["refpoint_e2e_batched"]["wall_s"],
     }
-    return {
-        "schema": SCHEMA,
-        "rev": rev,
-        "quick": quick,
-        "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu": _cpu_model(),
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "kernels": kernels,
-        "derived": derived,
-    }
-
-
-def previous_baseline(out_dir: Path, quick: bool, rev: str) -> dict | None:
-    """Most recent committed baseline in the same mode, excluding ``rev``."""
-    candidates = []
-    for path in out_dir.glob("BENCH_*.json"):
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if data.get("schema") != SCHEMA or data.get("rev") == rev:
-            continue
-        if bool(data.get("quick")) != quick:
-            continue
-        candidates.append(data)
-    candidates.sort(key=lambda d: d.get("generated_utc", ""))
-    return candidates[-1] if candidates else None
-
-
-def diff(
-    current: dict, baseline: dict, tolerance: float,
-    ratio_tolerance: float,
-) -> list[str]:
-    """Human-readable comparison; returns the regression messages."""
-    regressions: list[str] = []
-    same_cpu = current.get("cpu") == baseline.get("cpu")
-    print(f"\nBaseline: rev {baseline['rev']} ({baseline['generated_utc']})"
-          f"{'' if same_cpu else '  [different CPU — wall gates skipped]'}")
-    print(f"{'kernel':<24}{'base wall':>12}{'now wall':>12}{'delta':>9}")
-    for name, cur in current["kernels"].items():
-        base = baseline["kernels"].get(name)
-        if base is None:
-            print(f"{name:<24}{'--':>12}{cur['wall_s']:>12.4f}{'new':>9}")
-            continue
-        ratio = cur["wall_s"] / base["wall_s"]
-        print(f"{name:<24}{base['wall_s']:>12.4f}{cur['wall_s']:>12.4f}"
-              f"{(ratio - 1) * 100:>+8.1f}%")
-        if same_cpu and ratio > 1.0 + tolerance:
-            regressions.append(
-                f"{name}: wall {base['wall_s']:.4f}s → {cur['wall_s']:.4f}s "
-                f"(+{(ratio - 1) * 100:.1f}% > {tolerance * 100:.0f}%)"
-            )
-    for name, cur in current["derived"].items():
-        base = baseline.get("derived", {}).get(name)
-        if base is None:
-            continue
-        print(f"{name:<24}{base:>11.2f}x{cur:>11.2f}x")
-        # Ratios quotient two noisy timings, so they get a wider gate than
-        # the same-machine wall clocks.
-        if cur < base * (1.0 - ratio_tolerance):
-            regressions.append(
-                f"{name}: speedup {base:.2f}x → {cur:.2f}x "
-                f"(lost >{ratio_tolerance * 100:.0f}%)"
-            )
-    return regressions
+    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return envelope("baseline", rev, quick, kernels=kernels, derived=derived,
+                    detail={"peak_rss_kb": peak_rss_kb})
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--quick", action="store_true",
                     help="smaller kernel sizes (CI mode)")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 1 on >tolerance regression vs the baseline")
-    ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="same-CPU wall-clock regression gate")
-    ap.add_argument("--ratio-tolerance", type=float, default=0.4,
-                    help="derived speedup-ratio regression gate")
     ap.add_argument("--rev", default=None, help="label (default: git short rev)")
     ap.add_argument("--out", type=Path, default=REPO_ROOT,
                     help="directory for BENCH_<rev>.json")
     args = ap.parse_args(argv)
 
-    rev = args.rev or _git_rev()
+    rev = args.rev or git_rev()
     print(f"perf baseline: rev={rev} quick={args.quick}")
     record = run_all(args.quick, rev)
 
     suffix = "-quick" if args.quick else ""
-    out_path = args.out / f"BENCH_{rev}{suffix}.json"
-    args.out.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {out_path}")
-    print(f"peak RSS: {record['peak_rss_kb'] / 1024:.1f} MB")
+    write(record, args.out / f"BENCH_{rev}{suffix}.json")
+    print(f"peak RSS: {record['detail']['peak_rss_kb'] / 1024:.1f} MB")
     for name, val in record["derived"].items():
         print(f"  {name}: {val:.2f}x")
-
-    baseline = previous_baseline(REPO_ROOT, args.quick, rev)
-    if baseline is None:
-        print("no comparable previous baseline found; nothing to diff")
-        return 0
-    regressions = diff(record, baseline, args.tolerance, args.ratio_tolerance)
-    if regressions:
-        print("\nREGRESSIONS:")
-        for msg in regressions:
-            print(f"  - {msg}")
-        return 1 if args.check else 0
-    print("\nno regressions beyond tolerance")
     return 0
 
 

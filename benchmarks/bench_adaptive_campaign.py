@@ -23,13 +23,14 @@ Three claims of the campaign fabric, measured and gated:
    ``kept_up_steady_wall_s`` (the kept-up arms).  Both speedups are
    recorded; on multi-core machines steady-state must exceed 1.05×.
 
-3. **``--no-adaptive --backend pool`` stays byte-identical.**  The sweep's
-   fixed-budget aggregate through the pool backend must equal the serial
-   reference bit for bit.
+3. **``--no-adaptive --backend pool`` stays byte-identical and faster.**
+   The sweep's fixed-budget aggregate through the pool backend must equal
+   the serial reference bit for bit, and with two or more cores the pool
+   arm must run it at least 1.2× faster than serial (2.5× with four
+   workers on four or more cores).
 
-The record deliberately does *not* use the ``baseline.py`` schema: its
-sections are campaign-shaped, and keeping the schema distinct stops
-``baseline.py``/``compare.py`` from auto-diffing against it.
+The record is the ``adaptive-campaign`` kind of the envelope in
+``record.py``; its campaign-shaped sections live under ``detail``.
 
 Usage::
 
@@ -41,13 +42,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 import time
 from dataclasses import replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.analysis.stats import mean_ci
@@ -59,39 +56,12 @@ from repro.exec import (
     shutdown_shared_pools,
 )
 from repro.experiments.scenario import ScenarioConfig
+from record import available_cores, envelope, git_rev, write
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = "adaptive-campaign-1"
 
 #: The declared precision contract the savings are bought against.
 POLICY = AdaptivePolicy(metric="pdr", ci_halfwidth=0.02, min_reps=3, wave=2)
-
-
-def _cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except Exception:
-        return "local"
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------- #
@@ -218,21 +188,27 @@ def bench_pool_reuse(quick: bool, workers: int) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# 3. Fixed-budget byte-identity through the pool backend
+# 3. Fixed-budget byte-identity and speedup through the pool backend
 # --------------------------------------------------------------------- #
 def bench_identity(quick: bool, workers: int) -> dict:
     cells = _sweep_cells(quick)
     configs = [replace(c, seed=c.seed + k) for _, c in cells for k in (0, 1)]
+    t0 = time.perf_counter()
     serial = run_configs(
         "bench-ident-serial", configs, ExecPolicy(checkpoint=False)
     )
+    t1 = time.perf_counter()
     pool = run_configs(
         "bench-ident-pool", configs,
         ExecPolicy(workers=workers, backend="pool", checkpoint=False),
     )
+    t2 = time.perf_counter()
     a = json.dumps([r.as_dict() for r in serial], sort_keys=True)
     b = json.dumps([r.as_dict() for r in pool], sort_keys=True)
-    return {"cells": len(configs), "pool_matches_serial": a == b}
+    return {"cells": len(configs), "pool_matches_serial": a == b,
+            "serial_wall_s": round(t1 - t0, 3),
+            "pool_wall_s": round(t2 - t1, 3),
+            "pool_speedup": round((t1 - t0) / (t2 - t1), 3)}
 
 
 # --------------------------------------------------------------------- #
@@ -249,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="record file name")
     args = ap.parse_args(argv)
 
-    cores = _available_cores()
+    cores = available_cores()
     workers = min(4, max(2, cores))
     print(f"adaptive campaign benchmark: quick={args.quick} "
           f"workers={workers} ({cores} cores visible)")
@@ -272,29 +248,20 @@ def main(argv: list[str] | None = None) -> int:
 
     print("  [3/3] fixed-budget pool byte-identity ...", flush=True)
     identity = bench_identity(args.quick, workers)
-    print(f"        identical: {identity['pool_matches_serial']}")
+    print(f"        identical: {identity['pool_matches_serial']}, "
+          f"serial {identity['serial_wall_s']}s vs pool "
+          f"{identity['pool_wall_s']}s → {identity['pool_speedup']}×")
 
-    record = {
-        "schema": SCHEMA,
-        "rev": args.rev or _git_rev(),
-        "quick": args.quick,
-        "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "python": platform.python_version(),
-        "cpu": _cpu_model(),
-        "cores": cores,
-        "sweep": sweep,
-        "pool_kept_up_vs_reforked": reuse,
-        "identity": identity,
-        "derived": {
-            "replicate_seconds_saved": sweep[
-                "saved_replicate_seconds_fraction"],
-            "kept_up_vs_reforked_steady_speedup": reuse["steady_speedup"],
-        },
+    derived = {
+        "replicate_seconds_saved": sweep["saved_replicate_seconds_fraction"],
+        "kept_up_vs_reforked_steady_speedup": reuse["steady_speedup"],
+        "pool_vs_serial_speedup": identity["pool_speedup"],
     }
-    args.out.mkdir(parents=True, exist_ok=True)
-    out_path = args.out / args.name
-    out_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_path}")
+    write(envelope("adaptive-campaign", args.rev or git_rev(), args.quick,
+                   derived=derived,
+                   detail={"sweep": sweep, "pool_kept_up_vs_reforked": reuse,
+                           "identity": identity}),
+          args.out / args.name)
 
     failures: list[str] = []
     if sweep["saved_replicate_seconds_fraction"] < 0.30:
@@ -311,6 +278,13 @@ def main(argv: list[str] | None = None) -> int:
         )
     if not identity["pool_matches_serial"]:
         failures.append("pool backend aggregate diverged from serial")
+    floor = 2.5 if workers >= 4 else 1.2
+    if cores >= 2 and identity["pool_speedup"] < floor:
+        failures.append(
+            f"pool ran the fixed-budget sweep only "
+            f"{identity['pool_speedup']}× faster than serial with {workers} "
+            f"workers on {cores} cores (< {floor}×)"
+        )
     if cores >= 2 and reuse["steady_speedup"] < 1.05:
         failures.append(
             f"kept-up pool steady-state speedup {reuse['steady_speedup']}× "

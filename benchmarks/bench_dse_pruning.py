@@ -11,8 +11,9 @@ saved, alongside the invariants that make the saving trustworthy:
   each with ``predicted < threshold``.
 
 The record lands in the repo's perf trajectory as
-``BENCH_dse_<rev>[-quick].json``; ``--check`` turns the invariants into
-exit-code gates (CI runs ``--quick --check``).
+``BENCH_dse_<rev>[-quick].json``, the ``dse-pruning`` kind of the envelope
+in ``record.py``; ``--check`` turns the invariants into exit-code gates
+(CI runs ``--quick --check``).
 
 Run:
     python benchmarks/bench_dse_pruning.py --quick --check --out bench-out
@@ -21,28 +22,14 @@ Run:
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import platform
-import subprocess
 import tempfile
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
+from record import envelope, git_rev, write
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-SCHEMA = "repro-bench-dse/1"
-
-
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except Exception:
-        return "local"
 
 
 def build_space():
@@ -107,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     levels = 3 if args.quick else 4
-    rev = args.rev or _git_rev()
+    rev = args.rev or git_rev()
     print(f"dse pruning bench: rev={rev} levels={levels} "
           f"quantile={args.quantile}")
 
@@ -116,12 +103,7 @@ def main(argv: list[str] | None = None) -> int:
 
     full, pruned = pair["full"]["result"], pair["pruned"]["result"]
     saved = full.simulations_run - pruned.simulations_run
-    record = {
-        "schema": SCHEMA,
-        "rev": rev,
-        "quick": args.quick,
-        "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "python": platform.python_version(),
+    detail = {
         "levels": levels,
         "quantile": args.quantile,
         "design_size": full.design_size,
@@ -141,17 +123,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  design: {full.design_size} cells")
     print(f"  simulations: full={full.simulations_run} "
           f"pruned-run={pruned.simulations_run} "
-          f"(saved {saved}, {record['saved_fraction']:.0%})")
-    print(f"  wall: full={record['wall_s_full']}s "
-          f"pruned={record['wall_s_pruned']}s")
+          f"(saved {saved}, {detail['saved_fraction']:.0%})")
+    print(f"  wall: full={detail['wall_s_full']}s "
+          f"pruned={detail['wall_s_pruned']}s")
     print(f"  best fitness: full={full.best.fitness:.6g} "
           f"pruned={pruned.best.fitness:.6g}")
 
     suffix = "-quick" if args.quick else ""
-    out_path = args.out / f"BENCH_dse_{rev}{suffix}.json"
-    args.out.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_path}")
+    write(envelope("dse-pruning", rev, args.quick, detail=detail),
+          args.out / f"BENCH_dse_{rev}{suffix}.json")
 
     failures = []
     if pruned.evaluations_pruned == 0:

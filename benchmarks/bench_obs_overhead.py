@@ -23,8 +23,8 @@ dwarf the effect being measured — cancel out of each ratio; the median
 discards the pairs a noise spike still split.  ``--check`` turns
 overhead above ``--tolerance`` (default 2%) into a non-zero exit; the
 record lands in the repo's ``BENCH_*`` perf trajectory as
-``BENCH_obs_<rev>[-quick].json`` (its own schema tag, so
-``baseline.py`` never diffs against it).
+``BENCH_obs_<rev>[-quick].json``, the ``obs-overhead`` kind of the
+envelope in ``record.py``.
 
 Usage::
 
@@ -36,14 +36,10 @@ from __future__ import annotations
 
 import argparse
 import heapq
-import json
 import math
-import platform
 import statistics
-import subprocess
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.phy.channel import Channel
@@ -66,9 +62,9 @@ from repro.sim.engine import (
 )
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
+from record import envelope, git_rev, write
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = "obs-1"
 
 
 # --------------------------------------------------------------------- #
@@ -283,16 +279,6 @@ def kernel_tracer(quick: bool, pairs: int) -> dict:
 
 
 # --------------------------------------------------------------------- #
-def _git_rev() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except Exception:
-        return "local"
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--quick", action="store_true",
@@ -310,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="directory for BENCH_obs_<rev>.json")
     args = ap.parse_args(argv)
 
-    rev = args.rev or _git_rev()
+    rev = args.rev or git_rev()
     print(f"obs overhead gate: rev={rev} quick={args.quick} "
           f"tolerance={args.tolerance:.0%}")
     # Warm-up rep (allocator, imports) before anything is timed.
@@ -327,20 +313,10 @@ def main(argv: list[str] | None = None) -> int:
               f"overhead={k['overhead']:+.2%} "
               f"(pair spread {lo:+.2%}..{hi:+.2%})")
 
-    record = {
-        "schema": SCHEMA,
-        "rev": rev,
-        "quick": args.quick,
-        "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "python": platform.python_version(),
-        "tolerance": args.tolerance,
-        "kernels": kernels,
-    }
     suffix = "-quick" if args.quick else ""
-    out_path = args.out / f"BENCH_obs_{rev}{suffix}.json"
-    args.out.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_path}")
+    write(envelope("obs-overhead", rev, args.quick, kernels=kernels,
+                   detail={"tolerance": args.tolerance}),
+          args.out / f"BENCH_obs_{rev}{suffix}.json")
 
     over = {
         name: k["overhead"] for name, k in kernels.items()

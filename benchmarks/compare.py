@@ -1,30 +1,32 @@
 #!/usr/bin/env python
-"""Diff two perf-baseline records (``BENCH_<rev>.json``).
+"""Diff two benchmark records (``BENCH_*.json``) and gate the candidate.
 
-``baseline.py`` auto-diffs against the most recent committed record; this
-tool compares two *explicit* records — e.g. a CI artifact against the
-committed baseline, or a scalar run against a batched run — and turns the
-comparison into an exit code.
-
-For every kernel present in **both** records it prints old/new wall time
-and the wall ratio (new / old, so >1.0 means the candidate is slower),
-plus throughput where both sides report a ``*_per_s`` key.  Derived
-speedup ratios are compared side by side.
+This is the one reader and the one gate of the repo's benchmark records
+(the envelope is defined in ``record.py``).  For every kernel with a
+``wall_s`` in **both** records it prints old/new wall time and the wall
+ratio (new / old, so >1.0 means the candidate is slower), plus throughput
+where both sides report the same ``*_per_s`` key.  Derived ratios are
+compared side by side.
 
 Gates::
 
     --fail-above 1.25        exit 1 if any shared kernel's wall ratio
                              exceeds 1.25; applied only when both records
-                             were produced on the same CPU model (wall
-                             times are meaningless across machines)
+                             come from the same CPU model (wall times are
+                             meaningless across machines)
     --min-derived KEY:VAL    exit 1 if the candidate's derived ratio KEY
-                             is below VAL (repeatable); dimensionless, so
-                             it is enforced regardless of CPU
+                             is missing or below VAL (repeatable); on any CPU
+    (always)                 exit 1 if a derived ratio lost more than
+                             RATIO_DROP (40%) against the baseline's; on
+                             any CPU, since the ratios are dimensionless
+
+The wall and ratio-drop gates compare like with like: they need both
+records in the same ``quick`` mode.
 
 ``old`` may also be a *directory* (e.g. the repo root): the newest
-committed ``BENCH_*.json`` in it with the same ``--quick`` mode as the
-candidate is picked automatically — which is how CI diffs a fresh rerun
-against whatever baseline the tree ships without hard-coding a revision.
+``BENCH_*.json`` in it of the candidate's kind and ``quick`` mode is
+picked automatically — which is how CI diffs a fresh rerun against
+whatever baseline the tree ships without hard-coding a revision.
 
 Usage::
 
@@ -36,46 +38,38 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+try:  # imported from the benchmarks package (the tests)
+    from benchmarks.record import load as load_record
+except ImportError:  # run as a script: benchmarks/ is sys.path[0]
+    from record import load as load_record
 
-def load_record(path: Path) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read {path}: {exc}")
-    if "kernels" not in data:
-        raise SystemExit(f"{path}: not a baseline record (no 'kernels' key)")
-    return data
+#: Largest fraction a derived ratio may lose against the baseline.  Ratios
+#: quotient two noisy timings, so they get a wider gate than wall clocks.
+RATIO_DROP = 0.4
 
 
 def newest_baseline(directory: Path, new: dict, new_path: Path) -> Path:
     """Newest comparable ``BENCH_*.json`` in ``directory`` (auto-old mode).
 
-    Comparable means: parseable, a baseline record (has ``kernels``),
-    same ``quick`` mode as the candidate, and not the candidate file
-    itself.  Newest is by the embedded ``generated_utc`` stamp, not file
-    mtime, so fresh checkouts behave.
+    Comparable means: the candidate's kind and ``quick`` mode, and not the
+    candidate file itself.  Newest is by the embedded ``generated_utc``
+    stamp, not file mtime, so fresh checkouts behave.
     """
     candidates: list[tuple[str, Path]] = []
     for path in directory.glob("BENCH_*.json"):
         if path.resolve() == new_path.resolve():
             continue
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
+        data = load_record(path)
+        if data["kind"] != new["kind"] or data["quick"] != new["quick"]:
             continue
-        if "kernels" not in data:
-            continue  # e.g. campaign-fabric records — different shape
-        if bool(data.get("quick")) != bool(new.get("quick")):
-            continue
-        candidates.append((data.get("generated_utc", ""), path))
+        candidates.append((data["generated_utc"] or "", path))
     if not candidates:
         raise SystemExit(
             f"no comparable BENCH_*.json found in {directory} "
-            f"(quick={bool(new.get('quick'))})"
+            f"(kind={new['kind']}, quick={new['quick']})"
         )
     return max(candidates)[1]
 
@@ -87,31 +81,32 @@ def _throughput(entry: dict) -> tuple[str, float] | None:
     return None
 
 
+def _timed(record: dict) -> dict:
+    return {k: v for k, v in record["kernels"].items() if "wall_s" in v}
+
+
 def compare(
     old: dict, new: dict, fail_above: float | None,
     min_derived: dict[str, float],
 ) -> list[str]:
     """Print the comparison table; return the failure messages."""
     failures: list[str] = []
-    same_cpu = old.get("cpu") == new.get("cpu") and old.get("cpu")
-    same_mode = bool(old.get("quick")) == bool(new.get("quick"))
-    print(f"old: rev {old.get('rev', '?')}  quick={bool(old.get('quick'))}  "
-          f"({old.get('generated_utc', '?')})")
-    print(f"new: rev {new.get('rev', '?')}  quick={bool(new.get('quick'))}  "
-          f"({new.get('generated_utc', '?')})")
+    same_cpu = old["cpu"] == new["cpu"] and old["cpu"]
+    same_mode = old["quick"] == new["quick"]
+    for tag, rec in (("old", old), ("new", new)):
+        print(f"{tag}: {rec['kind']} rev {rec['rev']}  quick={rec['quick']}  "
+              f"({rec['generated_utc']})")
     if not same_cpu:
         print("different CPU models — wall-ratio gate skipped")
     if not same_mode:
-        print("WARNING: records use different --quick modes; wall ratios "
-              "compare different workload sizes")
+        print("WARNING: records use different --quick modes; wall and "
+              "derived ratios compare different workload sizes, not gated")
 
-    shared = [k for k in new["kernels"] if k in old["kernels"]]
-    only_old = sorted(set(old["kernels"]) - set(new["kernels"]))
-    only_new = sorted(set(new["kernels"]) - set(old["kernels"]))
+    old_k, new_k = _timed(old), _timed(new)
     print(f"\n{'kernel':<24}{'old wall':>12}{'new wall':>12}{'ratio':>8}"
           f"{'throughput':>24}")
-    for name in shared:
-        o, n = old["kernels"][name], new["kernels"][name]
+    for name in (k for k in new_k if k in old_k):
+        o, n = old_k[name], new_k[name]
         ratio = n["wall_s"] / o["wall_s"]
         tp = ""
         ot, nt = _throughput(o), _throughput(n)
@@ -124,15 +119,12 @@ def compare(
             failures.append(
                 f"{name}: wall ratio {ratio:.2f}x exceeds {fail_above:.2f}x"
             )
-    for name in only_old:
-        print(f"{name:<24}{old['kernels'][name]['wall_s']:>12.4f}"
-              f"{'--':>12}{'gone':>8}")
-    for name in only_new:
-        print(f"{name:<24}{'--':>12}{new['kernels'][name]['wall_s']:>12.4f}"
-              f"{'new':>8}")
+    for name in sorted(set(old_k) - set(new_k)):
+        print(f"{name:<24}{old_k[name]['wall_s']:>12.4f}{'--':>12}{'gone':>8}")
+    for name in sorted(set(new_k) - set(old_k)):
+        print(f"{name:<24}{'--':>12}{new_k[name]['wall_s']:>12.4f}{'new':>8}")
 
-    old_derived = old.get("derived", {})
-    new_derived = new.get("derived", {})
+    old_derived, new_derived = old["derived"], new["derived"]
     if old_derived or new_derived:
         print(f"\n{'derived ratio':<24}{'old':>12}{'new':>12}")
         for name in sorted(set(old_derived) | set(new_derived)):
@@ -141,6 +133,12 @@ def compare(
             ostr = f"{o:.2f}x" if o is not None else "--"
             nstr = f"{n:.2f}x" if n is not None else "--"
             print(f"{name:<24}{ostr:>12}{nstr:>12}")
+            if same_mode and o is not None and n is not None \
+                    and n < o * (1.0 - RATIO_DROP):
+                failures.append(
+                    f"derived ratio {name}: {o:.2f}x → {n:.2f}x "
+                    f"(lost >{RATIO_DROP:.0%})"
+                )
     for key, floor in min_derived.items():
         val = new_derived.get(key)
         if val is None:
@@ -188,6 +186,9 @@ def main(argv: list[str] | None = None) -> int:
         old_path = newest_baseline(old_path, new, args.new)
         print(f"auto-picked baseline: {old_path}")
     old = load_record(old_path)
+    if old["kind"] != new["kind"]:
+        raise SystemExit(
+            f"cannot compare a {old['kind']} record with a {new['kind']} one")
     failures = compare(old, new, args.fail_above,
                        _parse_min_derived(args.min_derived))
     if failures:

@@ -93,7 +93,8 @@ class Channel:
     track_threshold_w:
         Received-power cull: signals below this level at a receiver are not
         delivered at all.  Defaults to one tenth of the weakest registered
-        radio's carrier-sense threshold (set lazily on first transmit).
+        radio's carrier-sense threshold (set lazily on first transmit, and
+        re-derived when a more sensitive radio registers later).
     propagation_delay:
         When True (default) receptions start after distance/c; disabling it
         makes unit tests easier to reason about.
@@ -118,6 +119,7 @@ class Channel:
         self.sim = sim
         self.propagation = propagation
         self._track_threshold_w = track_threshold_w
+        self._derived_threshold = track_threshold_w is None
         self.propagation_delay = propagation_delay
         self.batched = batched
         if batched:
@@ -186,6 +188,13 @@ class Channel:
         self._id_buf[idx] = radio.node_id
         self._id2idx[radio.node_id] = idx
         self._n += 1
+        if self._derived_threshold and self._track_threshold_w is not None \
+                and radio.config.cs_threshold_w / 10.0 < self._track_threshold_w:
+            # A more sensitive radio lowers the derived cull threshold;
+            # re-derive it and resize the cells with it on the next build.
+            self._track_threshold_w = None
+            self._teardown_grid()
+            return
         if not self._grid_active:
             return  # no plan exists before the first build
         if radio.config.tx_power_w > self._grid_power_w:

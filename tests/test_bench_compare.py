@@ -5,18 +5,14 @@ import json
 import pytest
 
 from benchmarks import compare as cmp
+from benchmarks import record
 
 
 def _record(*, rev="a", cpu="cpu-x", quick=False, kernels=None, derived=None):
-    return {
-        "schema": 1,
-        "rev": rev,
-        "quick": quick,
-        "generated_utc": "2026-08-08T00:00:00+00:00",
-        "cpu": cpu,
-        "kernels": kernels if kernels is not None else {},
-        "derived": derived if derived is not None else {},
-    }
+    return record.envelope(
+        "baseline", rev, quick, kernels=kernels, derived=derived, cpu=cpu,
+        generated_utc="2026-08-08T00:00:00+00:00",
+    )
 
 
 def _kernel(wall, **extra):
@@ -66,8 +62,9 @@ class TestCompare:
         old = _record(derived={"sinr_slot_speedup": 5.5})
         new = _record(rev="b", derived={"sinr_slot_speedup": 2.1})
         failures = cmp.compare(old, new, None, {"sinr_slot_speedup": 3.0})
-        assert len(failures) == 1
-        assert "2.10x below floor 3.00x" in failures[0]
+        # 5.5x -> 2.1x also loses more than RATIO_DROP against the baseline.
+        assert len(failures) == 2
+        assert "2.10x below floor 3.00x" in failures[1]
 
     def test_min_derived_floor_passes(self):
         new = _record(rev="b", derived={"sinr_slot_speedup": 5.5})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.phy.channel import _KSTRIDE, Channel
+from repro.phy.frame import PhyFrame
 from repro.phy.propagation import LogNormalShadowing, TwoRayGround
 from repro.phy.radio import PhyConfig, Radio
 from repro.sim.engine import Simulator
@@ -172,6 +173,37 @@ class TestGridMechanics:
         )
         ids, _, _ = _plan_signature(ch, 0, p)
         assert 9 in ids  # the stale 2-node plan was invalidated
+
+    def test_sensitive_radio_registered_late_hears_weak_arrivals(self):
+        # The first transmit derives the cull threshold (cs/10) from the
+        # radios registered so far; a later radio with a lower carrier-
+        # sense threshold must hear every arrival above its own cs/10.
+        ch = _make_channel([(0.0, 0.0), (200.0, 0.0)])
+        p = PhyConfig().tx_power_w
+        frame = PhyFrame(payload=None, bits=512, rate_bps=2e6,
+                         preamble_s=192e-6, tx_power_w=p, tx_node=0)
+        ch.transmit(0, frame)
+        ch.sim.run()
+        sensitive = PhyConfig(cs_threshold_w=PhyConfig().cs_threshold_w / 100)
+        radio = Radio(ch.sim, 9, sensitive, RandomStreams(4).stream("x"))
+        heard = []
+        on_rx_start = radio.on_rx_start
+
+        def spy(f, power_w):
+            heard.append(power_w)
+            on_rx_start(f, power_w)
+
+        radio.on_rx_start = spy
+        ch.register(radio, (1500.0, 0.0))
+        power = ch.propagation.rx_power_many(
+            p, np.array([0.0, 0.0]), np.array([[1500.0, 0.0]]),
+            rx_ids=np.array([9]),
+        )[0]
+        assert sensitive.cs_threshold_w / 10 <= power
+        assert power < PhyConfig().cs_threshold_w / 10  # below the old cull
+        ch.transmit(0, frame)
+        ch.sim.run()
+        assert heard == [power]
 
 
 class TestIncrementalInvalidation:
