@@ -23,7 +23,7 @@ Three claims of the campaign fabric, measured and gated:
    ``kept_up_steady_wall_s`` (the kept-up arms).  Both speedups are
    recorded; on multi-core machines steady-state must exceed 1.05×.
 
-3. **``--no-adaptive --backend pool`` stays byte-identical and faster.**
+3. **The fixed budget on ``--backend pool`` stays byte-identical and faster.**
    The sweep's fixed-budget aggregate through the pool backend must equal
    the serial reference bit for bit, and with two or more cores the pool
    arm must run it at least 1.2× faster than serial (2.5× with four
@@ -51,7 +51,7 @@ from repro.analysis.stats import mean_ci
 from repro.exec import (
     AdaptivePolicy,
     ExecPolicy,
-    run_adaptive_cells,
+    replicate_cells,
     run_configs,
     shutdown_shared_pools,
 )
@@ -99,9 +99,8 @@ def bench_adaptive_sweep(quick: bool) -> dict:
     full_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = run_adaptive_cells(
-        "bench-adaptive", cells, n_budget=budget, adaptive=POLICY,
-        policy=policy,
+    report = replicate_cells(
+        "bench-adaptive", cells, budget, replace(policy, adaptive=POLICY)
     )
     adaptive_wall = time.perf_counter() - t0
 

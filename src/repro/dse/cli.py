@@ -30,8 +30,7 @@ from repro.dse.objectives import DEFAULT_OBJECTIVES, parse_objective
 from repro.dse.report import ascii_scatter, load_state, pareto_table, to_csv
 from repro.dse.screen import ScreenSettings, run_screening
 from repro.dse.space import ParameterSpace
-from repro.exec.adaptive import parse_adaptive_spec
-from repro.exec.policy import BACKEND_CHOICES, ExecPolicy
+from repro.exec.policy import add_exec_args, policy_from_args
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import load_config
 
@@ -56,30 +55,6 @@ EXAMPLE_SPACE: dict = {
          "type": "integer", "low": 2, "high": 30},
     ],
 }
-
-
-def _add_exec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for evaluation cells (default 1 = serial)",
-    )
-    p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="S",
-        help="per-cell wall-clock budget in seconds",
-    )
-    p.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="auto",
-        help="execution backend (auto = serial at --workers 1, else pool)",
-    )
-    p.add_argument(
-        "--adaptive", default=None, metavar="METRIC:HW[:MIN_REPS]",
-        help="with --n-seeds ≥ 2: stop replicating a point once METRIC's "
-             "CI half-width is ≤ HW; --n-seeds becomes the budget",
-    )
-    p.add_argument(
-        "--no-adaptive", action="store_true",
-        help="force the fixed seed budget (the default; wins over --adaptive)",
-    )
 
 
 def _add_common_search_args(p: argparse.ArgumentParser) -> None:
@@ -107,7 +82,7 @@ def _add_common_search_args(p: argparse.ArgumentParser) -> None:
         "--prune-quantile", type=float, default=None, metavar="Q",
         help="prune candidates predicted below this quantile",
     )
-    _add_exec_args(p)
+    add_exec_args(p)
 
 
 def _base_config(args) -> ScenarioConfig:
@@ -125,19 +100,6 @@ def _objectives(args):
     if args.objective:
         return tuple(parse_objective(s) for s in args.objective)
     return DEFAULT_OBJECTIVES
-
-
-def _policy(args) -> ExecPolicy:
-    adaptive = None
-    if getattr(args, "adaptive", None) and not getattr(args, "no_adaptive", False):
-        adaptive = parse_adaptive_spec(args.adaptive)
-    return ExecPolicy(
-        workers=args.workers,
-        task_timeout_s=args.task_timeout,
-        backend=getattr(args, "backend", "auto"),
-        adaptive=adaptive,
-        progress=args.workers > 1,
-    )
 
 
 def _print_outcome(kind: str, result, out: Path) -> None:
@@ -184,7 +146,7 @@ def cmd_search(args) -> int:
         settings,
         objectives=_objectives(args),
         out_dir=out,
-        policy=_policy(args),
+        policy=args.policy,
     )
     result = search.run(resume=args.resume)
     _print_outcome("search", result, out)
@@ -213,7 +175,7 @@ def cmd_screen(args) -> int:
         settings,
         objectives=_objectives(args),
         out_dir=out,
-        policy=_policy(args),
+        policy=args.policy,
     )
     print(f"design: {result.design_size} cells, "
           f"{len(result.evaluated)} evaluated, "
@@ -289,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
+    if args.command in ("search", "screen"):
+        args.policy = policy_from_args(parser, args)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:

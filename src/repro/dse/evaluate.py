@@ -1,10 +1,10 @@
 """Evaluation adapter: parameter points → exec campaign cells → objectives.
 
 The :class:`Evaluator` is the bridge between search algorithms and the
-campaign fabric.  Each point is bound onto the base config, replicated
-across ``n_seeds`` consecutive seeds, and the whole batch runs as one
-:class:`~repro.exec.task.Campaign` through the
-:class:`~repro.exec.scheduler.CampaignExecutor` — so every evaluation is a
+campaign fabric.  Each point is bound onto the base config and the whole
+batch is replicated across ``n_seeds`` consecutive seeds by
+:func:`~repro.exec.adaptive.replicate_cells` — one campaign, or one per
+wave under ``ExecPolicy.adaptive`` — so every evaluation is a
 content-hashed cell with per-cell checkpointing, worker-pool parallelism,
 crash quarantine, and byte-identical parallel-vs-serial aggregates, none
 of which this module has to reimplement.
@@ -25,9 +25,10 @@ from repro.dse.objectives import (
     weighted_score,
 )
 from repro.dse.space import ParameterSpace, Point, point_key
+from repro.exec.adaptive import replicate_cells
 from repro.exec.policy import ExecPolicy, current_policy
 from repro.exec.scheduler import CampaignExecutor
-from repro.exec.task import Campaign, Task
+from repro.exec.task import Campaign
 from repro.experiments.scenario import ScenarioConfig
 
 __all__ = ["PointEval", "Evaluator"]
@@ -116,18 +117,12 @@ class Evaluator:
         for ev in evals:
             self._cache.setdefault(ev.key, ev)
 
-    def configs_for(self, point: Point) -> list[ScenarioConfig]:
-        """The replicate-seed configs one point expands into."""
-        bound = self.space.bind(self.base, point)
-        return [
-            replace(bound, seed=self.base.seed + k) for k in range(self.n_seeds)
-        ]
-
     # ------------------------------------------------------------------ #
     def evaluate(
         self, points: Sequence[Point], label: str, generation: int = 0
     ) -> list[PointEval]:
-        """Evaluate ``points`` (one campaign), returning aligned outcomes.
+        """Evaluate ``points`` (one campaign per wave), returning aligned
+        outcomes.
 
         Duplicate and previously seen points are served from the cache;
         only genuinely new cells reach the executor.
@@ -143,10 +138,13 @@ class Evaluator:
             fresh.append((k, p))
 
         if fresh:
-            if self.policy.adaptive is not None and self.n_seeds >= 2:
-                grouped = self._run_adaptive(fresh, label)
-            else:
-                grouped = self._run_fixed(fresh, label)
+            grouped = replicate_cells(
+                f"{self.campaign_prefix}-{label}",
+                [(k, self.space.bind(self.base, p)) for k, p in fresh],
+                self.n_seeds,
+                policy=self.policy,
+                run_fn=self._run_campaign,
+            ).results
             for (k, p) in fresh:
                 mine = grouped[k]
                 values = aggregate_objectives(mine, self.objectives)
@@ -165,67 +163,12 @@ class Evaluator:
                 )
         return [self._cache[point_key(p)] for p in points]
 
-    # ------------------------------------------------------------------ #
-    def _run_fixed(
-        self, fresh: Sequence[tuple[str, Point]], label: str
-    ) -> dict[str, list]:
-        """Fixed seed budget: every point buys exactly ``n_seeds`` cells."""
-        tasks: list[Task] = []
-        owners: list[str] = []
-        for k, p in fresh:
-            for cfg in self.configs_for(p):
-                tasks.append(
-                    Task(cfg, tag=f"{label} {self._short(p)} s{cfg.seed}")
-                )
-                owners.append(k)
-        campaign = Campaign(f"{self.campaign_prefix}-{label}", tasks)
-        outcomes = CampaignExecutor(policy=self.policy).run(campaign)
-        results = outcomes.results()  # raises on any failed cell
+    def _run_campaign(self, name, configs, policy=None, tags=None) -> list:
+        """:func:`~repro.exec.scheduler.run_configs` that also counts the
+        cells actually simulated (not loaded from checkpoints)."""
+        campaign = Campaign.from_configs(name, configs, tags=tags)
+        outcome = CampaignExecutor(policy=policy).run(campaign)
         self.simulations_run += sum(
-            1 for o in outcomes.outcomes if o.source == "run"
+            1 for o in outcome.outcomes if o.source == "run"
         )
-        grouped: dict[str, list] = {k: [] for k, _ in fresh}
-        for owner, result in zip(owners, results):
-            grouped[owner].append(result)
-        return grouped
-
-    def _run_adaptive(
-        self, fresh: Sequence[tuple[str, Point]], label: str
-    ) -> dict[str, list]:
-        """Sequential-CI stopping: ``n_seeds`` becomes a per-point budget.
-
-        Each wave is one campaign across every unconverged point, so the
-        search still parallelises across the generation; per-point results
-        remain a seed-ladder prefix of the fixed-budget ladder, keeping
-        kill-and-resume byte-identity (the same cells are simply re-bought
-        from checkpoints in the same order).
-        """
-        from repro.exec.adaptive import run_adaptive_cells
-        from repro.experiments.cache import cache_dir
-
-        def run_fn(name, configs, policy=None, tags=None):
-            campaign = Campaign.from_configs(name, configs, tags=tags)
-            outcome = CampaignExecutor(policy=self.policy).run(campaign)
-            self.simulations_run += sum(
-                1 for o in outcome.outcomes if o.source == "run"
-            )
-            return outcome.results()
-
-        log_dir = self.policy.log_dir or cache_dir() / "runs"
-        report = run_adaptive_cells(
-            f"{self.campaign_prefix}-{label}",
-            [(k, self.space.bind(self.base, p)) for k, p in fresh],
-            n_budget=self.n_seeds,
-            adaptive=self.policy.adaptive,
-            policy=self.policy,
-            audit_path=log_dir / f"adaptive-{self.campaign_prefix}.jsonl",
-            run_fn=run_fn,
-        )
-        return report.results
-
-    @staticmethod
-    def _short(point: Point) -> str:
-        return ",".join(
-            f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in point.items()
-        )
+        return outcome.results()  # raises on any failed cell

@@ -29,10 +29,15 @@ independent launcher processes cooperate over the content-addressed cell
 directory via atomic claim files (kill-safe: stale claims from dead
 launchers are swept).  Pool workers keep the environment they were forked
 with: call :func:`shutdown_shared_pools` after changing ``REPRO_*``
-variables that cells should see.  On
-top, :mod:`repro.exec.adaptive` adds sequential-statistics early stopping:
-campaigns declare a metric + CI half-width and stop buying seeds for
-cells that already converged, with every stop decision audit-logged.
+variables that cells should see.
+
+Every replicated cell — ``replicate()``, ``sweep()``, the figures, DSE
+evaluation — goes through :func:`replicate_cells`
+(:mod:`repro.exec.adaptive`), the only code that builds the ``seed + k``
+ladder.  With ``ExecPolicy(adaptive=...)`` it adds sequential-statistics
+early stopping: campaigns declare a metric + CI half-width and stop
+buying seeds for cells that already converged, with every stop decision
+audit-logged.
 
 Quickstart::
 
@@ -54,7 +59,7 @@ from repro.exec.adaptive import (
     AdaptivePolicy,
     AdaptiveReport,
     parse_adaptive_spec,
-    run_adaptive_cells,
+    replicate_cells,
 )
 from repro.exec.backends import (
     BACKENDS,
@@ -102,7 +107,7 @@ __all__ = [
     "make_backend",
     "parse_adaptive_spec",
     "quarantine_dir",
-    "run_adaptive_cells",
+    "replicate_cells",
     "run_configs",
     "shutdown_shared_pools",
     "using",

@@ -1,42 +1,40 @@
-"""Sequential-statistics early stopping for replicated campaigns.
+"""One seed ladder for every replicated cell, with optional early stopping.
 
-Fixed seed budgets waste most of their replicates: at sweep scale the
-easy cells (light load, small grids) converge after a handful of seeds
-while the budget keeps buying more.  The classic Monte-Carlo remedy —
-sequential confidence-interval stopping, as used throughout the
-probabilistic-protocol evaluation literature — is safe here because every
-replicate is a content-hashed, deterministic exec cell: stopping early
-never changes *which* runs happen, only *how many*.
+:func:`replicate_cells` is the only place a replicated campaign builds
+its ``seed, seed+1, …`` ladder.  It schedules replicates in waves:
 
-:class:`AdaptivePolicy` declares the contract — a target metric and the
-confidence-interval half-width the campaign must reach — and
-:func:`run_adaptive_cells` schedules replicates in waves:
-
-1. every cell runs ``min_reps`` seeds (one campaign over all cells, so a
+1. every cell runs its first seeds (one campaign over all cells, so a
    worker pool parallelises across the whole grid);
-2. each cell's Student-t half-width on the target metric is tested
-   against the declared precision; converged cells *stop*;
-3. surviving cells buy ``wave`` more seeds each (again one campaign),
+2. without an :class:`AdaptivePolicy` that first wave is the whole
+   ``n_runs`` budget and the only campaign — the fixed-budget path;
+3. with one (``ExecPolicy.adaptive``), the first wave is ``min_reps``
+   seeds; each cell's Student-t half-width on the target metric is then
+   tested against the declared precision, converged cells *stop*, and
+   surviving cells buy ``wave`` more seeds each (again one campaign),
    until they converge or hit ``max_reps`` — the fixed budget is the
    worst case, never exceeded.
 
-Seeds are always the ``base, base+1, …`` ladder, so an adaptive cell's
-replicates are a strict prefix of the full-budget cell's — which is what
-makes the accuracy claim auditable: the adaptive mean must lie within the
-declared half-width of the full-budget mean.
+Fixed-budget sampling wastes most of its replicates: at sweep scale the
+easy cells (light load, small grids) converge after a handful of seeds
+while the budget keeps buying more.  Sequential confidence-interval
+stopping is safe here because every replicate is a content-hashed,
+deterministic exec cell: stopping early never changes *which* runs
+happen, only *how many*.  An adaptive cell's replicates are a strict
+prefix of the full-budget cell's, which is what makes the accuracy claim
+auditable: the adaptive mean must lie within the declared half-width of
+the full-budget mean.
 
 For a packet proportion (``pdr``) the half-width never uses a per-run
 variance below the binomial ``p̄(1−p̄)/m̄`` (``m̄`` the mean
 ``packets_sent`` per run), so replicates that happen to agree cannot
 stop a cell on a zero or round-off half-width.
 
-Every stop decision is recorded as an :class:`AdaptiveDecision` (and
-appended to a JSONL audit log when a path is given): cell key, seeds
-bought, mean, half-width, target, why sampling ended, which bound
-decided it, and whether the half-width came from the sample spread or
-the binomial floor.  ``--no-adaptive``
-paths never enter this module, so they stay byte-identical to the
-fixed-budget behaviour.
+Every stop decision is recorded as an :class:`AdaptiveDecision` and
+appended to a JSONL audit log: cell key, seeds bought, mean, half-width,
+target, why sampling ended, which bound decided it, and whether the
+half-width came from the sample spread or the binomial floor.  The
+fixed-budget path writes no audit and stays byte-identical to the
+historical one-campaign ladder.
 """
 
 from __future__ import annotations
@@ -47,10 +45,12 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.analysis.stats import sequential_halfwidth
-from repro.experiments.runner import ScenarioResult
+from repro.exec.policy import ExecPolicy, current_policy
+from repro.experiments.cache import cache_dir
+from repro.experiments.runner import METRIC_KEYS, ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
 
 __all__ = [
@@ -58,7 +58,7 @@ __all__ = [
     "AdaptivePolicy",
     "AdaptiveReport",
     "parse_adaptive_spec",
-    "run_adaptive_cells",
+    "replicate_cells",
 ]
 
 
@@ -70,7 +70,8 @@ class AdaptivePolicy:
     ----------
     metric:
         Key of :meth:`ScenarioResult.as_dict` the half-width is tested on
-        (e.g. ``"pdr"``).
+        (e.g. ``"pdr"``); anything outside
+        :data:`~repro.experiments.runner.METRIC_KEYS` is rejected.
     ci_halfwidth:
         Absolute half-width target.  A cell stops once its Student-t CI
         half-width on ``metric`` is ≤ this value.
@@ -98,6 +99,11 @@ class AdaptivePolicy:
     wave: int = 2
 
     def __post_init__(self) -> None:
+        if self.metric not in METRIC_KEYS:
+            raise ValueError(
+                f"unknown metric {self.metric!r}; expected one of "
+                f"{', '.join(METRIC_KEYS)}"
+            )
         if self.ci_halfwidth is None and self.rel_halfwidth is None:
             raise ValueError("need ci_halfwidth and/or rel_halfwidth")
         for name in ("ci_halfwidth", "rel_halfwidth"):
@@ -156,7 +162,7 @@ class AdaptivePolicy:
 class AdaptiveDecision:
     """Audit record: why one cell stopped buying seeds."""
 
-    key: str
+    key: str  # ``str()`` of the cell key
     metric: str
     n_used: int
     n_budget: int
@@ -192,9 +198,10 @@ class AdaptiveDecision:
 
 @dataclass(slots=True)
 class AdaptiveReport:
-    """Outcome of one adaptive campaign: results + the audit trail."""
+    """Outcome of :func:`replicate_cells`: per-cell results + the audit
+    trail (no decisions on the fixed-budget path)."""
 
-    results: dict[str, list[ScenarioResult]]
+    results: dict[Hashable, list[ScenarioResult]]
     decisions: list[AdaptiveDecision] = field(default_factory=list)
     waves: int = 0
 
@@ -252,96 +259,114 @@ def _mean_trials(runs: Sequence[ScenarioResult], metric: str) -> float | None:
     return sum(r.packets_sent for r in runs) / len(runs)
 
 
-def run_adaptive_cells(
+def replicate_cells(
     name: str,
-    cells: Sequence[tuple[str, ScenarioConfig]],
-    n_budget: int,
-    adaptive: AdaptivePolicy,
-    policy: Any = None,
-    audit_path: str | Path | None = None,
+    cells: Sequence[tuple[Hashable, ScenarioConfig]],
+    n_runs: int,
+    policy: ExecPolicy | None = None,
     run_fn: Callable[..., list[ScenarioResult]] | None = None,
 ) -> AdaptiveReport:
-    """Replicate every ``(key, config)`` cell under the stopping rule.
+    """Replicate every ``(key, config)`` cell over seeds ``config.seed + k``.
 
-    ``n_budget`` is the fixed budget the non-adaptive path would spend per
-    cell; adaptive never exceeds it.  Each wave is ONE executor campaign
-    over every surviving cell, so worker pools parallelise across the
-    grid exactly like the fixed-budget path.  Cell keys must be unique.
+    ``policy`` defaults to :func:`~repro.exec.policy.current_policy`.
+    Without ``policy.adaptive``, or when ``n_runs < 2``, every cell buys
+    exactly ``n_runs`` seeds in ONE campaign called ``name``.  Otherwise
+    ``n_runs`` is the per-cell budget: campaigns ``name-wave1``,
+    ``name-wave2``, … each cover every unconverged cell, and the stop
+    decisions are appended to ``adaptive-{name}.jsonl`` under
+    ``policy.log_dir`` (default ``cache_dir()/runs``).
 
-    Returns the per-cell result lists (seed-ladder order, a prefix of the
-    fixed-budget ladder) plus the audit trail.
+    Keys may be any hashables but must be unique; task tags are
+    ``str(key)``.  ``run_fn`` (default
+    :func:`~repro.exec.scheduler.run_configs`) executes one campaign.
+    Returns the per-cell result lists in seed-ladder order (a prefix of
+    the fixed-budget ladder) plus the audit trail.
     """
-    if n_budget < 2:
-        raise ValueError(
-            f"adaptive stopping needs a budget ≥ 2 replicates, got {n_budget}"
-        )
+    if n_runs < 1:
+        raise ValueError(f"need ≥ 1 run, got {n_runs}")
+    if policy is None:
+        policy = current_policy()
     if run_fn is None:
         from repro.exec.scheduler import run_configs as run_fn
     keys = [k for k, _ in cells]
     if len(set(keys)) != len(keys):
-        raise ValueError(f"adaptive cells need unique keys, got {keys!r}")
-    pol = adaptive.resolve(n_budget)
-    results: dict[str, list[ScenarioResult]] = {k: [] for k in keys}
-    active: dict[str, ScenarioConfig] = dict(cells)
+        raise ValueError(f"replicated cells need unique keys, got {keys!r}")
+    pol = None
+    if policy.adaptive is not None and n_runs >= 2:
+        pol = policy.adaptive.resolve(n_runs)
+    results: dict[Hashable, list[ScenarioResult]] = {k: [] for k in keys}
+    active: dict[Hashable, ScenarioConfig] = dict(cells)
     decisions: list[AdaptiveDecision] = []
     wave_no = 0
 
-    def n_next(k: str) -> int:
+    def n_next(k: Hashable) -> int:
+        if pol is None:
+            return n_runs
         have = len(results[k])
-        if have == 0:
-            return min(pol.min_reps, pol.max_reps)
-        return min(have + pol.wave, pol.max_reps)
+        return min(have + pol.wave if have else pol.min_reps, pol.max_reps)
 
     while active:
         wave_no += 1
-        wave_keys: list[str] = []
+        wave_keys: list[Hashable] = []
         wave_configs: list[ScenarioConfig] = []
-        wave_tags: list[str] = []
         for k, base in active.items():
             for rep in range(len(results[k]), n_next(k)):
                 wave_keys.append(k)
                 wave_configs.append(replace(base, seed=base.seed + rep))
-                wave_tags.append(f"{k} w{wave_no}")
         wave_results = run_fn(
-            f"{name}-wave{wave_no}", wave_configs, policy=policy,
-            tags=wave_tags,
+            name if pol is None else f"{name}-wave{wave_no}",
+            wave_configs,
+            policy=policy,
+            tags=[str(k) for k in wave_keys],
         )
         for k, result in zip(wave_keys, wave_results):
             results[k].append(result)
-
+        if pol is None:
+            break
         for k in list(active):
-            runs = results[k]
-            values = _metric_values(runs, pol.metric)
-            trials = _mean_trials(runs, pol.metric)
-            hw = sequential_halfwidth(values, pol.level, trials=trials)
-            finite = [v for v in values if not math.isnan(v)]
-            mean = sum(finite) / len(finite) if finite else math.nan
-            bound = pol.met_bound(mean, hw)
-            if bound is not None:
-                reason = "converged"
-            elif len(runs) >= pol.max_reps:
-                reason, bound = "budget", "max_reps"
-            else:
-                continue  # buys another wave
-            floored = trials is not None and hw > sequential_halfwidth(
-                values, pol.level
-            )
-            del active[k]
-            decisions.append(
-                AdaptiveDecision(
-                    key=k, metric=pol.metric, n_used=len(runs),
-                    n_budget=n_budget, mean=mean, halfwidth=hw,
-                    target_halfwidth=pol.ci_halfwidth,
-                    stopped_early=len(runs) < n_budget, reason=reason,
-                    waves=wave_no, bound=bound,
-                    variance="binomial_floor" if floored else "sample",
-                )
-            )
+            decision = _stop_decision(pol, k, results[k], n_runs, wave_no)
+            if decision is not None:
+                del active[k]
+                decisions.append(decision)
 
     report = AdaptiveReport(results=results, decisions=decisions, waves=wave_no)
-    if audit_path is not None:
-        _append_audit(Path(audit_path), name, pol, report)
+    if pol is not None:
+        log_dir = policy.log_dir or cache_dir() / "runs"
+        _append_audit(log_dir / f"adaptive-{name}.jsonl", name, pol, report)
     return report
+
+
+def _stop_decision(
+    pol: AdaptivePolicy,
+    key: Hashable,
+    runs: Sequence[ScenarioResult],
+    n_budget: int,
+    wave_no: int,
+) -> AdaptiveDecision | None:
+    """Why ``key`` stops buying seeds now, or ``None`` if it buys on."""
+    values = _metric_values(runs, pol.metric)
+    trials = _mean_trials(runs, pol.metric)
+    hw = sequential_halfwidth(values, pol.level, trials=trials)
+    finite = [v for v in values if not math.isnan(v)]
+    mean = sum(finite) / len(finite) if finite else math.nan
+    bound = pol.met_bound(mean, hw)
+    if bound is not None:
+        reason = "converged"
+    elif len(runs) >= pol.max_reps:
+        reason, bound = "budget", "max_reps"
+    else:
+        return None
+    floored = trials is not None and hw > sequential_halfwidth(
+        values, pol.level
+    )
+    return AdaptiveDecision(
+        key=str(key), metric=pol.metric, n_used=len(runs),
+        n_budget=n_budget, mean=mean, halfwidth=hw,
+        target_halfwidth=pol.ci_halfwidth,
+        stopped_early=len(runs) < n_budget, reason=reason,
+        waves=wave_no, bound=bound,
+        variance="binomial_floor" if floored else "sample",
+    )
 
 
 def _append_audit(

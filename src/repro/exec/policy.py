@@ -5,7 +5,8 @@ module also keeps one process-wide default policy so high-level entry
 points (``replicate``, the figure sweeps) pick up CLI settings
 (``--workers``, ``--backend``) without threading a parameter through every
 call site: the CLI calls :func:`configure` once, everything downstream
-calls :func:`current_policy`.
+calls :func:`current_policy`.  :func:`add_exec_args` and
+:func:`policy_from_args` give every CLI the same execution flags.
 
 The shipped default is strictly serial with checkpointing off — exactly
 the historical in-process behaviour, so library users and the test suite
@@ -17,12 +18,19 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.adaptive import AdaptivePolicy
 
-__all__ = ["ExecPolicy", "configure", "current_policy", "using"]
+__all__ = [
+    "ExecPolicy",
+    "add_exec_args",
+    "configure",
+    "current_policy",
+    "policy_from_args",
+    "using",
+]
 
 #: Backend names accepted by :attr:`ExecPolicy.backend` (see
 #: :mod:`repro.exec.backends`); ``auto`` resolves to ``serial`` for one
@@ -70,10 +78,11 @@ class ExecPolicy:
         Same-host claims are reaped as soon as their PID is gone.
     adaptive:
         Optional :class:`~repro.exec.adaptive.AdaptivePolicy`.  When set,
-        campaign entry points that understand replication (``replicate``,
-        the figure sweeps, DSE evaluation) stop buying seeds for cells
-        whose confidence interval is already tight.  ``None`` (default)
-        keeps the fixed-budget behaviour byte-identical to before.
+        :func:`~repro.exec.adaptive.replicate_cells` — and so
+        ``replicate``, ``sweep``, every replicated figure and DSE
+        evaluation — stops buying seeds for cells whose confidence
+        interval is already tight.  ``None`` (default) keeps the
+        fixed-budget behaviour byte-identical to before.
     """
 
     workers: int = 1
@@ -128,10 +137,11 @@ def current_policy() -> ExecPolicy:
     return _default_policy
 
 
-def configure(**overrides) -> ExecPolicy:
-    """Replace fields of the process-wide default policy; returns it."""
+def configure(base: ExecPolicy | None = None, /, **overrides) -> ExecPolicy:
+    """Replace the process-wide default policy by ``base`` (if given) with
+    ``overrides`` applied; returns it."""
     global _default_policy
-    _default_policy = replace(_default_policy, **overrides)
+    _default_policy = replace(base or _default_policy, **overrides)
     return _default_policy
 
 
@@ -145,3 +155,52 @@ def using(**overrides) -> Iterator[ExecPolicy]:
         yield _default_policy
     finally:
         _default_policy = saved
+
+
+def add_exec_args(parser: Any) -> None:
+    """Add the execution flags every CLI shares to an argparse parser:
+    ``--workers --task-timeout --retries --backend --adaptive``."""
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes for simulation cells (default 1 = serial)",
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="S",
+        help="wall-clock budget per simulation cell (default: unlimited)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=1, metavar="N",
+        help="re-attempts per failed/timed-out cell (default 1)",
+    )
+    parser.add_argument(
+        "--backend", choices=BACKEND_CHOICES, default="auto",
+        help="execution backend (auto = serial at --workers 1, else pool)",
+    )
+    parser.add_argument(
+        "--adaptive", default=None, metavar="METRIC:HW[:MIN_REPS]",
+        help="stop replicating a cell once METRIC's 95%% CI half-width "
+             "is ≤ HW (e.g. pdr:0.01:3); seed counts become budgets",
+    )
+
+
+def policy_from_args(parser: Any, args: Any) -> ExecPolicy:
+    """The process-wide policy with the :func:`add_exec_args` flags applied.
+
+    Progress reporting turns on with more than one worker.  A bad value
+    exits with status 2 through ``parser.error``.
+    """
+    from repro.exec.adaptive import parse_adaptive_spec
+
+    try:
+        return replace(
+            current_policy(),
+            workers=args.workers,
+            task_timeout_s=args.task_timeout,
+            retries=args.retries,
+            backend=args.backend,
+            adaptive=parse_adaptive_spec(args.adaptive) if args.adaptive else None,
+            progress=args.workers > 1,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+        raise  # unreachable: parser.error exits

@@ -14,7 +14,7 @@ is what makes parallel aggregates byte-identical to serial ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.experiments.cache import cache_key
@@ -96,20 +96,4 @@ class Campaign:
                 Task(config, tag=tags[i] if tags is not None else "")
                 for i, config in enumerate(configs)
             ],
-        )
-
-    @classmethod
-    def replication(
-        cls,
-        name: str,
-        config: ScenarioConfig,
-        n_runs: int,
-        base_seed: int | None = None,
-    ) -> "Campaign":
-        """The ``replicate()`` seed ladder as a campaign: seeds ``base + k``."""
-        if n_runs < 1:
-            raise ValueError(f"need ≥ 1 run, got {n_runs}")
-        base = config.seed if base_seed is None else base_seed
-        return cls.from_configs(
-            name, [replace(config, seed=base + k) for k in range(n_runs)]
         )

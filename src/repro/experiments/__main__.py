@@ -15,9 +15,9 @@ interrupted regeneration picks up where it stopped and a repeat render
 simulates nothing (``REPRO_NO_CACHE=1`` recomputes every cell).
 ``--backend`` selects how workers run
 (``pool``/``filestore`` — see docs/CAMPAIGNS.md) and
-``--adaptive METRIC:HALFWIDTH[:MIN_REPS]`` turns replication counts into
-budgets with sequential-CI early stopping (``--no-adaptive`` is the
-explicit fixed-budget default, byte-identical to historical output).
+``--adaptive METRIC:HALFWIDTH[:MIN_REPS]`` turns the replication count of
+every replicated figure into a budget with sequential-CI early stopping
+(without it, output is byte-identical to the fixed budget).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.exec import configure, parse_adaptive_spec
-from repro.exec.policy import BACKEND_CHOICES
+from repro.exec.policy import add_exec_args, configure, policy_from_args
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import write_experiments_md
 
@@ -51,56 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         help="with --all: write EXPERIMENTS.md at the repo root",
     )
     parser.add_argument("--list", action="store_true", help="list figure ids")
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for sweep cells (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="S",
-        help="wall-clock budget per simulation cell (default: unlimited)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="re-attempts per failed/timed-out cell (default 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="auto",
-        help="execution backend (auto = serial at --workers 1, else pool)",
-    )
-    parser.add_argument(
-        "--claim-ttl", type=float, default=600.0, metavar="S",
-        help="filestore backend: age after which a foreign-host claim "
-             "file is considered stale (default 600)",
-    )
-    parser.add_argument(
-        "--adaptive", default=None, metavar="METRIC:HW[:MIN_REPS]",
-        help="stop replicating a cell once METRIC's 95%% CI half-width "
-             "is ≤ HW (e.g. pdr:0.01:3); replication counts become budgets",
-    )
-    parser.add_argument(
-        "--no-adaptive", action="store_true",
-        help="force the fixed-budget path (the default; wins over --adaptive)",
-    )
+    add_exec_args(parser)
     args = parser.parse_args(argv)
-
-    if args.workers < 1:
-        parser.error("--workers must be ≥ 1")
-    adaptive = None
-    if args.adaptive and not args.no_adaptive:
-        try:
-            adaptive = parse_adaptive_spec(args.adaptive)
-        except ValueError as exc:
-            parser.error(str(exc))
-    configure(
-        workers=args.workers,
-        task_timeout_s=args.task_timeout,
-        retries=args.retries,
-        backend=args.backend,
-        claim_ttl_s=args.claim_ttl,
-        adaptive=adaptive,
-        # Progress/telemetry once execution is more than a plain serial loop.
-        progress=args.workers > 1,
-    )
+    configure(policy_from_args(parser, args))
 
     if args.list:
         for name, fn in ALL_FIGURES.items():

@@ -15,10 +15,12 @@ Every function accepts ``quick``: the default True uses the reduced
 parameter set sized for CI-class machines (2 replications, 15–25 s of
 simulated time); ``quick=False`` uses the full 5-replication settings.
 
-Sweep cells execute through :mod:`repro.exec`: each grid is submitted as
-one campaign of independent ``(config, seed)`` tasks, so configuring a
-worker pool (``python -m repro.experiments --workers N``) parallelises
-whole figures while producing byte-identical tables to serial runs.
+Sweep cells execute through :func:`repro.exec.replicate_cells`: each
+grid is submitted as one campaign of independent ``(config, seed)``
+tasks, so configuring a worker pool (``python -m repro.experiments
+--workers N``) parallelises whole figures while producing byte-identical
+tables to serial runs, and ``--adaptive`` turns every replicated
+figure's seed count into a budget.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from repro.exec import (
     CheckpointStore,
     ExecPolicy,
     current_policy,
-    run_adaptive_cells,
-    run_configs,
+    replicate_cells,
 )
-from repro.experiments.cache import cache_dir, cache_key
+from repro.experiments.cache import cache_key
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
 from repro.metrics.fairness import jain_index, load_concentration
@@ -160,53 +161,6 @@ def _stored_rows(
     return rows
 
 
-def _replicated_cells(
-    name: str,
-    cells: Sequence[tuple[Any, ScenarioConfig]],
-    n_runs: int,
-) -> dict[Any, dict[str, float]]:
-    """Replicate every ``(key, config)`` cell as ONE executor campaign.
-
-    All ``len(cells) × n_runs`` runs are submitted together, so a
-    configured worker pool (``repro.exec``, CLI ``--workers``) parallelises
-    across the whole grid, not just within one cell.  Results are grouped
-    back in task order — aggregation never sees completion order, which
-    keeps parallel output byte-identical to serial.
-
-    When the process-wide policy carries an
-    :class:`~repro.exec.AdaptivePolicy`, ``n_runs`` becomes the per-cell
-    *budget*: replication proceeds in waves (each wave one campaign across
-    every unconverged cell) and stops per cell once the declared metric's
-    CI half-width is tight — see :mod:`repro.exec.adaptive`.
-    """
-    policy = _campaign_policy()
-    adaptive = policy.adaptive
-    if adaptive is not None and n_runs >= 2:
-        keyed = [(f"c{i}", config) for i, (_, config) in enumerate(cells)]
-        log_dir = policy.log_dir or cache_dir() / "runs"
-        report = run_adaptive_cells(
-            name, keyed, n_budget=n_runs, adaptive=adaptive, policy=policy,
-            audit_path=log_dir / f"adaptive-{name}.jsonl",
-        )
-        return {
-            key: _summarize_cell(report.results[f"c{i}"])
-            for i, (key, _) in enumerate(cells)
-        }
-    keys: list[Any] = []
-    configs: list[ScenarioConfig] = []
-    tags: list[str] = []
-    for key, config in cells:
-        for k in range(n_runs):
-            keys.append(key)
-            configs.append(replace(config, seed=config.seed + k))
-            tags.append(str(key))
-    results = run_configs(name, configs, policy=policy, tags=tags)
-    grouped: dict[Any, list[ScenarioResult]] = {}
-    for key, result in zip(keys, results):
-        grouped.setdefault(key, []).append(result)
-    return {key: _summarize_cell(runs) for key, runs in grouped.items()}
-
-
 def _protocol_sweep(
     sweep_name: str,
     base: ScenarioConfig,
@@ -221,10 +175,10 @@ def _protocol_sweep(
         for proto in protocols
         for value in values
     ]
-    flat = _replicated_cells(sweep_name, cells, _reps(quick))
+    report = replicate_cells(sweep_name, cells, _reps(quick), _campaign_policy())
     table: dict[str, dict[str, dict[str, float]]] = {}
-    for (proto, value_key), metrics in flat.items():
-        table.setdefault(proto, {})[value_key] = metrics
+    for (proto, value_key), runs in report.results.items():
+        table.setdefault(proto, {})[value_key] = _summarize_cell(runs)
     return table
 
 
@@ -483,20 +437,14 @@ def fig6_scalability(quick: bool = True) -> FigureResult:
 # ---------------------------------------------------------------------- #
 def fig5_load_distribution(quick: bool = True) -> FigureResult:
     """Per-node forwarding-load spread at the reference operating point."""
-    n_runs = _point_reps(quick)
-    keys, configs = [], []
-    for proto in COMPARED:
-        config = _at_reference_point(proto, quick)
-        for k in range(n_runs):
-            keys.append(proto)
-            configs.append(replace(config, seed=config.seed + k))
-    results = run_configs(
-        "fig5_load_distribution", configs, policy=_campaign_policy(),
-        tags=keys,
+    report = replicate_cells(
+        "fig5_load_distribution",
+        [(proto, _at_reference_point(proto, quick)) for proto in COMPARED],
+        _point_reps(quick),
+        _campaign_policy(),
     )
     table: dict[str, dict[str, float]] = {}
-    for proto in COMPARED:
-        runs = [r for key, r in zip(keys, results) if key == proto]
+    for proto, runs in report.results.items():
         jains, top3, maxs = [], [], []
         for r in runs:
             per_node = np.asarray(r.per_node_forwarded)
@@ -595,7 +543,10 @@ def table2_summary(quick: bool = True) -> FigureResult:
     """All schemes (incl. oracle) at the reference operating point."""
     protocols = list(COMPARED) + ["dsdv", "oracle"]
     cells = [(proto, _at_reference_point(proto, quick)) for proto in protocols]
-    table = _replicated_cells("table2_summary", cells, _point_reps(quick))
+    report = replicate_cells(
+        "table2_summary", cells, _point_reps(quick), _campaign_policy()
+    )
+    table = {k: _summarize_cell(runs) for k, runs in report.results.items()}
     rows = []
     for p in protocols:
         m = table[p]
@@ -640,7 +591,8 @@ def _ablation(
     name: str, title: str, protocols: Sequence[str], quick: bool, expectation: str
 ) -> FigureResult:
     cells = [(proto, _at_reference_point(proto, quick)) for proto in protocols]
-    table = _replicated_cells(name, cells, _point_reps(quick))
+    report = replicate_cells(name, cells, _point_reps(quick), _campaign_policy())
+    table = {k: _summarize_cell(runs) for k, runs in report.results.items()}
     rows = []
     for p in protocols:
         m = table[p]
@@ -770,7 +722,10 @@ def ext_rtscts(quick: bool = True) -> FigureResult:
         for proto in ("aodv", "nlr")
         for rts in (False, True)
     ]
-    table = _replicated_cells("ext_rtscts", cells, _point_reps(quick))
+    report = replicate_cells(
+        "ext_rtscts", cells, _point_reps(quick), _campaign_policy()
+    )
+    table = {k: _summarize_cell(runs) for k, runs in report.results.items()}
     rows = []
     for key in ("aodv", "aodv+rts", "nlr", "nlr+rts"):
         m = table[key]
@@ -953,7 +908,6 @@ def figure_resilience(quick: bool = True) -> FigureResult:
     """
     protocols = ["aodv", "gossip", "nlr"]
     rates_per_min = [0.0, 4.0, 8.0] if quick else [0.0, 2.0, 4.0, 8.0, 16.0]
-    n_runs = _reps(quick)
     sim_time = 30.0 if quick else 60.0
     warmup = 5.0
 
@@ -985,24 +939,18 @@ def figure_resilience(quick: bool = True) -> FigureResult:
             fault_spec=spec,
         )
 
-    keys: list[tuple[str, float]] = []
-    configs: list[ScenarioConfig] = []
-    tags: list[str] = []
-    for proto in protocols:
-        for rate in rates_per_min:
-            base = _cell_config(proto, rate)
-            for k in range(n_runs):
-                keys.append((proto, rate))
-                configs.append(replace(base, seed=base.seed + k))
-                tags.append(f"{proto}@{rate:g}pm")
-    results = run_configs(
-        "figure_resilience", configs, policy=_campaign_policy(), tags=tags
+    report = replicate_cells(
+        "figure_resilience",
+        [
+            ((proto, rate), _cell_config(proto, rate))
+            for proto in protocols
+            for rate in rates_per_min
+        ],
+        _reps(quick),
+        _campaign_policy(),
     )
-    grouped: dict[tuple[str, float], list[ScenarioResult]] = {}
-    for key, result in zip(keys, results):
-        grouped.setdefault(key, []).append(result)
     table: dict[str, dict[str, dict[str, float]]] = {}
-    for (proto, rate), runs in grouped.items():
+    for (proto, rate), runs in report.results.items():
         table.setdefault(proto, {})[str(rate)] = {
             "pdr": float(np.mean([r.pdr for r in runs])),
             "reconv_s": _nan_mean_total(runs, "resilience_reconv_mean_s"),

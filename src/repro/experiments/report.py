@@ -83,9 +83,9 @@ checkpoints, so an interrupted regeneration continues where it stopped
 execution backend (a process pool kept up across campaigns, or
 multi-launcher ``filestore``) and ``--adaptive
 pdr:0.02`` replicates each cell only until its 95 % CI half-width meets
-the declared target (``--no-adaptive`` forces the fixed budget; the
-per-cell stop decisions are logged to a JSONL audit file) — see
-docs/CAMPAIGNS.md.
+the declared target in every replicated figure (without it each cell
+buys the fixed budget; the per-cell stop decisions are logged to a JSONL
+audit file) — see docs/CAMPAIGNS.md.
 
 The protocol parameters these figures hold fixed can themselves be
 searched: ``repro-dse`` runs factorial screenings and seeded

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import AdaptivePolicy, ExecPolicy
+    from repro.exec import ExecPolicy
 
 from repro.analysis.stats import ConfidenceInterval, summarize
 from repro.experiments.scenario import Network, ScenarioConfig, build_network
@@ -17,7 +17,20 @@ from repro.metrics.fairness import forwarding_load, jain_index
 from repro.obs.spec import finalize_observability
 from repro.obs.wiring import totals_from_snapshot
 
-__all__ = ["ScenarioResult", "run_scenario", "replicate"]
+__all__ = ["METRIC_KEYS", "ScenarioResult", "run_scenario", "replicate"]
+
+#: The scalar metrics of :meth:`ScenarioResult.as_dict`, in its order.
+METRIC_KEYS = (
+    "pdr",
+    "mean_delay_s",
+    "throughput_bps",
+    "mean_hops",
+    "rreq_tx",
+    "control_packets",
+    "control_bytes",
+    "normalized_routing_load",
+    "jain_fairness",
+)
 
 
 @dataclass(slots=True)
@@ -53,17 +66,7 @@ class ScenarioResult:
 
     def as_dict(self) -> dict[str, float]:
         """Scalar metrics as a flat dict (for summarising/sweeps)."""
-        return {
-            "pdr": self.pdr,
-            "mean_delay_s": self.mean_delay_s,
-            "throughput_bps": self.throughput_bps,
-            "mean_hops": self.mean_hops,
-            "rreq_tx": self.rreq_tx,
-            "control_packets": self.control_packets,
-            "control_bytes": self.control_bytes,
-            "normalized_routing_load": self.normalized_routing_load,
-            "jain_fairness": self.jain_fairness,
-        }
+        return {key: getattr(self, key) for key in METRIC_KEYS}
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -123,50 +126,34 @@ def replicate(
     base_seed: int | None = None,
     level: float = 0.95,
     policy: ExecPolicy | None = None,
-    adaptive: "AdaptivePolicy | None" = None,
 ) -> tuple[list[ScenarioResult], dict[str, ConfidenceInterval]]:
     """Run ``config`` under up to ``n_runs`` seeds; return runs + mean ± CI.
 
     Seeds are ``base_seed + k`` (default base: ``config.seed``), so a
     replication set is itself reproducible.
 
-    Execution goes through :mod:`repro.exec`: with the default policy the
-    runs happen serially in-process exactly as they always have; pass an
-    :class:`~repro.exec.ExecPolicy` (or :func:`repro.exec.configure` the
-    process-wide default, as the CLI's ``--workers`` does) to fan the
-    seeds out over worker processes and/or resume from checkpoints.
-    Results come back in seed order either way, so summaries are
-    byte-identical across execution modes.
-
-    With an :class:`~repro.exec.AdaptivePolicy` (explicit argument, or the
-    one carried by the effective exec policy), ``n_runs`` becomes the
-    *budget*: replication stops as soon as the declared metric's
-    confidence half-width is tight (see :mod:`repro.exec.adaptive`), so
-    the returned list may be a seed-ladder prefix.  Without one, the
-    fixed-budget path is bit-for-bit the historical behaviour.
+    The runs are one cell of :func:`repro.exec.replicate_cells`: with the
+    default policy they happen serially in-process exactly as they always
+    have; pass an :class:`~repro.exec.ExecPolicy` (or
+    :func:`repro.exec.configure` the process-wide default, as the CLI's
+    ``--workers`` does) to fan the seeds out over worker processes and/or
+    resume from checkpoints.  Results come back in seed order either way,
+    so summaries are byte-identical across execution modes.  When the
+    effective policy carries an :class:`~repro.exec.AdaptivePolicy`,
+    ``n_runs`` is a budget and the returned list may be a seed-ladder
+    prefix; the stop decisions go to ``adaptive-replicate-<protocol>.jsonl``.
     """
-    if n_runs < 1:
-        raise ValueError(f"need ≥ 1 run, got {n_runs}")
     # Imported here: repro.exec sits on top of this module.
-    from repro.exec import current_policy, run_adaptive_cells, run_configs
+    from repro.exec import replicate_cells
 
-    if adaptive is None:
-        adaptive = (policy if policy is not None else current_policy()).adaptive
-    base = config.seed if base_seed is None else base_seed
-    seeded = replace(config, seed=base)
-    if adaptive is not None and n_runs >= 2:
-        report = run_adaptive_cells(
-            f"replicate-{config.protocol}",
-            [("cell", seeded)],
-            n_budget=n_runs,
-            adaptive=adaptive,
-            policy=policy,
-        )
-        results = report.results["cell"]
-    else:
-        configs = [replace(config, seed=base + k) for k in range(n_runs)]
-        results = run_configs(
-            f"replicate-{config.protocol}", configs, policy=policy
-        )
+    if base_seed is not None:
+        config = replace(config, seed=base_seed)
+    report = replicate_cells(
+        f"replicate-{config.protocol}",
+        [(config.protocol, config)],
+        n_runs,
+        policy=policy,
+    )
+    results = report.results[config.protocol]
     summary = summarize([r.as_dict() for r in results], level=level)
     return results, summary

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
-from repro.analysis.stats import ConfidenceInterval
-from repro.experiments.runner import ScenarioResult, replicate
+from repro.analysis.stats import ConfidenceInterval, summarize
+from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
 
 __all__ = ["SweepPoint", "sweep"]
@@ -61,6 +61,11 @@ def sweep(
 ) -> list[SweepPoint]:
     """Cross ``protocols`` × ``values``, replicating each cell.
 
+    The whole grid is one :func:`repro.exec.replicate_cells` campaign
+    (one per wave under an adaptive policy), so the process-wide
+    :class:`~repro.exec.ExecPolicy` — ``--workers``, ``--adaptive`` —
+    applies across every cell at once.
+
     Parameters
     ----------
     base:
@@ -73,16 +78,24 @@ def sweep(
     apply:
         ``(config, value) -> config`` binding one value into the config.
     n_runs:
-        Replications per cell.
+        Replications per cell (the budget under an adaptive policy).
     progress:
         Optional status-line sink (e.g. ``print``).
     """
-    points: list[SweepPoint] = []
-    for value in values:
-        for protocol in protocols:
-            config = replace(apply(base, value), protocol=protocol)
-            if progress is not None:
-                progress(f"sweep: {protocol} @ {value} ({n_runs} runs)")
-            runs, summary = replicate(config, n_runs=n_runs)
-            points.append(SweepPoint(value, protocol, runs, summary))
-    return points
+    # Imported here: repro.exec sits on top of this package.
+    from repro.exec import replicate_cells
+
+    cells = [
+        ((i, protocol), replace(apply(base, value), protocol=protocol))
+        for i, value in enumerate(values)
+        for protocol in protocols
+    ]
+    if progress is not None:
+        progress(f"sweep: {len(cells)} cells × {n_runs} runs")
+    report = replicate_cells("sweep", cells, n_runs)
+    return [
+        SweepPoint(
+            values[i], protocol, runs, summarize([r.as_dict() for r in runs])
+        )
+        for (i, protocol), runs in report.results.items()
+    ]

@@ -14,6 +14,7 @@ from repro.exec import (
     Task,
     configure,
     current_policy,
+    replicate_cells,
     run_configs,
     using,
 )
@@ -57,8 +58,15 @@ class TestTaskModel:
         assert Task(tiny(), tag="a").task_id == Task(tiny(), tag="b").task_id
 
     def test_replication_seed_ladder(self):
-        campaign = Campaign.replication("r", tiny(seed=10), n_runs=3)
-        assert [t.config.seed for t in campaign.tasks] == [10, 11, 12]
+        calls = []
+
+        def run_fn(name, configs, policy=None, tags=None):
+            calls.append((name, [c.seed for c in configs], tags))
+            return list(configs)
+
+        report = replicate_cells("r", [("a", tiny(seed=10))], 3, run_fn=run_fn)
+        assert calls == [("r", [10, 11, 12], ["a", "a", "a"])]
+        assert [c.seed for c in report.results["a"]] == [10, 11, 12]
 
     def test_duplicate_tasks_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -134,7 +142,7 @@ class TestPolicy:
 
 class TestSerialExecutor:
     def test_matches_direct_run(self):
-        campaign = Campaign.replication("s", tiny(), n_runs=2)
+        campaign = Campaign.from_configs("s", [tiny(seed=3), tiny(seed=4)])
         result = CampaignExecutor(ExecPolicy()).run(campaign)
         assert result.ok == 2 and result.failed == 0
         direct = [run_scenario(t.config) for t in campaign.tasks]
@@ -143,7 +151,7 @@ class TestSerialExecutor:
         ]
 
     def test_checkpoint_and_resume_skip_recompute(self, monkeypatch):
-        campaign = Campaign.replication("ck", tiny(), n_runs=2)
+        campaign = Campaign.from_configs("ck", [tiny(seed=3), tiny(seed=4)])
         policy = ExecPolicy(checkpoint=True)
         CampaignExecutor(policy).run(campaign)
 
@@ -312,7 +320,9 @@ class TestProgress:
         reporter = ProgressReporter(
             stream=open(os.devnull, "w"), log_path=log, min_interval_s=0.0
         )
-        campaign = Campaign.replication("logged", tiny(), n_runs=2)
+        campaign = Campaign.from_configs(
+            "logged", [tiny(seed=3), tiny(seed=4)]
+        )
         CampaignExecutor(ExecPolicy(), reporter=reporter).run(campaign)
         events = [json.loads(line) for line in log.read_text().splitlines()]
         kinds = [e["event"] for e in events]
