@@ -6,7 +6,7 @@ batch is replicated across ``n_seeds`` consecutive seeds by
 :func:`~repro.exec.adaptive.replicate_cells` — one campaign, or one per
 wave under ``ExecPolicy.adaptive`` — so every evaluation is a
 content-hashed cell with per-cell checkpointing, worker-pool parallelism,
-crash quarantine, and byte-identical parallel-vs-serial aggregates, none
+crash containment, and byte-identical parallel-vs-serial aggregates, none
 of which this module has to reimplement.
 
 Checkpoint resume is forced on: a killed search re-runs its evaluation

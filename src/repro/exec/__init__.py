@@ -16,8 +16,9 @@ such a grid into a :class:`Campaign` of deterministic, content-addressed
 * Completed cells are checkpointed one file each under
   ``results/cache/cells/`` so an interrupted campaign resumes from what
   finished instead of recomputing the whole sweep.
-* Progress (completed/failed, ETA, simulated events/s) streams to stderr
-  and to a structured JSONL run log.
+* Every campaign writes a run log on the trace line protocol (one
+  ``task_done`` record per cell, failures included); progress lines
+  (completed/failed, ETA, simulated events/s) stream to stderr on request.
 
 Because each cell is simulated from its own seed in a fresh engine, the
 aggregate of a parallel campaign is byte-identical to the serial one —
@@ -78,7 +79,6 @@ from repro.exec.scheduler import (
     CampaignExecutor,
     CampaignResult,
     TaskOutcome,
-    quarantine_dir,
     run_configs,
 )
 from repro.exec.task import Campaign, Task
@@ -106,7 +106,6 @@ __all__ = [
     "current_policy",
     "make_backend",
     "parse_adaptive_spec",
-    "quarantine_dir",
     "replicate_cells",
     "run_configs",
     "shutdown_shared_pools",

@@ -30,26 +30,23 @@ variance below the binomial ``p̄(1−p̄)/m̄`` (``m̄`` the mean
 stop a cell on a zero or round-off half-width.
 
 Every stop decision is recorded as an :class:`AdaptiveDecision` and
-appended to a JSONL audit log: cell key, seeds bought, mean, half-width,
-target, why sampling ended, which bound decided it, and whether the
-half-width came from the sample spread or the binomial floor.  The
-fixed-budget path writes no audit and stays byte-identical to the
-historical one-campaign ladder.
+written to an audit artifact on the trace line protocol (one ``stop``
+record per cell, then a ``summary``): cell key, seeds bought, mean,
+half-width, target, why sampling ended, which bound decided it, and
+whether the half-width came from the sample spread or the binomial
+floor.  The fixed-budget path writes no audit and stays byte-identical
+to the historical one-campaign ladder.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Callable, Hashable, Sequence
 
 from repro.analysis.stats import sequential_halfwidth
 from repro.exec.policy import ExecPolicy, current_policy
-from repro.experiments.cache import cache_dir
+from repro.exec.progress import RunLog
 from repro.experiments.runner import METRIC_KEYS, ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
 
@@ -108,8 +105,8 @@ class AdaptivePolicy:
             raise ValueError("need ci_halfwidth and/or rel_halfwidth")
         for name in ("ci_halfwidth", "rel_halfwidth"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
         if self.min_reps < 2:
@@ -273,8 +270,8 @@ def replicate_cells(
     exactly ``n_runs`` seeds in ONE campaign called ``name``.  Otherwise
     ``n_runs`` is the per-cell budget: campaigns ``name-wave1``,
     ``name-wave2``, … each cover every unconverged cell, and the stop
-    decisions are appended to ``adaptive-{name}.jsonl`` under
-    ``policy.log_dir`` (default ``cache_dir()/runs``).
+    decisions go to a fresh audit ``adaptive-{name}-{pid}-{ts}.jsonl``
+    under ``policy.log_dir`` (default ``cache_dir()/runs``).
 
     Keys may be any hashables but must be unique; task tags are
     ``str(key)``.  ``run_fn`` (default
@@ -331,8 +328,21 @@ def replicate_cells(
 
     report = AdaptiveReport(results=results, decisions=decisions, waves=wave_no)
     if pol is not None:
-        log_dir = policy.log_dir or cache_dir() / "runs"
-        _append_audit(log_dir / f"adaptive-{name}.jsonl", name, pol, report)
+        audit = RunLog(
+            f"adaptive-{name}", log_dir=policy.log_dir, campaign=name
+        )
+        for d in decisions:
+            audit.write("stop", campaign=name, **d.to_dict())
+        audit.write(
+            "summary",
+            campaign=name,
+            policy=pol.describe(),
+            replicates_used=report.replicates_used,
+            replicates_budget=report.replicates_budget,
+            saved_fraction=round(report.saved_fraction, 4),
+            waves=report.waves,
+        )
+        audit.close()
     return report
 
 
@@ -367,31 +377,3 @@ def _stop_decision(
         waves=wave_no, bound=bound,
         variance="binomial_floor" if floored else "sample",
     )
-
-
-def _append_audit(
-    path: Path, name: str, pol: AdaptivePolicy, report: AdaptiveReport
-) -> None:
-    """One JSONL record per stop decision plus a campaign summary line."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as fh:
-            base = {
-                "t": round(time.time(), 3),
-                "campaign": name,
-                "pid": os.getpid(),
-            }
-            for d in report.decisions:
-                fh.write(json.dumps(
-                    {**base, "event": "stop", **d.to_dict()}) + "\n")
-            fh.write(json.dumps({
-                **base,
-                "event": "summary",
-                "policy": pol.describe(),
-                "replicates_used": report.replicates_used,
-                "replicates_budget": report.replicates_budget,
-                "saved_fraction": round(report.saved_fraction, 4),
-                "waves": report.waves,
-            }) + "\n")
-    except OSError:  # audit must never kill the campaign
-        pass

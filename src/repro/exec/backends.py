@@ -64,6 +64,11 @@ __all__ = [
     "shutdown_shared_pools",
 ]
 
+#: Age beyond which a filestore claim whose owner cannot be probed
+#: (foreign host) is presumed dead and reaped.  Same-host claims are
+#: reaped as soon as their PID is gone.
+CLAIM_TTL_S = 600.0
+
 #: ``(index, attempt, crashes)`` — the scheduler's retry-queue entry.
 Entry = tuple[int, int, int]
 #: ``absorb(index, attempt, crashes, out_dict)`` — structured completion.
@@ -315,7 +320,6 @@ class FileStoreBackend(Backend):
 
     def run_batch(self, campaign, batch, policy, absorb, crashed):
         pending: dict[int, Entry] = {entry[0]: entry for entry in batch}
-        ttl = policy.claim_ttl_s
         last_sweep = 0.0
         while pending:
             progressed = False
@@ -353,7 +357,8 @@ class FileStoreBackend(Backend):
                 if now - last_sweep >= max(self.poll_s, 1.0):
                     last_sweep = now
                     self.claims.sweep_stale(
-                        [campaign.tasks[i].task_id for i in pending], ttl
+                        [campaign.tasks[i].task_id for i in pending],
+                        CLAIM_TTL_S,
                     )
                 time.sleep(self.poll_s)
 

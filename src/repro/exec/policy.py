@@ -15,6 +15,7 @@ see no change unless they opt in.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,19 +64,17 @@ class ExecPolicy:
         Persist each finished cell.  ``None`` (the default) auto-enables
         exactly when it is useful: parallel runs and resumed runs.
     progress:
-        Emit progress lines on stderr and a JSONL run log.
+        Print progress status lines on stderr.  The run log is written
+        either way.
     log_dir:
-        Directory for JSONL run logs (default: ``results/cache/runs``).
+        Directory for run logs and adaptive audits (default:
+        ``results/cache/runs``).
     backend:
         Execution backend (see :mod:`repro.exec.backends`): ``auto``
         (serial for one worker, process pool otherwise), ``serial``,
         ``pool`` (one process-wide ``ProcessPoolExecutor`` of ``workers``
         processes, kept up across campaigns), or ``filestore``
         (cooperating launchers over the cell directory).
-    claim_ttl_s:
-        File-store backend only: age beyond which a claim whose owner
-        cannot be probed (foreign host) is presumed dead and reaped.
-        Same-host claims are reaped as soon as their PID is gone.
     adaptive:
         Optional :class:`~repro.exec.adaptive.AdaptivePolicy`.  When set,
         :func:`~repro.exec.adaptive.replicate_cells` — and so
@@ -94,7 +93,6 @@ class ExecPolicy:
     progress: bool = False
     log_dir: Path | None = None
     backend: str = "auto"
-    claim_ttl_s: float = 600.0
     adaptive: "AdaptivePolicy | None" = None
 
     def __post_init__(self) -> None:
@@ -102,14 +100,17 @@ class ExecPolicy:
             raise ValueError(f"workers must be ≥ 1, got {self.workers}")
         if self.retries < 0:
             raise ValueError(f"retries must be ≥ 0, got {self.retries}")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive or None")
+        if self.task_timeout_s is not None and not (
+            0 < self.task_timeout_s < math.inf
+        ):
+            raise ValueError(
+                "task_timeout_s must be positive and finite, or None; "
+                f"got {self.task_timeout_s}"
+            )
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(
                 f"backend must be one of {BACKEND_CHOICES}, got {self.backend!r}"
             )
-        if self.claim_ttl_s <= 0:
-            raise ValueError("claim_ttl_s must be positive")
 
     @property
     def effective_backend(self) -> str:
@@ -186,7 +187,7 @@ def add_exec_args(parser: Any) -> None:
 def policy_from_args(parser: Any, args: Any) -> ExecPolicy:
     """The process-wide policy with the :func:`add_exec_args` flags applied.
 
-    Progress reporting turns on with more than one worker.  A bad value
+    Progress status lines turn on with more than one worker.  A bad value
     exits with status 2 through ``parser.error``.
     """
     from repro.exec.adaptive import parse_adaptive_spec

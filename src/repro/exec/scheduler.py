@@ -14,19 +14,18 @@ recorded as failed and the campaign completes without it.
 
 Completed cells are checkpointed per-task (see
 :mod:`repro.exec.checkpoint`); with ``resume=True`` they are loaded
-instead of recomputed.  Cells that end up *failed* are written to the
-quarantine directory (``results/cache/quarantine/<task_id>.json``) with
-their full error record, so a post-mortem never depends on scrollback.
-Outcomes are always reassembled in task order, so parallel aggregates are
-byte-identical to serial ones.
+instead of recomputed.  Every campaign writes a run log
+(:mod:`repro.exec.progress`); a cell that ends up *failed* is its
+``task_done`` record there, with its full error, so a post-mortem never
+depends on scrollback.  Outcomes are always reassembled in task order,
+so parallel aggregates are byte-identical to serial ones.
 """
 
 from __future__ import annotations
 
-import os
+import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from repro.exec.backends import Backend, make_backend
@@ -34,7 +33,6 @@ from repro.exec.checkpoint import CheckpointStore
 from repro.exec.policy import ExecPolicy, current_policy
 from repro.exec.progress import ProgressReporter
 from repro.exec.task import Campaign, Task
-from repro.experiments.cache import atomic_write_json, cache_dir
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import result_from_dict, result_to_dict
@@ -43,14 +41,8 @@ __all__ = [
     "CampaignExecutor",
     "CampaignResult",
     "TaskOutcome",
-    "quarantine_dir",
     "run_configs",
 ]
-
-
-def quarantine_dir() -> Path:
-    """Directory holding one JSON record per terminally failed cell."""
-    return cache_dir() / "quarantine"
 
 
 @dataclass(slots=True)
@@ -98,11 +90,6 @@ class CampaignResult:
     def failures(self) -> list[TaskOutcome]:
         return [o for o in self.outcomes if not o.ok]
 
-    @property
-    def replicate_seconds(self) -> float:
-        """Summed fresh-run wall time — the campaign's compute spend."""
-        return sum(o.duration_s for o in self.outcomes if o.source == "run")
-
     def results(self, strict: bool = True) -> list[ScenarioResult]:
         """Results in task order; raises on any failure when ``strict``."""
         if strict and self.failed:
@@ -139,17 +126,12 @@ class CampaignExecutor:
         store = self.store
         if store is None and policy.wants_checkpoint:
             store = CheckpointStore()
-        reporter = self.reporter
-        if reporter is None and policy.progress:
-            log_dir = policy.log_dir or cache_dir() / "runs"
-            reporter = ProgressReporter(
-                log_path=log_dir
-                / f"{campaign.name}-{os.getpid()}-{int(time.time())}.jsonl"
-            )
+        reporter = self.reporter or ProgressReporter(
+            stream=sys.stderr if policy.progress else None
+        )
 
         t0 = time.monotonic()
-        if reporter is not None:
-            reporter.campaign_started(campaign, policy.workers)
+        reporter.campaign_started(campaign, policy)
 
         outcomes: dict[int, TaskOutcome] = {}
 
@@ -159,10 +141,7 @@ class CampaignExecutor:
                 # Reserialising the reconstructed result is exact
                 # (shortest-repr floats round-trip).
                 store.store(outcome.task.task_id, result_to_dict(outcome.result))
-            if not outcome.ok:
-                self._quarantine(campaign, outcome)
-            if reporter is not None:
-                reporter.task_finished(outcome)
+            reporter.task_finished(outcome)
 
         # Resume pass: completed cells load instead of recomputing.
         pending: list[int] = []
@@ -193,8 +172,7 @@ class CampaignExecutor:
 
         ordered = [outcomes[i] for i in range(len(campaign.tasks))]
         result = CampaignResult(campaign, ordered, time.monotonic() - t0)
-        if reporter is not None:
-            reporter.campaign_finished(result)
+        reporter.campaign_finished(result)
         return result
 
     # ------------------------------------------------------------------ #
@@ -205,8 +183,8 @@ class CampaignExecutor:
         # re-run one per single-task batch, alone on the shared pool, so a
         # poisoned cell can only break the pool under itself.  A cell that
         # crashes ``crash_limit`` times (once shared, then solo) is
-        # recorded as failed; innocents complete solo on their first
-        # quarantined run.  Only the pool backend reports suspects.
+        # recorded as failed; innocents complete on their first solo
+        # run.  Only the pool backend reports suspects.
         crash_limit = max(2, policy.retries + 1)
         queue: list[tuple[int, int, int]] = [(i, 1, 0) for i in pending]
         round_no = 0
@@ -252,26 +230,6 @@ class CampaignExecutor:
             for entry in suspects:
                 backend.run_batch(campaign, [entry], policy, absorb, crashed)
             queue = retry
-
-    # ------------------------------------------------------------------ #
-    def _quarantine(self, campaign: Campaign, outcome: TaskOutcome) -> None:
-        """Persist a terminally failed cell's forensics record."""
-        try:
-            atomic_write_json(
-                quarantine_dir() / f"{outcome.task.task_id}.json",
-                {
-                    "campaign": campaign.name,
-                    "task_id": outcome.task.task_id,
-                    "task": outcome.task.describe(),
-                    "kind": outcome.kind,
-                    "error": outcome.error,
-                    "attempts": outcome.attempts,
-                    "seed": outcome.task.config.seed,
-                    "protocol": outcome.task.config.protocol,
-                },
-            )
-        except OSError:  # forensics must never kill the campaign
-            pass
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -3,8 +3,8 @@
 Every experiment result persists as content-keyed JSON under
 :func:`cache_dir`: one checkpoint per simulated exec cell (see
 :mod:`repro.exec.checkpoint`) — plus, in the same store, the rows of the
-few figures that do not run on exec cells — and run logs and quarantine
-records.
+few figures that do not run on exec cells.  Campaign run logs live in
+its ``runs/`` directory.
 :func:`cache_key` is the stable content hash the cell ids are built from;
 :func:`atomic_write_json` writes through a per-process unique temp file
 followed by an atomic ``os.replace``, so concurrent writers of the same
@@ -28,8 +28,7 @@ __all__ = ["atomic_write_json", "cache_dir", "cache_key"]
 
 
 def cache_dir() -> Path:
-    """Directory for cell checkpoints, run logs and quarantine records
-    (created on demand).
+    """Directory for cell checkpoints and run logs (created on demand).
 
     Defaults to ``<repo>/results/cache``; override with ``REPRO_CACHE_DIR``.
     """

@@ -141,7 +141,8 @@ def replicate(
     so summaries are byte-identical across execution modes.  When the
     effective policy carries an :class:`~repro.exec.AdaptivePolicy`,
     ``n_runs`` is a budget and the returned list may be a seed-ladder
-    prefix; the stop decisions go to ``adaptive-replicate-<protocol>.jsonl``.
+    prefix; the stop decisions go to a fresh
+    ``adaptive-replicate-<protocol>-<pid>-<ts>.jsonl`` audit.
     """
     # Imported here: repro.exec sits on top of this module.
     from repro.exec import replicate_cells

@@ -201,7 +201,3 @@ class FlowStatsCollector:
         if rx == 0:
             return math.nan
         return sum(r.hops_sum for r in self.flows.values()) / rx
-
-    def per_flow_pdrs(self) -> dict[int, float]:
-        """Flow id → PDR."""
-        return {fid: r.pdr for fid, r in self.flows.items()}

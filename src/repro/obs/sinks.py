@@ -4,8 +4,10 @@ A sink is any callable accepting one :class:`~repro.sim.trace.TraceRecord`
 — exactly the ``sink=`` contract :class:`~repro.sim.trace.Tracer` already
 exposes — plus an optional ``close()``.  Sinks stream: memory stays
 bounded no matter how many events a chaos run emits, which is what lets
-million-event discovery storms be captured whole instead of truncated at
-the tracer's in-memory retention bound.
+million-event discovery storms be captured whole.  The same
+:class:`JsonlTraceSink` writes every artifact the repository produces —
+traces, campaign run logs and adaptive audits — so one reader and one
+validator (``repro-trace``) cover them all.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import os
 from collections import deque
 from pathlib import Path
 from typing import Any, Iterator
@@ -21,6 +24,10 @@ from repro.obs.schema import record_to_dict, trace_footer, trace_header
 from repro.sim.trace import TraceRecord
 
 __all__ = ["TraceSink", "JsonlTraceSink", "RingSink", "CompositeSink"]
+
+#: Lines :class:`JsonlTraceSink` holds before hitting the OS — bounds both
+#: the syscall rate and the buffer's memory.
+BUFFER_LINES = 512
 
 
 class TraceSink:
@@ -48,14 +55,12 @@ class JsonlTraceSink(TraceSink):
         Run metadata written into the schema-versioned header line.
     compress:
         Force gzip on/off; default inferred from the path suffix.
-    buffer_lines:
-        Lines held before hitting the OS — bounds both syscall rate and
-        memory.  The buffer flushes on overflow and on :meth:`close`.
 
-    The sink counts what it writes (``recorded``, per-category) and
-    appends a footer line with the totals on close, so a reader can
-    detect a truncated artifact (missing footer) and tests can assert on
-    drop accounting end-to-end.
+    Lines are buffered (:data:`BUFFER_LINES`) and reach the OS on
+    overflow, :meth:`flush` and :meth:`close`.  The sink counts what it
+    writes (``recorded``, per-category) and appends a footer line with
+    the totals on close, then fsyncs, so a reader can detect a truncated
+    artifact (missing footer) and a finished one survives a power cut.
     """
 
     def __init__(
@@ -63,7 +68,6 @@ class JsonlTraceSink(TraceSink):
         path: str | Path,
         meta: dict[str, Any] | None = None,
         compress: bool | None = None,
-        buffer_lines: int = 512,
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -72,16 +76,13 @@ class JsonlTraceSink(TraceSink):
         self.compressed = compress
         self.recorded = 0
         self.by_category: dict[str, int] = {}
-        self.dropped = 0  # set by the tracer on close (retention drops)
+        self.dropped = 0  # set by the owner before close (ring evictions)
         self._buffer: list[str] = []
-        self._buffer_max = max(1, buffer_lines)
         self._closed = False
+        self._raw = stream = self.path.open("wb")
         if compress:
-            self._fh: io.TextIOBase = io.TextIOWrapper(
-                gzip.open(self.path, "wb"), encoding="utf-8"
-            )
-        else:
-            self._fh = self.path.open("w", encoding="utf-8")
+            stream = gzip.GzipFile(fileobj=self._raw, mode="wb")
+        self._fh = io.TextIOWrapper(stream, encoding="utf-8")
         self._write_line(trace_header(meta))
 
     # ------------------------------------------------------------------ #
@@ -91,14 +92,7 @@ class JsonlTraceSink(TraceSink):
         self.recorded += 1
         cat = record.category
         self.by_category[cat] = self.by_category.get(cat, 0) + 1
-        self._buffer.append(json.dumps(record_to_dict(record)))
-        if len(self._buffer) >= self._buffer_max:
-            self._drain()
-
-    def warn(self, message: str) -> None:
-        """Out-of-band warning (e.g. tracer retention overflow)."""
-        if not self._closed:
-            self._write_line({"kind": "warning", "message": message})
+        self._write_line(record_to_dict(record))
 
     def flush(self) -> None:
         """Push buffered lines to the OS."""
@@ -114,12 +108,18 @@ class JsonlTraceSink(TraceSink):
         )
         self._drain()
         self._closed = True
-        self._fh.close()
+        if self.compressed:
+            self._fh.close()  # writes the gzip trailer; the file stays open
+        else:
+            self._fh.flush()
+        self._raw.flush()
+        os.fsync(self._raw.fileno())
+        self._raw.close()
 
     # ------------------------------------------------------------------ #
     def _write_line(self, obj: dict[str, Any]) -> None:
         self._buffer.append(json.dumps(obj))
-        if len(self._buffer) >= self._buffer_max:
+        if len(self._buffer) >= BUFFER_LINES:
             self._drain()
 
     def _drain(self) -> None:
@@ -159,9 +159,32 @@ class RingSink(TraceSink):
         self.seen += 1
         self._ring.append(record)
 
+    @property
+    def dropped(self) -> int:
+        """Records evicted to respect ``capacity``."""
+        return self.seen - len(self._ring)
+
     def records(self) -> list[TraceRecord]:
         """Retained records, oldest first."""
         return list(self._ring)
+
+    def filter(
+        self,
+        category: str | None = None,
+        node: int | None = None,
+        event: str | None = None,
+    ) -> list[TraceRecord]:
+        """Retained records matching every given criterion."""
+        return [
+            r for r in self._ring
+            if (category is None or r.category == category)
+            and (node is None or r.node == node)
+            and (event is None or r.event == event)
+        ]
+
+    def count(self, **criteria: Any) -> int:
+        """Number of retained records matching :meth:`filter` criteria."""
+        return len(self.filter(**criteria))
 
     def dump(self) -> str:
         """Human-readable dump of the retained window."""
@@ -189,12 +212,6 @@ class CompositeSink(TraceSink):
     def emit(self, record: TraceRecord) -> None:
         for sink in self.sinks:
             sink(record)
-
-    def warn(self, message: str) -> None:
-        for sink in self.sinks:
-            warn = getattr(sink, "warn", None)
-            if warn is not None:
-                warn(message)
 
     def close(self) -> None:
         for sink in self.sinks:

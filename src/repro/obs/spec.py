@@ -16,7 +16,8 @@ parameter and travels to worker processes for free:
         profile=True,                                      # engine profiler
     )
 
-Recognised keys (all optional; an empty dict just enables tracing):
+Recognised keys — exactly these three, all optional (an empty dict just
+enables tracing):
 
 * ``path`` — JSONL artifact; ``.gz`` enables gzip.  Relative paths land
   under :func:`artifact_root` (``results/obs/`` by default, override with
@@ -25,12 +26,10 @@ Recognised keys (all optional; an empty dict just enables tracing):
   ``--workers N`` campaign writes one artifact tree per cell with zero
   coordination.
 * ``categories`` — record only these trace categories.
-* ``ring`` — capacity of an in-memory :class:`~repro.obs.sinks.RingSink`.
-* ``retain`` — keep records in the tracer's in-memory list too (default:
-  only when no streaming path is given, so ``trace_spec={}`` keeps every
-  record in memory).
-* ``max_records`` — in-memory retention bound (default 1M).
-* ``buffer_lines`` — sink write-buffer size.
+* ``ring`` — capacity of the in-memory :class:`~repro.obs.sinks.RingSink`
+  ``net.trace_ring`` (query it with ``filter``/``count``).  Without a
+  ``path`` it defaults to :data:`DEFAULT_RING`, so ``trace_spec={}``
+  keeps a run's records in memory; with one, no ring unless asked for.
 
 :func:`attach_observability` applies a parsed spec to a freshly built
 network (sinks, tracer settings, profiler, metric namespace);
@@ -54,15 +53,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scenario import Network, ScenarioConfig
 
 __all__ = [
+    "DEFAULT_RING",
     "TraceSpec",
     "artifact_root",
     "attach_observability",
     "finalize_observability",
 ]
 
-_ALLOWED_KEYS = {
-    "path", "categories", "ring", "retain", "max_records", "buffer_lines",
-}
+_ALLOWED_KEYS = {"path", "categories", "ring"}
+
+#: Ring capacity when a spec names no ``path`` and no ``ring``.
+DEFAULT_RING = 1_000_000
 
 
 def artifact_root() -> Path:
@@ -84,9 +85,6 @@ class TraceSpec:
     path: str | None = None
     categories: tuple[str, ...] | None = None
     ring: int | None = None
-    retain: bool | None = None
-    max_records: int = 1_000_000
-    buffer_lines: int = 512
 
     @classmethod
     def from_dict(cls, spec: dict[str, Any]) -> "TraceSpec":
@@ -108,23 +106,17 @@ class TraceSpec:
                     "trace_spec categories must be a non-empty list of strings"
                 )
             categories = tuple(categories)
+        path = spec.get("path")
+        if path is not None and not isinstance(path, str):
+            raise ValueError(f"trace_spec path must be a string, got {path!r}")
         ring = spec.get("ring")
-        if ring is not None and (not isinstance(ring, int) or ring < 1):
+        if ring is None and path is None:
+            ring = DEFAULT_RING
+        if ring is not None and (
+            not isinstance(ring, int) or isinstance(ring, bool) or ring < 1
+        ):
             raise ValueError(f"trace_spec ring must be a positive int, got {ring!r}")
-        max_records = spec.get("max_records", 1_000_000)
-        if not isinstance(max_records, int) or max_records < 0:
-            raise ValueError(
-                f"trace_spec max_records must be a non-negative int, "
-                f"got {max_records!r}"
-            )
-        return cls(
-            path=spec.get("path"),
-            categories=categories,
-            ring=ring,
-            retain=spec.get("retain"),
-            max_records=max_records,
-            buffer_lines=int(spec.get("buffer_lines", 512)),
-        )
+        return cls(path=path, categories=categories, ring=ring)
 
     def resolve_path(self, config: "ScenarioConfig") -> Path | None:
         """Expand placeholders and anchor relative paths under the root."""
@@ -173,28 +165,17 @@ def attach_observability(net: "Network") -> None:
         tracer.enabled = True
         if spec.categories is not None:
             tracer._categories = set(spec.categories)
-        tracer._max = spec.max_records
 
         sinks = []
         path = spec.resolve_path(config)
         if path is not None:
-            net.trace_sink = JsonlTraceSink(
-                path, meta=_header_meta(config), buffer_lines=spec.buffer_lines
-            )
+            net.trace_sink = JsonlTraceSink(path, meta=_header_meta(config))
             sinks.append(net.trace_sink)
         if spec.ring is not None:
             net.trace_ring = RingSink(spec.ring)
             sinks.append(net.trace_ring)
-        if len(sinks) == 1:
-            tracer.set_sink(sinks[0])
-        elif sinks:
-            tracer.set_sink(CompositeSink(*sinks))
-        # Streaming runs default to bounded memory: retention off when a
-        # durable sink exists, on otherwise (so filter()/tests keep working).
-        retain = spec.retain
-        if retain is None:
-            retain = net.trace_sink is None
-        tracer._retain = retain
+        # from_dict guarantees a path or a ring.
+        tracer.set_sink(sinks[0] if len(sinks) == 1 else CompositeSink(*sinks))
 
     if config.profile:
         net.profiler = EngineProfiler()
@@ -218,7 +199,8 @@ def finalize_observability(
     artifacts: dict[str, Path] = {}
     sink = net.trace_sink
     if sink is not None and not sink._closed:
-        sink.dropped = net.tracer.dropped
+        ring = net.trace_ring
+        sink.dropped = ring.dropped if ring is not None else 0
         sink.close()
         artifacts["trace"] = sink.path
         stem = sink.path.name

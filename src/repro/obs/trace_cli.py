@@ -78,9 +78,7 @@ def load_trace(
             continue
         if kind == "footer":
             footer = obj
-        elif kind in ("header", "warning"):
-            continue
-        else:
+        elif kind != "header":
             records.append(obj)
     if header is None:
         raise ValueError(f"{path}: empty artifact (no header line)")
@@ -165,7 +163,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
     ]
     if footer is not None:
         rows.append(["footer recorded", footer.get("recorded")])
-        rows.append(["retention dropped", footer.get("dropped")])
+        rows.append(["ring dropped", footer.get("dropped")])
     else:
         rows.append(["footer", "MISSING (truncated artifact?)"])
     print(format_table(["field", "value"], rows, title=str(args.file)))
@@ -326,8 +324,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 saw_header = True
             if obj.get("kind") == "footer":
                 saw_footer = True
-            if obj.get("kind") == "warning":
-                continue
             errors.extend(validate_trace_line(obj, lineno))
             if len(errors) >= args.max_errors:
                 break

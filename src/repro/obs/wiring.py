@@ -94,8 +94,8 @@ def register_network_metrics(net: "Network") -> MetricsRegistry:
     )
     reg.gauge(
         "repro_trace_dropped_total",
-        "trace records dropped from in-memory retention",
-        fn=lambda: net.tracer.dropped,
+        "trace records evicted from the in-memory ring",
+        fn=lambda: 0 if net.trace_ring is None else net.trace_ring.dropped,
     )
 
     reg.on_collect(lambda r: _collect(net, r))

@@ -1,26 +1,24 @@
 """Structured event tracing.
 
-A :class:`Tracer` collects :class:`TraceRecord` tuples — ``(time, category,
-node, event, details)`` — from every layer.  It is the debugging backbone of
-the simulator: tests assert on traces, examples print filtered views, and
-streaming sinks (:mod:`repro.obs.sinks`) persist full runs as JSONL.
+A :class:`Tracer` hands :class:`TraceRecord` tuples — ``(time, category,
+node, event, details)`` — from every layer to a sink.  It is the
+debugging backbone of the simulator: tests assert on traces, examples
+print filtered views, and streaming sinks (:mod:`repro.obs.sinks`)
+persist full runs as JSONL.
 
 Tracing is off by default and costs one attribute check per call site when
 disabled, so leaving trace calls in hot paths is acceptable.
 
-Memory model: the in-process record list is bounded by ``max_records``;
-the sink is **not** — every accepted record reaches the sink even after
-the retention bound is hit, so a streaming sink captures a million-event
-discovery storm whole while the process keeps a bounded working set.
-Records dropped from retention are counted (total and per category) and
-announced once via the sink/stderr instead of vanishing silently.
+Memory model: the tracer keeps nothing.  Every accepted record goes to
+its sink; in-memory queries read a bounded
+:class:`~repro.obs.sinks.RingSink` (``net.trace_ring``), and a streaming
+sink captures a million-event discovery storm whole.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 __all__ = ["TraceRecord", "Tracer"]
 
@@ -56,7 +54,7 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects trace records, with optional category filtering and sinks.
+    """Forwards trace records to a sink, with optional category filtering.
 
     Parameters
     ----------
@@ -65,18 +63,10 @@ class Tracer:
     categories:
         If given, only these categories are recorded.
     sink:
-        Optional callable invoked with each accepted record (e.g. ``print``
-        or a :class:`~repro.obs.sinks.JsonlTraceSink`); the sink sees
-        every accepted record even once in-memory retention is full.
-    max_records:
-        In-memory retention bound.  Records beyond it still reach the
-        sink; they are only dropped from the in-process list, counted in
-        :attr:`dropped` / :attr:`dropped_by_category`, and announced once
-        (via ``sink.warn`` when available, else stderr).
-    retain:
-        When False, no records are kept in memory at all (pure streaming;
-        :meth:`filter` then sees nothing).  Retention drops are not
-        counted in this mode — nothing was ever meant to be retained.
+        Optional callable invoked with each accepted record (e.g. ``print``,
+        a :class:`~repro.obs.sinks.RingSink` for in-memory queries or a
+        :class:`~repro.obs.sinks.JsonlTraceSink`).  The tracer itself keeps
+        no records; :attr:`recorded` counts the accepted ones.
     """
 
     def __init__(
@@ -84,19 +74,11 @@ class Tracer:
         enabled: bool = False,
         categories: set[str] | None = None,
         sink: Callable[[TraceRecord], None] | None = None,
-        max_records: int = 1_000_000,
-        retain: bool = True,
     ) -> None:
         self.enabled = enabled
         self._categories = categories
         self._sink = sink
-        self._max = max_records
-        self._retain = retain
-        self._records: list[TraceRecord] = []
         self.recorded = 0
-        self.dropped = 0
-        self.dropped_by_category: dict[str, int] = {}
-        self._overflow_warned = False
 
     @property
     def sink(self) -> Callable[[TraceRecord], None] | None:
@@ -104,7 +86,7 @@ class Tracer:
         return self._sink
 
     def set_sink(self, sink: Callable[[TraceRecord], None] | None) -> None:
-        """Attach (or detach) the streaming sink."""
+        """Attach (or detach) the sink."""
         self._sink = sink
 
     def record(
@@ -115,93 +97,6 @@ class Tracer:
             return
         if self._categories is not None and category not in self._categories:
             return
-        rec = TraceRecord(time, category, node, event, details)
         self.recorded += 1
-        if self._retain:
-            if len(self._records) < self._max:
-                self._records.append(rec)
-            else:
-                self.dropped += 1
-                self.dropped_by_category[category] = (
-                    self.dropped_by_category.get(category, 0) + 1
-                )
-                if not self._overflow_warned:
-                    self._overflow_warned = True
-                    self._warn_overflow()
         if self._sink is not None:
-            self._sink(rec)
-
-    def _warn_overflow(self) -> None:
-        message = (
-            f"Tracer retention full ({self._max} records): further records "
-            "are dropped from memory (streaming sinks still receive them); "
-            "see Tracer.dropped / dropped_by_category for counts"
-        )
-        warn = getattr(self._sink, "warn", None)
-        if warn is not None:
-            warn(message)
-        else:
-            print(f"warning: {message}", file=sys.stderr)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def __str__(self) -> str:
-        by_cat = ", ".join(
-            f"{cat}:{n}" for cat, n in sorted(self.dropped_by_category.items())
-        )
-        dropped = f", dropped={self.dropped}" + (
-            f" ({by_cat})" if by_cat else ""
-        ) if self.dropped else ""
-        return (
-            f"Tracer(enabled={self.enabled}, recorded={self.recorded}, "
-            f"retained={len(self._records)}{dropped})"
-        )
-
-    def summary(self) -> dict[str, Any]:
-        """Machine-readable accounting: recorded/retained/dropped counts."""
-        retained_by_category: dict[str, int] = {}
-        for r in self._records:
-            retained_by_category[r.category] = (
-                retained_by_category.get(r.category, 0) + 1
-            )
-        return {
-            "recorded": self.recorded,
-            "retained": len(self._records),
-            "retained_by_category": dict(sorted(retained_by_category.items())),
-            "dropped": self.dropped,
-            "dropped_by_category": dict(sorted(self.dropped_by_category.items())),
-        }
-
-    def filter(
-        self,
-        category: str | None = None,
-        node: int | None = None,
-        event: str | None = None,
-    ) -> list[TraceRecord]:
-        """Records matching every given criterion."""
-        out = []
-        for r in self._records:
-            if category is not None and r.category != category:
-                continue
-            if node is not None and r.node != node:
-                continue
-            if event is not None and r.event != event:
-                continue
-            out.append(r)
-        return out
-
-    def count(self, **kwargs: Any) -> int:
-        """Number of records matching :meth:`filter` criteria."""
-        return len(self.filter(**kwargs))
-
-    def clear(self) -> None:
-        """Discard all retained records and reset drop accounting."""
-        self._records.clear()
-        self.recorded = 0
-        self.dropped = 0
-        self.dropped_by_category.clear()
-        self._overflow_warned = False
+            self._sink(TraceRecord(time, category, node, event, details))

@@ -83,11 +83,3 @@ def canonical_json_value(value: Any, name: str = "value") -> Any:
         f"{name} contains non-JSON value {value!r} "
         f"({type(value).__name__})"
     )
-
-
-def require_type(value: Any, name: str, *types: type) -> Any:
-    """Validate ``isinstance(value, types)`` and return it."""
-    if not isinstance(value, types):
-        names = ", ".join(t.__name__ for t in types)
-        raise TypeError(f"{name} must be of type {names}, got {type(value).__name__}")
-    return value

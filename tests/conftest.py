@@ -9,6 +9,11 @@ that change ``REPRO_*`` variables (or the cwd) and run ``workers > 1``
 use it autouse via ``pytestmark``: pool workers keep the environment they
 were forked with, so a pool left up by an earlier test would not see the
 variables a later test sets.
+
+``_session_cache_dir`` points ``REPRO_CACHE_DIR`` at one temporary
+directory for the whole session, so the checkpoints, run logs and audits
+that campaigns write never land in the working tree.  It is one directory
+for all tests, so a pool forked by any test sees the same value.
 """
 
 from __future__ import annotations
@@ -23,6 +28,14 @@ from repro.net.node import NodeStack
 from repro.net.routing_base import RoutingProtocol
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_dir(tmp_path_factory):
+    """``REPRO_CACHE_DIR`` → a session temp dir (tests may override it)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
 
 
 @pytest.fixture

@@ -85,8 +85,9 @@ def scenario_configs(draw) -> ScenarioConfig:
         if draw(st.booleans()):
             spec["ring"] = draw(st.integers(min_value=1, max_value=4096))
         if draw(st.booleans()):
-            spec["retain"] = draw(st.booleans())
-        spec["max_records"] = draw(st.integers(min_value=0, max_value=10**6))
+            spec["path"] = draw(st.sampled_from(
+                ["t.jsonl", "{protocol}-s{seed}/t.jsonl.gz", "{task_id}/t.jsonl"]
+            ))
         kwargs["trace_spec"] = spec
     return ScenarioConfig(**kwargs)
 
@@ -131,12 +132,12 @@ def test_numpy_scalars_canonicalised_not_stringified():
     cfg = ScenarioConfig(
         gossip_p=np.float64(0.5),
         counter_threshold=int(np.int64(2)),
-        trace_spec={"ring": np.int64(64), "retain": True},
+        trace_spec={"ring": np.int64(64), "path": "t.jsonl"},
     )
     data = json.loads(json.dumps(config_to_dict(cfg)))
     assert data["gossip_p"] == 0.5
-    assert data["trace_spec"] == {"ring": 64, "retain": True}
-    assert config_from_dict(data).trace_spec == {"ring": 64, "retain": True}
+    assert data["trace_spec"] == {"ring": 64, "path": "t.jsonl"}
+    assert config_from_dict(data).trace_spec == {"ring": 64, "path": "t.jsonl"}
 
 
 def test_tuple_specs_canonicalised_at_construction():

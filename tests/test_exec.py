@@ -22,6 +22,8 @@ from repro.exec.worker import FAULT_ENV, execute_payload, payload_for_config
 from repro.experiments.runner import replicate, run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import result_from_dict, result_to_dict
+from repro.obs.trace_cli import load_trace
+from repro.obs.trace_cli import main as trace_main
 
 #: Pool workers keep the environment they were forked with, and these
 #: tests set ``REPRO_*`` variables per test: fork a fresh pool each time.
@@ -115,6 +117,12 @@ class TestPolicy:
             ExecPolicy(retries=-1)
         with pytest.raises(ValueError):
             ExecPolicy(task_timeout_s=0.0)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan")])
+    def test_non_finite_timeout_rejected(self, timeout):
+        # An infinite budget overflowed setitimer and failed every cell.
+        with pytest.raises(ValueError, match="finite"):
+            ExecPolicy(task_timeout_s=timeout)
 
     def test_checkpoint_auto(self):
         assert not ExecPolicy().wants_checkpoint
@@ -316,19 +324,68 @@ class TestProgress:
     def test_jsonl_run_log(self, tmp_path):
         from repro.exec import ProgressReporter
 
-        log = tmp_path / "run.jsonl"
         reporter = ProgressReporter(
-            stream=open(os.devnull, "w"), log_path=log, min_interval_s=0.0
+            stream=open(os.devnull, "w"), min_interval_s=0.0
         )
         campaign = Campaign.from_configs(
             "logged", [tiny(seed=3), tiny(seed=4)]
         )
-        CampaignExecutor(ExecPolicy(), reporter=reporter).run(campaign)
-        events = [json.loads(line) for line in log.read_text().splitlines()]
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "campaign_start" and kinds[-1] == "campaign_end"
-        assert kinds.count("task_done") == 2
-        done = [e for e in events if e["event"] == "task_done"]
-        assert all(e["status"] == "ok" for e in done)
-        assert all(e["events_executed"] > 0 for e in done)
-        assert events[-1]["ok"] == 2 and events[-1]["failed"] == 0
+        CampaignExecutor(ExecPolicy(log_dir=tmp_path), reporter=reporter).run(
+            campaign
+        )
+        [log] = tmp_path.glob("logged-*.jsonl")
+        header, records, footer = load_trace(log)
+        assert header["campaign"] == "logged" and header["tasks"] == 2
+        kinds = [r["ev"] for r in records]
+        assert kinds == ["task_done", "task_done", "campaign_end"]
+        assert all(r["cat"] == "exec" and r["node"] == -1 for r in records)
+        done = records[:2]
+        assert all(r["status"] == "ok" for r in done)
+        assert all(r["events_executed"] > 0 for r in done)
+        assert [r["seed"] for r in done] == [3, 4]
+        assert records[-1]["ok"] == 2 and records[-1]["failed"] == 0
+        assert footer["recorded"] == 3
+
+    def test_run_log_written_without_progress(self, tmp_path):
+        campaign = Campaign.from_configs("quiet", [tiny(seed=3)])
+        CampaignExecutor(ExecPolicy(log_dir=tmp_path)).run(campaign)
+        [log] = tmp_path.glob("quiet-*.jsonl")
+        header, records, _ = load_trace(log)
+        assert header["backend"] == "serial" and header["workers"] == 1
+        assert header["pid"] == os.getpid() and header["host"]
+        assert header["start_time"] == pytest.approx(time.time(), abs=60)
+        assert [r["ev"] for r in records] == ["task_done", "campaign_end"]
+        assert trace_main(["validate", "--strict", str(log)]) == 0
+
+    def test_unwritable_log_dir_does_not_fail_the_campaign(
+        self, tmp_path, monkeypatch
+    ):
+        # A regular file where the cache dir should be: every mkdir under
+        # it fails, for root too (a chmod'ed dir would not stop root).
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        runs, _ = replicate(tiny(), n_runs=1)
+        assert len(runs) == 1
+        # Nor an explicit log dir the reporter cannot create.
+        campaign = Campaign.from_configs("unlogged", [tiny(seed=4)])
+        result = CampaignExecutor(ExecPolicy(log_dir=blocker / "runs")).run(
+            campaign
+        )
+        assert result.ok == 1
+
+    def test_final_status_line_printed_once(self, tmp_path):
+        import io
+
+        from repro.exec import ProgressReporter
+
+        stream = io.StringIO()
+        reporter = ProgressReporter(stream=stream, min_interval_s=0.0)
+        campaign = Campaign.from_configs("once", [tiny(seed=3), tiny(seed=4)])
+        CampaignExecutor(ExecPolicy(log_dir=tmp_path), reporter=reporter).run(
+            campaign
+        )
+        lines = stream.getvalue().splitlines()
+        assert [ln.split(" | ")[0] for ln in lines] == [
+            "[once] 1/2 done", "[once] 2/2 done",
+        ]

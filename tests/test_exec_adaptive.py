@@ -1,6 +1,5 @@
 """Tests for sequential-statistics early stopping (repro.exec.adaptive)."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -17,6 +16,8 @@ from repro.analysis.stats import sequential_halfwidth, t_critical
 from repro.exec.adaptive import AdaptiveReport
 from repro.experiments.runner import replicate
 from repro.experiments.scenario import ScenarioConfig
+from repro.obs.trace_cli import load_trace
+from repro.obs.trace_cli import main as trace_main
 
 
 def tiny(protocol="aodv", **kw):
@@ -45,6 +46,16 @@ class FakeResult:
 
     def as_dict(self) -> dict[str, float]:
         return {"pdr": self.value}
+
+
+def read_audit(log_dir, name):
+    """Records of the one audit ``name`` wrote under ``log_dir``, after
+    checking it is a complete, schema-valid artifact."""
+    [path] = log_dir.glob(f"adaptive-{name}-*.jsonl")
+    assert trace_main(["validate", "--strict", str(path)]) == 0
+    header, records, _ = load_trace(path)
+    assert header["campaign"] == name
+    return records
 
 
 def adaptive(log_dir, **kw):
@@ -81,6 +92,22 @@ class TestPolicyValidation:
     def test_bad_fields_rejected(self, kw):
         with pytest.raises(ValueError):
             AdaptivePolicy(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(ci_halfwidth=math.nan),
+        dict(ci_halfwidth=math.inf),
+        dict(rel_halfwidth=math.nan),
+        dict(rel_halfwidth=math.inf),
+    ])
+    def test_non_finite_halfwidth_rejected(self, kw):
+        # nan never stopped a cell; inf stopped every cell at min_reps.
+        with pytest.raises(ValueError, match="finite"):
+            AdaptivePolicy(**kw)
+
+    @pytest.mark.parametrize("spec", ["pdr:nan", "pdr:inf"])
+    def test_non_finite_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            parse_adaptive_spec(spec)
 
     def test_unknown_metric_rejected(self):
         # A typo used to pass here and die with a KeyError after the
@@ -279,19 +306,18 @@ class TestWaveScheduler:
         assert run_fn.calls == [("t", [3])]
         assert len(report.results["a"]) == 1
         assert report.decisions == []
-        assert not (tmp_path / "adaptive-t.jsonl").exists()
+        assert list(tmp_path.iterdir()) == []  # no audit on the fixed path
 
     def test_audit_log_records_stops_and_summary(self, tmp_path):
-        audit = tmp_path / "adaptive-audited.jsonl"
         run_fn = fake_run_fn(lambda seed: 0.5)
         replicate_cells(
             "audited", [("a", tiny())], 5,
             adaptive(tmp_path, ci_halfwidth=0.01, min_reps=2),
             run_fn=run_fn,
         )
-        lines = [json.loads(l) for l in audit.read_text().splitlines()]
-        stops = [l for l in lines if l["event"] == "stop"]
-        summaries = [l for l in lines if l["event"] == "summary"]
+        lines = read_audit(tmp_path, "audited")
+        stops = [l for l in lines if l["ev"] == "stop"]
+        summaries = [l for l in lines if l["ev"] == "summary"]
         assert len(stops) == 1 and len(summaries) == 1
         assert stops[0]["key"] == "a"
         assert stops[0]["n_used"] == 2
@@ -301,6 +327,20 @@ class TestWaveScheduler:
         assert stops[0]["variance"] == "binomial_floor"
         assert summaries[0]["replicates_used"] == 2
         assert summaries[0]["replicates_budget"] == 5
+
+    def test_each_call_writes_its_own_audit(self, tmp_path):
+        for _ in range(2):
+            replicate_cells(
+                "again", [("a", tiny())], 5,
+                adaptive(tmp_path, ci_halfwidth=0.01, min_reps=2),
+                run_fn=fake_run_fn(lambda seed: 0.5),
+            )
+        audits = sorted(tmp_path.glob("adaptive-again-*.jsonl"))
+        assert len(audits) == 2
+        for path in audits:
+            _, records, footer = load_trace(path)
+            assert [r["ev"] for r in records] == ["stop", "summary"]
+            assert footer["recorded"] == 2
 
     def test_report_accounting(self):
         report = AdaptiveReport(results={"a": [FakeResult(1.0)] * 3})
@@ -343,7 +383,7 @@ class TestFixedPath:
             report = replicate_cells("pw", [("a", tiny())], 6, run_fn=run_fn)
         assert [name for name, _ in run_fn.calls] == ["pw-wave1"]
         assert len(report.results["a"]) == 2
-        assert (tmp_path / "adaptive-pw.jsonl").exists()
+        assert [r["ev"] for r in read_audit(tmp_path, "pw")] == ["stop", "summary"]
 
 
 class TestReplicateIntegration:
@@ -396,9 +436,8 @@ class TestReplicateIntegration:
             log_dir=tmp_path,
         )
         runs, _ = replicate(tiny("nlr"), n_runs=4, policy=policy)
-        audit = tmp_path / "adaptive-replicate-nlr.jsonl"
-        lines = [json.loads(l) for l in audit.read_text().splitlines()]
-        assert [l["event"] for l in lines] == ["stop", "summary"]
+        lines = read_audit(tmp_path, "replicate-nlr")
+        assert [l["ev"] for l in lines] == ["stop", "summary"]
         assert lines[0]["campaign"] == "replicate-nlr"
         assert lines[0]["n_used"] == len(runs) == 2
 
@@ -448,8 +487,7 @@ class TestEveryReplicatedEntryPointHonoursAdaptive:
         assert [(p.value, p.protocol) for p in points] == [
             (v, proto) for v in (1, 2, 3) for proto in ("aodv", "nlr")
         ]
-        audit = tmp_path / "adaptive-sweep.jsonl"
-        events = [json.loads(l)["event"] for l in audit.read_text().splitlines()]
+        events = [l["ev"] for l in read_audit(tmp_path, "sweep")]
         assert events == ["stop"] * 6 + ["summary"]
 
     def test_fig5_buys_fewer_runs_than_its_budget(self, tmp_path, monkeypatch):
@@ -462,9 +500,8 @@ class TestEveryReplicatedEntryPointHonoursAdaptive:
         # Budget: 3 seeds × 4 protocols; every cell converged at 2.
         assert calls == [("fig5_load_distribution-wave1", 4 * 2)]
         assert [row[0] for row in result.rows] == ["aodv", "gossip", "counter", "nlr"]
-        audit = tmp_path / "adaptive-fig5_load_distribution.jsonl"
-        lines = [json.loads(l) for l in audit.read_text().splitlines()]
-        stops = [l for l in lines if l["event"] == "stop"]
+        lines = read_audit(tmp_path, "fig5_load_distribution")
+        stops = [l for l in lines if l["ev"] == "stop"]
         assert [(s["n_used"], s["n_budget"]) for s in stops] == [(2, 3)] * 4
         assert lines[-1]["replicates_used"] == 8
         assert lines[-1]["replicates_budget"] == 12
@@ -494,6 +531,10 @@ class TestCliSpecWiring:
         ["--adaptive", "pdr"],
         ["--no-adaptive"],
         ["--claim-ttl", "5"],
+        ["--task-timeout", "inf"],
+        ["--task-timeout", "nan"],
+        ["--adaptive", "pdr:nan"],
+        ["--adaptive", "pdr:inf"],
     ])
     def test_bad_exec_flags_exit_2(self, flags, capsys):
         from repro.dse.cli import main as dse_main

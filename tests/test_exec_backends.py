@@ -4,8 +4,9 @@ Covers the byte-identity contract every backend owes the serial
 reference, the shared process pool (reuse across campaigns, crash
 attribution, replacement of a pool broken while idle), the filestore
 backend's claim protocol (including the stale-lock sweep and
-kill-mid-claim resume), and the scheduler's retry/timeout/quarantine
-paths serially and under ``--workers 4``.
+kill-mid-claim resume), and the scheduler's retry/timeout paths and
+failure records (the run log's ``task_done`` records) serially and under
+``--workers 4``.
 """
 
 import json
@@ -25,12 +26,13 @@ from repro.exec import (
     ClaimStore,
     ExecPolicy,
     FileStoreBackend,
-    quarantine_dir,
     run_configs,
     shutdown_shared_pools,
 )
 from repro.exec.worker import FAULT_ENV
 from repro.experiments.scenario import ScenarioConfig
+from repro.obs.trace_cli import load_trace
+from repro.obs.trace_cli import main as trace_main
 
 #: Pool workers keep the environment they were forked with, and these
 #: tests set ``REPRO_*`` variables per test: fork a fresh pool each time.
@@ -54,6 +56,16 @@ def metric_dump(results):
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     yield tmp_path
+
+
+def failure_record(log_dir, campaign):
+    """The one failed ``task_done`` record of ``campaign``'s run log, after
+    checking the log is a complete, schema-valid artifact."""
+    [log] = log_dir.glob(f"{campaign.name}-*.jsonl")
+    assert trace_main(["validate", "--strict", str(log)]) == 0
+    _, records, _ = load_trace(log)
+    [record] = [r for r in records if r.get("status") == "failed"]
+    return record
 
 
 def pool_pids() -> set[int]:
@@ -304,30 +316,35 @@ class TestRetryTimeoutQuarantine:
         )
         configs = [tiny(seed=s) for s in (3, 6)]
         campaign = Campaign.from_configs("quarantine-me", configs)
-        policy = ExecPolicy(workers=workers, retries=0, backoff_s=0.0)
+        policy = ExecPolicy(
+            workers=workers, retries=0, backoff_s=0.0, log_dir=tmp_path / "runs"
+        )
         result = CampaignExecutor(policy).run(campaign)
         by_seed = {o.task.config.seed: o for o in result.outcomes}
         assert by_seed[3].ok
         assert by_seed[fault_seed].status == "failed"
-        record_path = quarantine_dir() / f"{campaign.tasks[1].task_id}.json"
-        assert record_path.exists()
-        record = json.loads(record_path.read_text())
+        # The quarantine record is the failed cell's run-log record.
+        record = failure_record(tmp_path / "runs", campaign)
         assert record["campaign"] == "quarantine-me"
+        assert record["task_id"] == campaign.tasks[1].task_id
         assert record["seed"] == fault_seed
-        assert record["kind"] == "error"
+        assert record["protocol"] == "aodv"
+        assert record["attempts"] == 1
+        assert record["x_kind"] == "error"  # the schema reserves "kind"
         assert "injected one-shot error" in record["error"]
 
-    def test_crash_quarantine_record(self, monkeypatch):
+    def test_crash_quarantine_record(self, tmp_path, monkeypatch):
         crash_seed = 888
         monkeypatch.setenv(FAULT_ENV, f"exit:{crash_seed}")
         configs = [tiny(seed=3), tiny(seed=crash_seed)]
         campaign = Campaign.from_configs("quarantine-crash", configs)
-        policy = ExecPolicy(workers=4, retries=0, backoff_s=0.0)
+        policy = ExecPolicy(
+            workers=4, retries=0, backoff_s=0.0, log_dir=tmp_path / "runs"
+        )
         result = CampaignExecutor(policy).run(campaign)
         by_seed = {o.task.config.seed: o for o in result.outcomes}
         assert by_seed[crash_seed].kind == "crash"
-        record = json.loads(
-            (quarantine_dir() / f"{campaign.tasks[1].task_id}.json").read_text()
-        )
-        assert record["kind"] == "crash"
+        record = failure_record(tmp_path / "runs", campaign)
+        assert record["seed"] == crash_seed
+        assert record["x_kind"] == "crash"
         assert "died repeatedly" in record["error"]

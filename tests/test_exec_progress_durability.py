@@ -1,8 +1,9 @@
-"""Durability of the campaign progress JSONL log.
+"""Durability of the campaign run log.
 
 The log is the campaign's post-mortem record: after *any* crash —
 including a hard ``os._exit`` mid-campaign — it must re-parse as whole
-JSON lines covering every event logged before death.
+JSON lines covering every event logged before death, pass ``repro-trace
+validate`` and fail ``validate --strict`` (no footer).
 """
 
 from __future__ import annotations
@@ -15,9 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.policy import ExecPolicy
 from repro.exec.progress import ProgressReporter
 from repro.exec.task import Campaign, Task
 from repro.experiments.scenario import ScenarioConfig
+from repro.obs.trace_cli import load_trace
+from repro.obs.trace_cli import main as trace_main
 
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -48,35 +52,37 @@ def make_campaign(n=3):
 class TestLogDurability:
     def test_every_event_flushed_immediately(self, tmp_path):
         """Events are readable from disk *before* campaign_end closes the log."""
-        log = tmp_path / "run.jsonl"
-        reporter = ProgressReporter(
-            stream=open(os.devnull, "w"), log_path=log
-        )
+        reporter = ProgressReporter(stream=open(os.devnull, "w"))
         campaign = make_campaign(2)
-        reporter.campaign_started(campaign, workers=1)
+        reporter.campaign_started(campaign, ExecPolicy(log_dir=tmp_path))
+        [log] = tmp_path.glob("durability-*.jsonl")
         reporter.task_finished(_Outcome(campaign.tasks[0]))
         # No campaign_end yet: per-event flush means the lines are on disk.
         lines = [json.loads(ln) for ln in log.read_text().splitlines()]
-        assert [ln["event"] for ln in lines] == ["campaign_start", "task_done"]
+        assert lines[0]["kind"] == "header"
+        assert [ln["ev"] for ln in lines[1:]] == ["task_done"]
         reporter.task_finished(_Outcome(campaign.tasks[1], status="error"))
         reporter.campaign_finished(None)
-        lines = [json.loads(ln) for ln in log.read_text().splitlines()]
-        assert lines[-1]["event"] == "campaign_end"
-        assert reporter._log_fh is None  # closed (and fsynced) at the end
+        header, records, footer = load_trace(log)
+        assert header["campaign"] == "durability" and header["tasks"] == 2
+        assert records[-1]["ev"] == "campaign_end"
+        assert footer["recorded"] == 3  # closed (and fsynced) at the end
 
     def test_reporter_reusable_after_campaign_end(self, tmp_path):
-        log = tmp_path / "run.jsonl"
-        reporter = ProgressReporter(stream=open(os.devnull, "w"), log_path=log)
+        reporter = ProgressReporter(stream=open(os.devnull, "w"))
         for _ in range(2):
             campaign = make_campaign(1)
-            reporter.campaign_started(campaign, workers=1)
+            reporter.campaign_started(campaign, ExecPolicy(log_dir=tmp_path))
             reporter.task_finished(_Outcome(campaign.tasks[0]))
             reporter.campaign_finished(None)
-        events = [
-            json.loads(ln)["event"] for ln in log.read_text().splitlines()
-        ]
-        assert events.count("campaign_start") == 2
-        assert events.count("campaign_end") == 2
+        # One complete artifact per campaign.
+        logs = sorted(tmp_path.glob("durability-*.jsonl"))
+        assert len(logs) == 2
+        for log in logs:
+            _, records, footer = load_trace(log)
+            assert [r["ev"] for r in records] == ["task_done", "campaign_end"]
+            assert records[-1]["ok"] == 1
+            assert footer is not None
 
     def test_log_survives_hard_kill_mid_campaign(self, tmp_path):
         """Kill the campaign process mid-write; the log must re-parse whole.
@@ -85,9 +91,10 @@ class TestLogDurability:
         worker die with ``os._exit`` when it reaches that seed's cell —
         after earlier cells logged their ``task_done`` events.
         """
-        log = tmp_path / "killed.jsonl"
+        log_dir = tmp_path / "runs"
         script = f"""
 import sys
+from pathlib import Path
 sys.path.insert(0, {REPO_SRC!r})
 from repro.exec import ExecPolicy, ProgressReporter, run_configs
 from repro.experiments.scenario import ScenarioConfig
@@ -96,9 +103,10 @@ configs = [
     ScenarioConfig(seed=s, sim_time_s=2.0, warmup_s=0.5, n_flows=1)
     for s in (1, 2, 3)
 ]
-reporter = ProgressReporter(log_path={str(log)!r}, min_interval_s=0.0)
+reporter = ProgressReporter(min_interval_s=0.0)
 run_configs("kill-test", configs,
-            ExecPolicy(workers=1, checkpoint=False, retries=0),
+            ExecPolicy(workers=1, checkpoint=False, retries=0,
+                       log_dir=Path({str(log_dir)!r})),
             reporter=reporter)
 """
         env = dict(os.environ, REPRO_EXEC_FAULT="exit:3", PYTHONPATH=REPO_SRC)
@@ -111,14 +119,18 @@ run_configs("kill-test", configs,
 
         # The log must exist and re-parse line-by-line: only whole JSON
         # objects, never a torn tail.
+        [log] = log_dir.glob("kill-test-*.jsonl")
         raw = log.read_text()
         assert raw.endswith("\n")
-        lines = [json.loads(ln) for ln in raw.splitlines()]
-        events = [ln["event"] for ln in lines]
-        assert events[0] == "campaign_start"
+        for line in raw.splitlines():
+            json.loads(line)
+        header, records, footer = load_trace(log)
+        assert header["campaign"] == "kill-test"
         # Cells for seeds 1 and 2 completed (and were flushed) before the
         # seed-3 cell killed the process; campaign_end never happened.
-        assert events.count("task_done") == 2
-        assert "campaign_end" not in events
-        done = [ln for ln in lines if ln["event"] == "task_done"]
-        assert all(d["status"] == "ok" for d in done)
+        assert [r["ev"] for r in records] == ["task_done", "task_done"]
+        assert all(r["status"] == "ok" for r in records)
+        assert footer is None
+        # Valid line protocol, but a truncated artifact.
+        assert trace_main(["validate", str(log)]) == 0
+        assert trace_main(["validate", "--strict", str(log)]) == 1

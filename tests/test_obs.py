@@ -1,8 +1,8 @@
 """Unit tests for the observability subsystem (repro.obs).
 
 Covers the JSONL schema, streaming/ring/composite sinks, the metrics
-registry, the engine profiler, and the tracer's retention accounting
-(drop counts, one-time warning, sink pass-through).
+registry, the engine profiler, the tracer's sink pass-through and the
+ring's eviction accounting.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.obs.schema import (
     trace_header,
     validate_trace_line,
 )
-from repro.obs.sinks import CompositeSink, JsonlTraceSink, RingSink
+from repro.obs.sinks import BUFFER_LINES, CompositeSink, JsonlTraceSink, RingSink
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -108,13 +108,13 @@ class TestJsonlTraceSink:
         assert self.read(path)[1]["ev"] == "x"
 
     def test_bounded_memory_buffer(self, tmp_path):
-        sink = JsonlTraceSink(tmp_path / "t.jsonl", buffer_lines=10)
-        for i in range(1000):
+        sink = JsonlTraceSink(tmp_path / "t.jsonl")
+        for i in range(3 * BUFFER_LINES):
             sink(rec(t=float(i)))
-        assert len(sink._buffer) < 10  # buffer drained, not accumulated
+        assert len(sink._buffer) < BUFFER_LINES  # drained, not accumulated
         sink.close()
-        assert sink.recorded == 1000
-        assert len(self.read(tmp_path / "t.jsonl")) == 1002
+        assert sink.recorded == 3 * BUFFER_LINES
+        assert len(self.read(tmp_path / "t.jsonl")) == 3 * BUFFER_LINES + 2
 
     def test_close_idempotent_and_emit_after_close(self, tmp_path):
         sink = JsonlTraceSink(tmp_path / "t.jsonl")
@@ -124,12 +124,25 @@ class TestJsonlTraceSink:
         sink(rec())  # silently ignored
         assert sink.recorded == 1
 
-    def test_warning_line(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with JsonlTraceSink(path) as sink:
-            sink.warn("retention full")
-        warnings = [ln for ln in self.read(path) if ln.get("kind") == "warning"]
-        assert warnings and "retention full" in warnings[0]["message"]
+    @pytest.mark.parametrize("name", ["t.jsonl", "t.jsonl.gz"])
+    def test_close_fsyncs_a_complete_file(self, tmp_path, monkeypatch, name):
+        import os
+
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(os.fstat(fd).st_size)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        path = tmp_path / name
+        sink = JsonlTraceSink(path)
+        sink(rec())
+        sink.close()
+        # One fsync, after the footer (and gzip trailer) reached the file.
+        assert synced == [path.stat().st_size]
+        assert self.read(path)[-1]["kind"] == "footer"
 
 
 class TestRingSink:
@@ -153,7 +166,6 @@ class TestCompositeSink:
         jsonl = JsonlTraceSink(tmp_path / "t.jsonl")
         combo = CompositeSink(jsonl, ring)
         combo(rec())
-        combo.warn("w")
         combo.close()
         assert ring.seen == 1 and jsonl.recorded == 1
 
@@ -163,61 +175,24 @@ class TestCompositeSink:
 
 
 # ---------------------------------------------------------------------- #
-# Tracer retention accounting (satellite: no more silent truncation)
+# Tracer pass-through; retention is a RingSink
 # ---------------------------------------------------------------------- #
 class TestTracerAccounting:
-    def test_drops_counted_per_category(self, capsys):
-        tr = Tracer(enabled=True, max_records=2)
-        for i in range(3):
-            tr.record(float(i), "net", 0, "e")
-        tr.record(3.0, "mac", 0, "e")
-        assert tr.recorded == 4
-        assert len(tr) == 2
-        assert tr.dropped == 2
-        assert tr.dropped_by_category == {"net": 1, "mac": 1}
-        assert "dropped=2" in str(tr)
-        assert "warning" in capsys.readouterr().err.lower()
-
-    def test_overflow_warned_once_via_sink(self, tmp_path, capsys):
-        sink = JsonlTraceSink(tmp_path / "t.jsonl")
-        tr = Tracer(enabled=True, max_records=1, sink=sink)
-        for i in range(5):
-            tr.record(float(i), "net", 0, "e")
-        sink.close()
-        with open(tmp_path / "t.jsonl") as fh:
-            lines = [json.loads(ln) for ln in fh]
-        assert sum(1 for ln in lines if ln.get("kind") == "warning") == 1
-        assert capsys.readouterr().err == ""  # warned via sink, not stderr
-
-    def test_sink_receives_past_retention_bound(self, tmp_path):
-        ring = RingSink(100)
-        tr = Tracer(enabled=True, max_records=2, sink=ring)
+    def test_sink_receives_past_retention_bound(self):
+        ring = RingSink(2)
+        tr = Tracer(enabled=True, sink=ring)
         for i in range(50):
             tr.record(float(i), "net", 0, "e")
-        assert len(tr) == 2       # memory bounded
-        assert ring.seen == 50    # stream complete
-
-    def test_summary_and_clear(self):
-        tr = Tracer(enabled=True, max_records=1)
-        tr.record(0.0, "net", 0, "a")
-        tr.record(1.0, "net", 0, "b")
-        s = tr.summary()
-        assert s["recorded"] == 2 and s["retained"] == 1 and s["dropped"] == 1
-        assert s["retained_by_category"] == {"net": 1}
-        tr.clear()
-        assert tr.recorded == 0 and tr.dropped == 0 and len(tr) == 0
-
-    def test_retain_false_streams_without_memory(self):
-        ring = RingSink(10)
-        tr = Tracer(enabled=True, retain=False, sink=ring)
-        for i in range(5):
-            tr.record(float(i), "net", 0, "e")
-        assert len(tr) == 0 and tr.dropped == 0 and ring.seen == 5
+        assert tr.recorded == 50
+        assert len(ring) == 2      # memory bounded
+        assert ring.seen == 50     # stream complete
+        assert ring.dropped == 48  # evictions are the dropped count
 
     def test_disabled_records_nothing(self):
-        tr = Tracer()
+        ring = RingSink(10)
+        tr = Tracer(sink=ring)
         tr.record(0.0, "net", 0, "e")
-        assert tr.recorded == 0 and len(tr) == 0
+        assert tr.recorded == 0 and ring.seen == 0
 
 
 # ---------------------------------------------------------------------- #

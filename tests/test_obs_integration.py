@@ -23,7 +23,7 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig, build_network
 from repro.experiments.serialization import result_from_dict, result_to_dict
 from repro.obs.schema import validate_trace_line
-from repro.obs.spec import TraceSpec, artifact_root
+from repro.obs.spec import DEFAULT_RING, TraceSpec, artifact_root
 from repro.obs import trace_cli
 
 #: Pool workers keep the environment they were forked with, and these
@@ -60,9 +60,25 @@ class TestTraceSpec:
         with pytest.raises(ValueError):
             TraceSpec.from_dict({"categories": []})
         with pytest.raises(ValueError):
-            TraceSpec.from_dict({"max_records": -1})
-        with pytest.raises(ValueError):
             TraceSpec.from_dict("not a dict")
+
+    @pytest.mark.parametrize("spec", [
+        {"path": 5},
+        {"ring": True},
+        {"max_records": 10},
+        {"retain": True},
+        {"buffer_lines": 64},
+    ])
+    def test_bad_spec_rejected_at_config_time(self, spec):
+        # A non-string path used to crash build_network; ring=True built
+        # a one-record ring; the retention knobs are gone.
+        with pytest.raises(ValueError, match="trace_spec"):
+            small_config(trace_spec=spec)
+
+    def test_ring_defaults_only_without_path(self):
+        assert TraceSpec.from_dict({}).ring == DEFAULT_RING
+        assert TraceSpec.from_dict({"ring": 8}).ring == 8
+        assert TraceSpec.from_dict({"path": "t.jsonl"}).ring is None
 
     def test_placeholders_and_root_anchoring(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
@@ -149,9 +165,9 @@ class TestTracedRun:
         net.start()
         net.sim.run(until=cfg.sim_time_s)
         net.stop()
-        # Default for streaming runs: nothing retained in process memory,
-        # every record on disk.
-        assert len(net.tracer) == 0
+        # Default for streaming runs: no in-memory ring, every record on
+        # disk.
+        assert net.trace_ring is None
         assert net.tracer.recorded > 0
         net.trace_sink.close()
         records = [

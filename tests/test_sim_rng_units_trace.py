@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sim.rng import RandomStreams
+from repro.obs.sinks import RingSink
 from repro.sim.trace import Tracer
 from repro.sim import units
 
@@ -94,37 +95,42 @@ class TestUnits:
 
 class TestTracer:
     def test_disabled_records_nothing(self):
-        t = Tracer(enabled=False)
+        ring = RingSink()
+        t = Tracer(enabled=False, sink=ring)
         t.record(0.0, "mac", 1, "tx")
-        assert len(t) == 0
+        assert t.recorded == 0 and len(ring) == 0
 
     def test_enabled_records(self):
-        t = Tracer(enabled=True)
+        ring = RingSink()
+        t = Tracer(enabled=True, sink=ring)
         t.record(1.0, "mac", 1, "tx", dst=2)
         t.record(2.0, "phy", 1, "rx")
-        assert len(t) == 2
-        assert t.filter(category="mac")[0].details == {"dst": 2}
+        assert t.recorded == 2 and len(ring) == 2
+        assert ring.filter(category="mac")[0].details == {"dst": 2}
 
     def test_category_filtering_at_record_time(self):
-        t = Tracer(enabled=True, categories={"mac"})
+        ring = RingSink()
+        t = Tracer(enabled=True, categories={"mac"}, sink=ring)
         t.record(0.0, "phy", 1, "x")
         t.record(0.0, "mac", 1, "y")
-        assert len(t) == 1
+        assert t.recorded == 1 and len(ring) == 1
 
     def test_filter_and_count(self):
-        t = Tracer(enabled=True)
+        ring = RingSink()
+        t = Tracer(enabled=True, sink=ring)
         for node in (1, 1, 2):
             t.record(0.0, "net", node, "fwd")
-        assert t.count(node=1) == 2
-        assert t.count(event="fwd", node=2) == 1
-        assert t.count(category="nope") == 0
+        assert ring.count(node=1) == 2
+        assert ring.count(event="fwd", node=2) == 1
+        assert ring.count(category="nope") == 0
 
     def test_max_records_drops(self):
-        t = Tracer(enabled=True, max_records=2)
+        ring = RingSink(capacity=2)
+        t = Tracer(enabled=True, sink=ring)
         for i in range(5):
             t.record(float(i), "x", 0, "e")
-        assert len(t) == 2
-        assert t.dropped == 3
+        assert [r.time for r in ring] == [3.0, 4.0]
+        assert ring.dropped == 3
 
     def test_sink_invoked(self):
         got = []
@@ -133,14 +139,9 @@ class TestTracer:
         assert len(got) == 1
         assert got[0].node == 3
 
-    def test_clear(self):
-        t = Tracer(enabled=True)
-        t.record(0.0, "a", 0, "e")
-        t.clear()
-        assert len(t) == 0
-
     def test_str_rendering(self):
-        t = Tracer(enabled=True)
+        ring = RingSink()
+        t = Tracer(enabled=True, sink=ring)
         t.record(1.5, "mac", 2, "tx", dst=7)
-        s = str(list(t)[0])
+        s = str(ring.records()[0])
         assert "mac" in s and "tx" in s and "dst=7" in s

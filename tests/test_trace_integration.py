@@ -12,19 +12,19 @@ def test_traced_scenario_records_all_layers():
     net.start()
     net.sim.run(until=config.sim_time_s)
     net.stop()
-    tracer = net.tracer
-    assert len(tracer) > 0
-    categories = {r.category for r in tracer}
+    ring = net.trace_ring
+    assert net.tracer.recorded == len(ring) > 0
+    categories = {r.category for r in ring}
     assert {"phy", "mac", "net", "app"} <= categories
     # MAC data transmissions and PHY receptions were both traced
-    assert tracer.count(category="mac", event="data_tx") > 0
-    assert tracer.count(category="phy", event="rx_ok") > 0
+    assert ring.count(category="mac", event="data_tx") > 0
+    assert ring.count(category="phy", event="rx_ok") > 0
     # routing traced discovery activity
-    assert tracer.count(category="net", event="rreq_originate") >= 2
+    assert ring.count(category="net", event="rreq_originate") >= 2
     # app deliveries traced at the destination nodes
-    assert tracer.count(category="app", event="deliver") > 0
+    assert ring.count(category="app", event="deliver") > 0
     # records are time-ordered per the engine's execution order
-    times = [r.time for r in tracer]
+    times = [r.time for r in ring]
     assert times == sorted(times)
 
 
@@ -37,4 +37,4 @@ def test_untraced_scenario_records_nothing():
     net.start()
     net.sim.run(until=config.sim_time_s)
     net.stop()
-    assert len(net.tracer) == 0
+    assert net.tracer.recorded == 0 and net.trace_ring is None
