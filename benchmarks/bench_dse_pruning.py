@@ -141,9 +141,9 @@ def main(argv: list[str] | None = None) -> int:
             f"saved {saved} != pruned {pruned.evaluations_pruned} — "
             "a pruned cell was simulated anyway"
         )
-    if len(pruned.evaluated) != full.design_size - pruned.evaluations_pruned:
+    if len(pruned.archive) != full.design_size - pruned.evaluations_pruned:
         failures.append("evaluated + pruned does not cover the design")
-    for d in pruned.prune_log:
+    for d in pruned.generations[0].prune_log:
         if d.pruned != (d.predicted < d.threshold):
             failures.append(f"quantile invariant violated at {d.point}")
             break

@@ -25,7 +25,6 @@ from repro.dse import (
     ParameterSpace,
     SearchSettings,
     ascii_scatter,
-    load_state,
     pareto_table,
 )
 from repro.experiments.scenario import ScenarioConfig
@@ -48,25 +47,24 @@ def main() -> None:
     )
     settings = SearchSettings(
         population=8, generations=4, seed=11, elites=2,
-        surrogate_min_train=8, oversample=2.0, prune_quantile=0.3,
+        surrogate_min_train=8, prune_quantile=0.3,
     )
 
     print(f"searching {space.name}: {len(space)} dimensions, "
           f"{settings.population}×{settings.generations} evaluations budget")
     search = EvolutionarySearch(space, base, settings, out_dir=OUT)
-    result = search.run(resume=True)  # picks up prior state if present
+    state = search.run(resume=True)  # picks up prior state if present
 
-    best = result.best
-    print(f"\nsimulations run: {result.simulations_run} "
-          f"(pruned {result.evaluations_pruned} candidate evaluations)")
+    best = state.best
+    print(f"\nsimulations run: {state.simulations_run} "
+          f"(pruned {state.evaluations_pruned} candidate evaluations)")
     print(f"best point: γ={best.point['gamma']:.3f} "
           f"p_min={best.point['p_min']:.3f} "
           f"queue_weight={best.point['queue_weight']:.3f}")
     for key in sorted(best.objectives):
         print(f"  {key} = {best.objectives[key]:.4g}")
-    print(f"final population hash: {result.final_population_hash}\n")
+    print(f"final population hash: {state.final_population_hash}\n")
 
-    state = load_state(OUT)
     print(pareto_table(state, top=10))
     print()
     print(ascii_scatter(state, x_key="pdr", y_key="mean_delay_s"))

@@ -9,10 +9,12 @@ Public surface:
 * :mod:`repro.dse.evolve` — seeded, resumable evolutionary search whose
   evaluations run as content-hashed :mod:`repro.exec` cells;
 * :mod:`repro.dse.screen` — design screening with surrogate pruning;
+* :mod:`repro.dse.state` — the one :class:`SearchState` both return,
+  its ``state.json`` writer and :func:`load_state`;
 * :mod:`repro.dse.surrogate` — numpy polynomial-ridge surrogate;
 * :mod:`repro.dse.objectives` — objectives, weighted scoring, Pareto
   fronts (multi-criteria decision support);
-* :mod:`repro.dse.report` — tables / CSV / ASCII scatter over state files;
+* :mod:`repro.dse.report` — tables / CSV / ASCII scatter of a state;
 * :mod:`repro.dse.cli` — the ``repro-dse`` entry point.
 
 See ``docs/DSE.md`` for the space JSON schema and the reproducibility
@@ -22,13 +24,7 @@ surrogate pruning).
 
 from repro.dse.design import full_factorial, latin_hypercube
 from repro.dse.evaluate import Evaluator, PointEval
-from repro.dse.evolve import (
-    EvolutionarySearch,
-    GenerationRecord,
-    SearchResult,
-    SearchSettings,
-    population_hash,
-)
+from repro.dse.evolve import EvolutionarySearch, SearchSettings
 from repro.dse.objectives import (
     DEFAULT_OBJECTIVES,
     Objective,
@@ -37,8 +33,8 @@ from repro.dse.objectives import (
     pareto_front,
     weighted_score,
 )
-from repro.dse.report import ascii_scatter, load_state, pareto_table, to_csv
-from repro.dse.screen import ScreenResult, ScreenSettings, run_screening
+from repro.dse.report import ascii_scatter, pareto_table, to_csv
+from repro.dse.screen import ScreenSettings, run_screening
 from repro.dse.space import (
     CategoricalDim,
     ContinuousDim,
@@ -46,6 +42,12 @@ from repro.dse.space import (
     ParameterSpace,
     point_key,
     seeded_rng,
+)
+from repro.dse.state import (
+    GenerationRecord,
+    SearchState,
+    load_state,
+    population_hash,
 )
 from repro.dse.surrogate import PruneDecision, RidgeSurrogate, prune_candidates
 
@@ -62,10 +64,9 @@ __all__ = [
     "PointEval",
     "PruneDecision",
     "RidgeSurrogate",
-    "ScreenResult",
     "ScreenSettings",
-    "SearchResult",
     "SearchSettings",
+    "SearchState",
     "aggregate_objectives",
     "ascii_scatter",
     "full_factorial",

@@ -13,9 +13,9 @@ Usage::
     repro-dse report results/dse/run1 --format scatter --x pdr --y mean_delay_s
 
 (or ``python -m repro.dse ...`` without installing the entry point).
-Searches print their final population hash; a resumed run after a kill
-must reproduce the hash of an uninterrupted run byte-for-byte — CI
-asserts exactly that.
+Searches, screenings and table reports print the final population hash;
+a resumed run after a kill must reproduce the hash of an uninterrupted run
+byte-for-byte — CI asserts exactly that.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from pathlib import Path
 
 from repro.dse.evolve import EvolutionarySearch, SearchSettings
 from repro.dse.objectives import DEFAULT_OBJECTIVES, parse_objective
-from repro.dse.report import ascii_scatter, load_state, pareto_table, to_csv
+from repro.dse.report import ascii_scatter, pareto_table, to_csv
 from repro.dse.screen import ScreenSettings, run_screening
 from repro.dse.space import ParameterSpace
+from repro.dse.state import SearchState, load_state
 from repro.exec.policy import add_exec_args, policy_from_args
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import load_config
@@ -102,16 +103,17 @@ def _objectives(args):
     return DEFAULT_OBJECTIVES
 
 
-def _print_outcome(kind: str, result, out: Path) -> None:
-    best = result.best
-    print(f"{kind} done: {len(result.pareto())} Pareto points, "
-          f"{result.simulations_run} simulations run, "
-          f"{result.evaluations_pruned} evaluations pruned")
+def _print_outcome(kind: str, state: SearchState, out: Path) -> None:
+    best = state.best
+    print(f"{kind} done: {len(state.pareto())} Pareto points, "
+          f"{state.simulations_run} simulations run, "
+          f"{state.evaluations_pruned} evaluations pruned")
     print(f"best (weighted): {json.dumps(best.point, sort_keys=True)} "
           f"fitness={best.fitness:.6g}")
     for key in sorted(best.objectives):
         print(f"  {key} = {best.objectives[key]:.6g}")
     print(f"state: {out / 'state.json'}")
+    print(f"final population hash: {state.final_population_hash}")
 
 
 def cmd_template(args) -> int:
@@ -148,9 +150,7 @@ def cmd_search(args) -> int:
         out_dir=out,
         policy=args.policy,
     )
-    result = search.run(resume=args.resume)
-    _print_outcome("search", result, out)
-    print(f"final population hash: {result.final_population_hash}")
+    _print_outcome("search", search.run(resume=args.resume), out)
     return 0
 
 
@@ -169,7 +169,7 @@ def cmd_screen(args) -> int:
         ),
     )
     out = Path(args.out)
-    result = run_screening(
+    state = run_screening(
         space,
         _base_config(args),
         settings,
@@ -177,11 +177,10 @@ def cmd_screen(args) -> int:
         out_dir=out,
         policy=args.policy,
     )
-    print(f"design: {result.design_size} cells, "
-          f"{len(result.evaluated)} evaluated, "
-          f"{result.evaluations_pruned} pruned by surrogate")
-    _print_outcome("screen", result, out)
-    print(f"evaluated hash: {result.evaluated_hash}")
+    print(f"design: {state.design_size} cells, "
+          f"{len(state.archive)} evaluated, "
+          f"{state.evaluations_pruned} pruned by surrogate")
+    _print_outcome("screen", state, out)
     return 0
 
 

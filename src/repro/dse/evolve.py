@@ -16,12 +16,12 @@ elitism.  Three design rules make it deterministic and kill-safe:
    partial generation with completed cells served from checkpoints.
 
 3. **Generation state is persisted.**  After each generation the complete
-   search state (space, settings, objectives, base config, per-generation
-   populations and prune decisions) is written atomically to
-   ``<out>/state.json``.  Resume replays recorded generations from the
-   file (exact floats — JSON round-trips shortest reprs) and continues,
-   so an interrupted and a straight-through run end with byte-identical
-   populations — compare :func:`population_hash`.
+   :class:`~repro.dse.state.SearchState` (space, settings, objectives, base
+   config, per-generation populations and prune decisions) is written
+   atomically to ``<out>/state.json``.  Resume replays recorded
+   generations from the file (exact floats — JSON round-trips shortest
+   reprs) and continues, so an interrupted and a straight-through run end
+   with byte-identical populations — compare ``final_population_hash``.
 
 The candidate stream is generated identically whether surrogate pruning
 is on or off (same draws, same order); pruning only chooses *which* of
@@ -32,37 +32,36 @@ decision is logged in the state file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.dse.evaluate import Evaluator, PointEval
 from repro.dse.design import latin_hypercube
-from repro.dse.objectives import Objective, pareto_front
+from repro.dse.objectives import Objective
 from repro.dse.space import ParameterSpace, Point, point_key, seeded_rng
+from repro.dse.state import GenerationRecord, SearchState, load_state
 from repro.dse.surrogate import PruneDecision, RidgeSurrogate, prune_candidates
 from repro.exec.policy import ExecPolicy
-from repro.experiments.cache import atomic_write_json
 from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.serialization import config_from_dict, config_to_dict
+from repro.experiments.serialization import config_to_dict
 
-__all__ = [
-    "SearchSettings",
-    "GenerationRecord",
-    "SearchResult",
-    "EvolutionarySearch",
-    "population_hash",
-]
-
-#: State-file layout version; bump on incompatible changes.
-STATE_SCHEMA = 1
+__all__ = ["SearchSettings", "EvolutionarySearch"]
 
 # RNG stage keys (never reuse a stage for two purposes).
 _STAGE_INIT = 0
 _STAGE_BREED = 1
+
+#: Breeding constants: tournament size, per-dimension mutation probability,
+#: mutation step (fraction of a dimension's range), crossover probability,
+#: and candidates drawn per child slot (the surrogate picks among them).
+TOURNAMENT_K = 3
+MUTATION_RATE = 0.35
+MUTATION_SIGMA = 0.15
+CROSSOVER_RATE = 0.6
+OVERSAMPLE = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,12 +72,7 @@ class SearchSettings:
     generations: int = 6
     seed: int = 1
     n_seeds: int = 1
-    tournament_k: int = 3
     elites: int = 2
-    mutation_rate: float = 0.35
-    mutation_sigma: float = 0.15
-    crossover_rate: float = 0.6
-    oversample: float = 2.0
     surrogate: bool = True
     prune_quantile: float = 0.3
     surrogate_min_train: int = 8
@@ -94,133 +88,10 @@ class SearchSettings:
             raise ValueError(
                 f"elites must be in [0, population), got {self.elites}"
             )
-        if self.tournament_k < 1:
-            raise ValueError(f"tournament_k must be ≥ 1, got {self.tournament_k}")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if not 0.0 < self.mutation_sigma <= 1.0:
-            raise ValueError("mutation_sigma must be in (0, 1]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if self.oversample < 1.0:
-            raise ValueError(f"oversample must be ≥ 1, got {self.oversample}")
         if not 0.0 <= self.prune_quantile < 1.0:
             raise ValueError("prune_quantile must be in [0, 1)")
         if self.surrogate_min_train < 2:
             raise ValueError("surrogate_min_train must be ≥ 2")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "population": self.population,
-            "generations": self.generations,
-            "seed": self.seed,
-            "n_seeds": self.n_seeds,
-            "tournament_k": self.tournament_k,
-            "elites": self.elites,
-            "mutation_rate": self.mutation_rate,
-            "mutation_sigma": self.mutation_sigma,
-            "crossover_rate": self.crossover_rate,
-            "oversample": self.oversample,
-            "surrogate": self.surrogate,
-            "prune_quantile": self.prune_quantile,
-            "surrogate_min_train": self.surrogate_min_train,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SearchSettings":
-        return cls(**dict(data))
-
-
-@dataclass(slots=True)
-class GenerationRecord:
-    """One generation: who was simulated, and who was pruned instead."""
-
-    index: int
-    population: list[PointEval]
-    prune_log: list[PruneDecision] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "population": [e.to_dict() for e in self.population],
-            "prune_log": [d.to_dict() for d in self.prune_log],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GenerationRecord":
-        return cls(
-            index=int(data["index"]),
-            population=[PointEval.from_dict(e) for e in data["population"]],
-            prune_log=[
-                PruneDecision(
-                    point=dict(d["point"]),
-                    predicted=float(d["predicted"]),
-                    threshold=float(d["threshold"]),
-                    pruned=bool(d["pruned"]),
-                )
-                for d in data.get("prune_log", [])
-            ],
-        )
-
-
-def population_hash(population: Sequence[PointEval]) -> str:
-    """SHA-256 over the canonical JSON of a population's points,
-    objective values, and fitnesses — byte-identity across runs, hosts,
-    and serial/parallel execution is asserted on this."""
-    blob = json.dumps(
-        [
-            {
-                "point": e.point,
-                "objectives": e.objectives,
-                "fitness": e.fitness,
-            }
-            for e in population
-        ],
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class SearchResult:
-    """Everything a finished search knows, plus decision-support views."""
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        objectives: Sequence[Objective],
-        generations: list[GenerationRecord],
-        archive: list[PointEval],
-        simulations_run: int,
-    ) -> None:
-        self.space = space
-        self.objectives = list(objectives)
-        self.generations = generations
-        self.archive = archive
-        self.simulations_run = simulations_run
-
-    @property
-    def final_population(self) -> list[PointEval]:
-        return self.generations[-1].population
-
-    @property
-    def final_population_hash(self) -> str:
-        return population_hash(self.final_population)
-
-    @property
-    def best(self) -> PointEval:
-        """Highest-fitness evaluated point (ties broken by point key)."""
-        return max(self.archive, key=lambda e: (e.fitness, e.key))
-
-    def pareto(self) -> list[PointEval]:
-        """Non-dominated archive points, stable in archive order."""
-        idx = pareto_front([e.objectives for e in self.archive], self.objectives)
-        return [self.archive[i] for i in idx]
-
-    @property
-    def evaluations_pruned(self) -> int:
-        return sum(
-            1 for g in self.generations for d in g.prune_log if d.pruned
-        )
 
 
 class EvolutionarySearch:
@@ -254,92 +125,49 @@ class EvolutionarySearch:
         )
 
     # ------------------------------------------------------------------ #
-    # State persistence
+    # The loop
     # ------------------------------------------------------------------ #
-    def _identity(self) -> dict[str, Any]:
-        return {
-            "space": self.space.to_dict(),
-            "settings": self.settings.to_dict(),
-            "objectives": [o.to_dict() for o in self.objectives],
-            "base_config": config_to_dict(self.base),
-        }
-
-    @property
-    def state_path(self) -> Path | None:
-        if self.out_dir is None:
-            return None
-        return self.out_dir / "state.json"
-
-    def _write_state(self, generations: list[GenerationRecord]) -> None:
-        if self.state_path is None:
-            return
-        atomic_write_json(
-            self.state_path,
-            {
-                "schema": STATE_SCHEMA,
-                "kind": "evolve",
-                **self._identity(),
-                "generations": [g.to_dict() for g in generations],
-            },
+    def run(self, resume: bool = False) -> SearchState:
+        s = self.settings
+        state = SearchState(
+            kind="evolve",
+            space=self.space,
+            objectives=self.objectives,
+            settings=asdict(s),
+            base_config=config_to_dict(self.base),
         )
+        if resume:
+            state.generations = self._recorded(state)[: s.generations]
+            for g in state.generations:
+                self.evaluator.absorb(g.population)
 
-    def _load_state(self) -> list[GenerationRecord]:
+        for g in range(len(state.generations), s.generations):
+            points, prune_log = self._propose(g, state.generations)
+            evals = self.evaluator.evaluate(points, f"gen{g}", generation=g)
+            state.generations.append(GenerationRecord(g, evals, prune_log))
+            if self.out_dir is not None:
+                state.write(self.out_dir)
+
+        state.simulations_run = self.evaluator.simulations_run
+        return state
+
+    def _recorded(self, requested: SearchState) -> list[GenerationRecord]:
         """Recorded generations from a prior run of *this exact* search."""
-        path = self.state_path
+        path = self.out_dir / "state.json" if self.out_dir else None
         if path is None or not path.exists():
             return []
-        with path.open() as fh:
-            data = json.load(fh)
-        if data.get("schema") != STATE_SCHEMA or data.get("kind") != "evolve":
-            raise ValueError(
-                f"{path}: not an evolve state file of schema {STATE_SCHEMA}"
-            )
-        mine, theirs = self._identity(), {
-            k: data.get(k)
-            for k in ("space", "settings", "objectives", "base_config")
-        }
-        # The generation *budget* is not part of the search's identity:
-        # every generation's randomness is keyed on (seed, stage, g), so a
-        # recorded prefix is valid under any --generations target — resume
-        # may extend or truncate a search, never silently redefine it.
-        for side in (mine, theirs):
-            if isinstance(side.get("settings"), dict):
-                side["settings"] = {
-                    k: v for k, v in side["settings"].items()
-                    if k != "generations"
-                }
-        if json.dumps(mine, sort_keys=True) != json.dumps(theirs, sort_keys=True):
+        recorded = load_state(path)
+        if recorded.kind != "evolve":
+            raise ValueError(f"{path}: not an evolve state file")
+        if json.dumps(_identity(requested), sort_keys=True) != json.dumps(
+            _identity(recorded), sort_keys=True
+        ):
             raise ValueError(
                 f"{path}: recorded search differs from the requested one "
                 "(space/settings/objectives/base config mismatch) — resume "
                 "must use the same definition, or use a fresh --out dir"
             )
-        return [GenerationRecord.from_dict(g) for g in data["generations"]]
-
-    # ------------------------------------------------------------------ #
-    # The loop
-    # ------------------------------------------------------------------ #
-    def run(self, resume: bool = False) -> SearchResult:
-        s = self.settings
-        generations: list[GenerationRecord] = []
-        if resume:
-            generations = self._load_state()[: s.generations]
-            for g in generations:
-                self.evaluator.absorb(g.population)
-
-        for g in range(len(generations), s.generations):
-            points, prune_log = self._propose(g, generations)
-            evals = self.evaluator.evaluate(points, f"gen{g}", generation=g)
-            generations.append(GenerationRecord(g, evals, prune_log))
-            self._write_state(generations)
-
-        return SearchResult(
-            self.space,
-            self.objectives,
-            generations,
-            self.evaluator.archive,
-            self.evaluator.simulations_run,
-        )
+        return recorded.generations
 
     # ------------------------------------------------------------------ #
     def _propose(
@@ -356,7 +184,7 @@ class EvolutionarySearch:
         ranked = sorted(prev, key=lambda e: (-e.fitness, e.key))
         elites = [dict(e.point) for e in ranked[: s.elites]]
         n_children = s.population - len(elites)
-        n_cand = max(n_children, math.ceil(n_children * s.oversample))
+        n_cand = max(n_children, math.ceil(n_children * OVERSAMPLE))
 
         # The candidate stream consumes the same draws regardless of
         # surrogate mode — pruning must not perturb the trajectory's
@@ -364,13 +192,13 @@ class EvolutionarySearch:
         candidates: list[Point] = []
         for _ in range(n_cand):
             parent = self._tournament(prev, rng)
-            if rng.random() < s.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 other = self._tournament(prev, rng)
                 child = self.space.crossover(parent.point, other.point, rng)
             else:
                 child = dict(parent.point)
             candidates.append(
-                self.space.mutate(child, rng, s.mutation_rate, s.mutation_sigma)
+                self.space.mutate(child, rng, MUTATION_RATE, MUTATION_SIGMA)
             )
 
         prune_log: list[PruneDecision] = []
@@ -417,7 +245,24 @@ class EvolutionarySearch:
     def _tournament(
         self, population: Sequence[PointEval], rng
     ) -> PointEval:
-        k = min(self.settings.tournament_k, len(population))
+        k = min(TOURNAMENT_K, len(population))
         idx = rng.integers(len(population), size=k)
         contenders = [population[int(i)] for i in idx]
         return max(contenders, key=lambda e: (e.fitness, e.key))
+
+
+def _identity(state: SearchState) -> dict[str, Any]:
+    """What defines a search, minus the generation budget.
+
+    Every generation's randomness is keyed on ``(seed, stage, g)``, so a
+    recorded prefix is valid under any ``generations`` target — resume may
+    extend or truncate a search, never silently redefine it.
+    """
+    return {
+        "space": state.space.to_dict(),
+        "settings": {
+            k: v for k, v in state.settings.items() if k != "generations"
+        },
+        "objectives": [o.to_dict() for o in state.objectives],
+        "base_config": state.base_config,
+    }

@@ -64,10 +64,16 @@ class Objective:
     def __post_init__(self) -> None:
         if self.goal not in ("min", "max"):
             raise ValueError(f"goal must be 'min' or 'max', got {self.goal!r}")
-        if self.weight < 0:
-            raise ValueError(f"weight must be ≥ 0, got {self.weight!r}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        # A NaN or infinite weight or scale makes every weighted score
+        # NaN, ±inf or 0, and then nothing ranks points by objective.
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(
+                f"weight must be finite and ≥ 0, got {self.weight!r}"
+            )
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(
+                f"scale must be finite and positive, got {self.scale!r}"
+            )
 
     @property
     def direction(self) -> float:

@@ -1,7 +1,8 @@
 """Decision-support reporting over search/screening state files.
 
-Reads the ``state.json`` a search or screening wrote and renders the
-explored space three ways:
+Renders a :class:`~repro.dse.state.SearchState` — returned by a search or
+screening, or read back with :func:`~repro.dse.state.load_state` — three
+ways:
 
 * an aligned table of the Pareto front (then the dominated rest), with
   per-dimension values, objective means, and weighted fitness;
@@ -13,83 +14,16 @@ explored space three ways:
 from __future__ import annotations
 
 import io
-import json
 import math
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro.dse.evaluate import PointEval
-from repro.dse.evolve import STATE_SCHEMA, GenerationRecord, population_hash
-from repro.dse.objectives import Objective, pareto_front
+from repro.dse.objectives import Objective
 from repro.dse.space import ParameterSpace
+from repro.dse.state import SearchState
 from repro.metrics.summary import format_table
 
-__all__ = [
-    "SearchState",
-    "load_state",
-    "pareto_table",
-    "to_csv",
-    "ascii_scatter",
-]
-
-
-class SearchState:
-    """Parsed state file: space, objectives, generations, archive."""
-
-    def __init__(self, data: dict[str, Any], path: Path) -> None:
-        if data.get("schema") != STATE_SCHEMA:
-            raise ValueError(
-                f"{path}: unsupported state schema {data.get('schema')!r}"
-            )
-        self.path = path
-        self.kind: str = data.get("kind", "evolve")
-        self.space = ParameterSpace.from_dict(data["space"])
-        self.objectives = [Objective.from_dict(o) for o in data["objectives"]]
-        self.settings: dict[str, Any] = dict(data.get("settings", {}))
-        self.base_config: dict[str, Any] = dict(data.get("base_config", {}))
-        self.generations = [
-            GenerationRecord.from_dict(g) for g in data.get("generations", [])
-        ]
-        if not self.generations:
-            raise ValueError(f"{path}: state has no completed generations")
-
-    @property
-    def archive(self) -> list[PointEval]:
-        """Distinct evaluated points in first-evaluation order."""
-        seen: dict[str, PointEval] = {}
-        for gen in self.generations:
-            for ev in gen.population:
-                seen.setdefault(ev.key, ev)
-        return list(seen.values())
-
-    @property
-    def final_population_hash(self) -> str:
-        return population_hash(self.generations[-1].population)
-
-    @property
-    def evaluations_pruned(self) -> int:
-        return sum(
-            1 for g in self.generations for d in g.prune_log if d.pruned
-        )
-
-    def pareto(self) -> list[PointEval]:
-        archive = self.archive
-        idx = pareto_front([e.objectives for e in archive], self.objectives)
-        return [archive[i] for i in idx]
-
-    def best(self) -> PointEval:
-        return max(self.archive, key=lambda e: (e.fitness, e.key))
-
-
-def load_state(out_dir: str | Path) -> SearchState:
-    """Load ``<out_dir>/state.json`` (or a direct file path)."""
-    path = Path(out_dir)
-    if path.is_dir():
-        path = path / "state.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no DSE state at {path}")
-    with path.open() as fh:
-        return SearchState(json.load(fh), path)
+__all__ = ["pareto_table", "to_csv", "ascii_scatter"]
 
 
 def _rows(
@@ -176,6 +110,13 @@ def ascii_scatter(
         raise ValueError("need two objectives (or explicit --x/--y) to scatter")
     x_key = x_key or objectives[0].key
     y_key = y_key or objectives[1].key
+    keys = [o.key for o in objectives]
+    for key in (x_key, y_key):
+        if key not in keys:
+            raise ValueError(
+                f"unknown objective {key!r} to scatter; this state has "
+                f"{', '.join(keys)}"
+            )
     front_keys = {e.key for e in state.pareto()}
     pts = [
         (e.objectives[x_key], e.objectives[y_key], e.key in front_keys)

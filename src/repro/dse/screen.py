@@ -9,33 +9,35 @@ never simulated.  With the surrogate off, every design cell is simulated.
 
 Determinism mirrors the evolutionary loop: the train-subset shuffle is
 keyed on the seed alone, evaluations are content-hashed exec cells, and
-the final state file records design, decisions, and outcomes, so a
-screening is resumable and byte-reproducible.
+the returned :class:`~repro.dse.state.SearchState` (written to
+``<out>/state.json``) records design size, decisions, and outcomes as one
+generation, so a screening is resumable and byte-reproducible.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from repro.dse.design import full_factorial, latin_hypercube
-from repro.dse.evaluate import Evaluator, PointEval
-from repro.dse.evolve import STATE_SCHEMA, population_hash
-from repro.dse.objectives import Objective, pareto_front
-from repro.dse.space import ParameterSpace, Point, seeded_rng
+from repro.dse.evaluate import Evaluator
+from repro.dse.objectives import Objective
+from repro.dse.space import ParameterSpace, seeded_rng
+from repro.dse.state import GenerationRecord, SearchState
 from repro.dse.surrogate import PruneDecision, RidgeSurrogate, prune_candidates
 from repro.exec.policy import ExecPolicy
-from repro.experiments.cache import atomic_write_json
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import config_to_dict
 
-__all__ = ["ScreenSettings", "ScreenResult", "run_screening"]
+__all__ = ["ScreenSettings", "run_screening"]
 
 # RNG stage key for the train-subset shuffle (distinct from evolve's).
 _STAGE_SHUFFLE = 2
+
+#: Share of the design simulated to train the surrogate (see ScreenSettings).
+TRAIN_FRACTION = 0.4
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,9 +45,9 @@ class ScreenSettings:
     """Screening knobs.
 
     ``levels`` drives a full factorial design; set ``lhs_n`` > 0 to use an
-    ``lhs_n``-point Latin hypercube instead.  ``train_fraction`` of the
-    design (at least ``surrogate_min_train`` cells) is always simulated to
-    fit the surrogate before any pruning happens.
+    ``lhs_n``-point Latin hypercube instead.  :data:`TRAIN_FRACTION` of
+    the design (at least ``surrogate_min_train`` cells) is always
+    simulated to fit the surrogate before any pruning happens.
     """
 
     levels: int = 3
@@ -54,7 +56,6 @@ class ScreenSettings:
     n_seeds: int = 1
     surrogate: bool = True
     prune_quantile: float = 0.25
-    train_fraction: float = 0.4
     surrogate_min_train: int = 8
 
     def __post_init__(self) -> None:
@@ -66,64 +67,8 @@ class ScreenSettings:
             raise ValueError(f"n_seeds must be ≥ 1, got {self.n_seeds}")
         if not 0.0 <= self.prune_quantile < 1.0:
             raise ValueError("prune_quantile must be in [0, 1)")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError("train_fraction must be in (0, 1]")
         if self.surrogate_min_train < 2:
             raise ValueError("surrogate_min_train must be ≥ 2")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "levels": self.levels,
-            "lhs_n": self.lhs_n,
-            "seed": self.seed,
-            "n_seeds": self.n_seeds,
-            "surrogate": self.surrogate,
-            "prune_quantile": self.prune_quantile,
-            "train_fraction": self.train_fraction,
-            "surrogate_min_train": self.surrogate_min_train,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScreenSettings":
-        return cls(**dict(data))
-
-
-class ScreenResult:
-    """Outcome of one screening: evaluated cells, prune log, and views."""
-
-    def __init__(
-        self,
-        space: ParameterSpace,
-        objectives: Sequence[Objective],
-        design_size: int,
-        evaluated: list[PointEval],
-        prune_log: list[PruneDecision],
-        simulations_run: int,
-    ) -> None:
-        self.space = space
-        self.objectives = list(objectives)
-        self.design_size = design_size
-        self.evaluated = evaluated
-        self.prune_log = prune_log
-        self.simulations_run = simulations_run
-
-    @property
-    def best(self) -> PointEval:
-        return max(self.evaluated, key=lambda e: (e.fitness, e.key))
-
-    def pareto(self) -> list[PointEval]:
-        idx = pareto_front(
-            [e.objectives for e in self.evaluated], self.objectives
-        )
-        return [self.evaluated[i] for i in idx]
-
-    @property
-    def evaluations_pruned(self) -> int:
-        return sum(1 for d in self.prune_log if d.pruned)
-
-    @property
-    def evaluated_hash(self) -> str:
-        return population_hash(self.evaluated)
 
 
 def run_screening(
@@ -133,7 +78,7 @@ def run_screening(
     objectives: Sequence[Objective] | None = None,
     out_dir: str | Path | None = None,
     policy: ExecPolicy | None = None,
-) -> ScreenResult:
+) -> SearchState:
     """Screen a design over ``space`` anchored at ``base``; see module doc."""
     from repro.dse.objectives import DEFAULT_OBJECTIVES
 
@@ -164,7 +109,7 @@ def run_screening(
             len(design),
             max(
                 settings.surrogate_min_train,
-                math.ceil(settings.train_fraction * len(design)),
+                math.ceil(TRAIN_FRACTION * len(design)),
             ),
         )
         train = [design[int(i)] for i in order[:n_train]]
@@ -182,32 +127,16 @@ def run_screening(
     else:
         evaluator.evaluate(design, "screen-full")
 
-    result = ScreenResult(
-        space,
-        objectives,
+    state = SearchState(
+        kind="screen",
+        space=space,
+        objectives=objectives,
+        settings=asdict(settings),
+        base_config=config_to_dict(base),
+        generations=[GenerationRecord(0, evaluator.archive, prune_log)],
         design_size=len(design),
-        evaluated=evaluator.archive,
-        prune_log=prune_log,
         simulations_run=evaluator.simulations_run,
     )
     if out_dir is not None:
-        atomic_write_json(
-            Path(out_dir) / "state.json",
-            {
-                "schema": STATE_SCHEMA,
-                "kind": "screen",
-                "space": space.to_dict(),
-                "settings": settings.to_dict(),
-                "objectives": [o.to_dict() for o in objectives],
-                "base_config": config_to_dict(base),
-                "design_size": len(design),
-                "generations": [
-                    {
-                        "index": 0,
-                        "population": [e.to_dict() for e in result.evaluated],
-                        "prune_log": [d.to_dict() for d in prune_log],
-                    }
-                ],
-            },
-        )
-    return result
+        state.write(out_dir)
+    return state

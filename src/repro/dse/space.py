@@ -140,7 +140,10 @@ class IntegerDim:
         return [(float(value) - self.low) / (self.high - self.low)]
 
     def levels(self, n: int) -> list[int]:
-        """Up to ``n`` distinct evenly spaced integer levels."""
+        """Up to ``n`` distinct evenly spaced integer levels; one level is
+        the rounded midpoint, as for a continuous dimension."""
+        if n < 2:
+            return [int(round((self.low + self.high) / 2.0))]
         raw = np.linspace(self.low, self.high, min(n, self.high - self.low + 1))
         out: list[int] = []
         for v in raw:

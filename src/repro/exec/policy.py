@@ -188,12 +188,15 @@ def policy_from_args(parser: Any, args: Any) -> ExecPolicy:
     """The process-wide policy with the :func:`add_exec_args` flags applied.
 
     Progress status lines turn on with more than one worker.  A bad value
-    exits with status 2 through ``parser.error``.
+    exits with status 2 through ``parser.error``.  Each CLI invocation
+    comes through here once, so this is where the run-log dir is pruned
+    (:func:`~repro.exec.progress.prune_run_logs`).
     """
     from repro.exec.adaptive import parse_adaptive_spec
+    from repro.exec.progress import prune_run_logs
 
     try:
-        return replace(
+        policy = replace(
             current_policy(),
             workers=args.workers,
             task_timeout_s=args.task_timeout,
@@ -205,3 +208,5 @@ def policy_from_args(parser: Any, args: Any) -> ExecPolicy:
     except ValueError as exc:
         parser.error(str(exc))
         raise  # unreachable: parser.error exits
+    prune_run_logs(policy.log_dir)
+    return policy

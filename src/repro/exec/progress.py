@@ -22,6 +22,10 @@ Durability: every record is flushed as it is written, so a killed run
 leaves only whole lines behind (and no footer); closing fsyncs.  The log
 is the post-mortem record of every terminally failed cell — it must be
 parseable after any crash.
+
+Retention: :func:`prune_run_logs` keeps the newest :data:`RUN_LOG_KEEP`
+artifacts of a log dir by mtime; the CLIs apply it once per invocation.
+A live log is flushed after every record, so it is never among the oldest.
 """
 
 from __future__ import annotations
@@ -36,7 +40,10 @@ from repro.experiments.cache import cache_dir
 from repro.obs.sinks import JsonlTraceSink
 from repro.sim.trace import TraceRecord
 
-__all__ = ["ProgressReporter", "RunLog"]
+__all__ = ["ProgressReporter", "RunLog", "RUN_LOG_KEEP", "prune_run_logs"]
+
+#: Run logs and adaptive audits a log dir keeps (newest by mtime).
+RUN_LOG_KEEP = 200
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.policy import ExecPolicy
@@ -91,6 +98,21 @@ class RunLog:
                 self._sink.close()
             except OSError:
                 pass
+
+
+def prune_run_logs(log_dir: Path | None = None) -> None:
+    """Delete all but the newest :data:`RUN_LOG_KEEP` ``*.jsonl`` files in
+    ``log_dir`` (default ``cache_dir()/runs``).  Like the logs themselves,
+    never raises: an I/O error leaves the remaining files in place."""
+    try:
+        log_dir = log_dir or cache_dir() / "runs"
+        logs = sorted(
+            (p.stat().st_mtime_ns, p.name, p) for p in log_dir.glob("*.jsonl")
+        )
+        for *_, path in logs[: max(0, len(logs) - RUN_LOG_KEEP)]:
+            path.unlink(missing_ok=True)
+    except OSError:
+        pass
 
 
 class ProgressReporter:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.dse.cli import main
+from repro.exec.progress import RUN_LOG_KEEP
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import save_config
 
@@ -88,6 +90,13 @@ def test_search_report_round_trip(env, capsys):
                  "--x", "pdr", "--y", "mean_delay_s"]) == 0
     assert "pdr" in capsys.readouterr().out
 
+    # A mistyped key names the objectives the state has.
+    assert main(["report", str(env / "run"), "--format", "scatter",
+                 "--x", "pdrr"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown objective 'pdrr'" in err
+    assert "pdr, mean_delay_s, normalized_routing_load" in err
+
 
 def test_screen_command(env, capsys):
     args = [
@@ -99,6 +108,31 @@ def test_screen_command(env, capsys):
     out = capsys.readouterr().out
     assert "design: 9 cells, 9 evaluated, 0 pruned" in out
     assert (env / "screen" / "state.json").exists()
+    # The report reads the same state and prints the same hash line.
+    hash_line = [l for l in out.splitlines()
+                 if l.startswith("final population hash:")]
+    assert len(hash_line) == 1
+    assert main(["report", str(env / "screen")]) == 0
+    assert hash_line[0] in capsys.readouterr().out.splitlines()
+
+
+def test_cli_prunes_run_logs_to_the_newest(env, capsys):
+    runs = env / "cache" / "runs"
+    runs.mkdir(parents=True)
+    stubs = [runs / f"old-{i:03d}.jsonl" for i in range(RUN_LOG_KEEP + 3)]
+    for i, stub in enumerate(stubs):
+        stub.write_text("{}\n")
+        os.utime(stub, ns=(10**18 + i, 10**18 + i))  # stubs[0] is oldest
+    assert main([
+        "screen", "--space", str(env / "space.json"),
+        "--base", str(env / "base.json"), "--out", str(env / "screen"),
+        "--levels", "1", "--no-surrogate",
+    ]) == 0
+    capsys.readouterr()
+    assert not any(p.exists() for p in stubs[:3])
+    assert all(p.exists() for p in stubs[3:])
+    # The campaign's own run log was written after the pruning and stays.
+    assert len(list(runs.glob("dse-cli-tiny-*.jsonl"))) == 1
 
 
 def test_errors_exit_2(env, capsys, tmp_path):
@@ -114,6 +148,9 @@ def test_errors_exit_2(env, capsys, tmp_path):
 
     assert main(search_args(env, extra=["--objective", "no_such_metric:max"])) == 2
     assert "not found" in capsys.readouterr().err
+
+    assert main(search_args(env, extra=["--objective", "pdr:max:nan"])) == 2
+    assert "weight must be finite" in capsys.readouterr().err
 
     assert main(["report", str(tmp_path / "nowhere")]) == 2
     capsys.readouterr()

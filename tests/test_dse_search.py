@@ -29,7 +29,9 @@ from repro.dse import (
     ParameterSpace,
     ScreenSettings,
     SearchSettings,
+    load_state,
     point_key,
+    population_hash,
     run_screening,
 )
 from repro.exec.policy import ExecPolicy
@@ -76,7 +78,7 @@ def tiny_space() -> ParameterSpace:
 def tiny_settings(**over) -> SearchSettings:
     kw = dict(
         population=6, generations=3, seed=5, elites=2,
-        surrogate_min_train=6, oversample=2.0,
+        surrogate_min_train=6,
     )
     kw.update(over)
     return SearchSettings(**kw)
@@ -119,7 +121,32 @@ class TestDeterminism:
         assert res.best in res.archive
         front = res.pareto()
         assert front and set(map(id, front)) <= set(map(id, res.archive))
-        assert len(res.final_population) == 6
+        assert len(res.generations[-1].population) == 6
+
+
+class TestStateFile:
+    """A run returns exactly the state ``load_state`` reads back."""
+
+    def test_search_returns_what_it_wrote(self, isolated_cache, tmp_path):
+        res = run_search(out_dir=tmp_path / "run", prune_quantile=0.4)
+        loaded = load_state(tmp_path / "run")
+        assert loaded == res
+        assert loaded.simulations_run == 0 < res.simulations_run
+        assert loaded.final_population_hash == res.final_population_hash
+        assert loaded.best == res.best and loaded.pareto() == res.pareto()
+        assert loaded.evaluations_pruned == res.evaluations_pruned > 0
+
+    def test_screening_returns_what_it_wrote(self, isolated_cache, tmp_path):
+        out = tmp_path / "screen"
+        res = run_screening(
+            tiny_space(), tiny_base(), ScreenSettings(levels=3, seed=5),
+            out_dir=out,
+        )
+        loaded = load_state(out)
+        assert loaded == res
+        assert res.design_size == 27 and res.evaluations_pruned > 0
+        # One generation: its population is the archive.
+        assert res.final_population_hash == population_hash(res.archive)
 
 
 class TestResume:
@@ -226,13 +253,13 @@ class TestScreening:
         )
         assert full.design_size == pruned.design_size == 16
         assert pruned.evaluations_pruned > 0
-        assert len(pruned.evaluated) == 16 - pruned.evaluations_pruned
+        assert len(pruned.archive) == 16 - pruned.evaluations_pruned
         # Pruning skipped only predictably poor cells; the winner and its
         # score are untouched.
         assert pruned.best.key == full.best.key
         assert pruned.best.fitness == full.best.fitness
         # Full run differentiates points (the loaded base matters).
-        assert len({e.fitness for e in full.evaluated}) > 1
+        assert len({e.fitness for e in full.archive}) > 1
 
     def test_screening_writes_state(self, isolated_cache, tmp_path):
         out = tmp_path / "screen"
@@ -243,4 +270,4 @@ class TestScreening:
         state = json.loads((out / "state.json").read_text())
         assert state["kind"] == "screen"
         assert state["design_size"] == 9
-        assert len(state["generations"][0]["population"]) == len(res.evaluated)
+        assert len(state["generations"][0]["population"]) == len(res.archive)

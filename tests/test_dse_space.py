@@ -76,6 +76,11 @@ class TestDimensions:
         assert IntegerDim("x", "f", 0, 2).levels(5) == [0, 1, 2]
         assert CategoricalDim("x", "f", ("a", "b")).levels(99) == ["a", "b"]
 
+    def test_single_level_is_the_midpoint(self):
+        assert ContinuousDim("c", "f", 0.0, 1.0).levels(1) == [0.5]
+        assert IntegerDim("r", "x", 2, 20).levels(1) == [11]
+        assert IntegerDim("r", "x", 2, 20).levels(3) == [2, 11, 20]
+
     def test_normalize(self):
         assert ContinuousDim("x", "f", 0.0, 2.0).normalize(1.0) == [0.5]
         assert CategoricalDim("x", "f", ("a", "b")).normalize("b") == [0.0, 1.0]

@@ -134,6 +134,14 @@ class TestObjectives:
         with pytest.raises(ValueError, match="scale"):
             Objective("pdr", "max", scale=0.0)
 
+    @pytest.mark.parametrize(
+        "spec", ["pdr:max:nan", "pdr:max:inf", "pdr:max:1:inf", "pdr:max:1:nan"]
+    )
+    def test_non_finite_weight_or_scale_rejected(self, spec):
+        # Each would make every weighted score NaN, inf or 0.
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_objective(spec)
+
     def test_weighted_score_direction_and_poison(self):
         objs = [Objective("pdr", "max"), Objective("mean_delay_s", "min", scale=0.1)]
         good = weighted_score({"pdr": 0.9, "mean_delay_s": 0.05}, objs)
