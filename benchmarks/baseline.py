@@ -290,9 +290,10 @@ def _kernel_fig6(quick: bool) -> dict:
     # Fig-6-style static scalability point at N = 100 (the acceptance
     # floor).  Static plans are fully cached under either cell size, so
     # this pair is the determinism cross-check and the whole-simulator
-    # events/s tracker, not a spatial-index showcase.  batched_kernel=True
-    # matches what the figure sweeps now run; the fig6_e2e pair below
-    # keeps the scalar engine as the cross-checked oracle.
+    # events/s tracker, not a spatial-index showcase.  It runs the batched
+    # kernel although the figure sweeps run the scalar one (see
+    # repro.experiments.figures); the fig6_e2e pair below keeps the scalar
+    # engine as the cross-checked oracle.
     return _run_fig6(ScenarioConfig(
         protocol="nlr", grid_nx=10, grid_ny=10, spacing_m=200.0,
         n_flows=6, flow_rate_pps=2.0, flow_stagger_s=0.2,

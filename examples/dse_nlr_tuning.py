@@ -4,9 +4,8 @@
 The paper hand-picks the load-adaptive gossip parameters (γ, p_min, the
 load-mix weights).  This demo lets the ``repro.dse`` subsystem find them:
 a seeded evolutionary search over a three-dimensional slice of the NLR
-parameter space, evaluated on a loaded 4×4 mesh, with surrogate pruning
-skipping predictably poor candidates and a Pareto report of the
-delivery/latency/overhead trade-off at the end.
+parameter space, evaluated on a loaded 4×4 mesh, with a Pareto report of
+the delivery/latency/overhead trade-off at the end.
 
 Everything is deterministic: re-running this script reproduces the same
 final population hash, and killing it mid-run and re-running resumes from
@@ -45,10 +44,7 @@ def main() -> None:
         protocol="nlr", grid_nx=4, grid_ny=4, n_flows=6,
         flow_rate_pps=50.0, sim_time_s=12.0, warmup_s=2.0, seed=7,
     )
-    settings = SearchSettings(
-        population=8, generations=4, seed=11, elites=2,
-        surrogate_min_train=8, prune_quantile=0.3,
-    )
+    settings = SearchSettings(population=8, generations=4, seed=11, elites=2)
 
     print(f"searching {space.name}: {len(space)} dimensions, "
           f"{settings.population}×{settings.generations} evaluations budget")
@@ -56,8 +52,7 @@ def main() -> None:
     state = search.run(resume=True)  # picks up prior state if present
 
     best = state.best
-    print(f"\nsimulations run: {state.simulations_run} "
-          f"(pruned {state.evaluations_pruned} candidate evaluations)")
+    print(f"\nsimulations run: {state.simulations_run}")
     print(f"best point: γ={best.point['gamma']:.3f} "
           f"p_min={best.point['p_min']:.3f} "
           f"queue_weight={best.point['queue_weight']:.3f}")

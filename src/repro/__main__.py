@@ -64,6 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_value(exc: ValueError) -> int:
+    """A scenario value the config or the network rejects: one line, exit 2."""
+    print(f"python -m repro: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -83,27 +89,35 @@ def main(argv: list[str] | None = None) -> int:
             print(f"bad --grid {args.grid!r}; expected e.g. 5x5",
                   file=sys.stderr)
             return 2
-        config = ScenarioConfig(
-            protocol=args.protocol,
-            topology=args.topology,
-            grid_nx=nx, grid_ny=ny, spacing_m=args.spacing,
-            n_nodes=args.nodes,
-            n_flows=args.flows,
-            flow_pattern=args.pattern,
-            n_gateways=args.gateways,
-            flow_rate_pps=args.rate,
-            payload_bytes=args.payload,
-            sim_time_s=args.time,
-            warmup_s=args.warmup,
-            seed=args.seed,
-            mobility=args.mobility,
-        )
+        try:
+            config = ScenarioConfig(
+                protocol=args.protocol,
+                topology=args.topology,
+                grid_nx=nx, grid_ny=ny, spacing_m=args.spacing,
+                n_nodes=args.nodes,
+                n_flows=args.flows,
+                flow_pattern=args.pattern,
+                n_gateways=args.gateways,
+                flow_rate_pps=args.rate,
+                payload_bytes=args.payload,
+                sim_time_s=args.time,
+                warmup_s=args.warmup,
+                seed=args.seed,
+                mobility=args.mobility,
+            )
+        except ValueError as exc:
+            return _bad_value(exc)
     if args.save_config:
         from repro.experiments.serialization import save_config
 
         save_config(config, args.save_config)
         print(f"wrote {args.save_config}")
-    result = run_scenario(config)
+    try:
+        # Building the network checks what the config alone cannot (grid
+        # size, gateway count against the node count, payload, ...).
+        result = run_scenario(config)
+    except ValueError as exc:
+        return _bad_value(exc)
     print(
         format_table(
             ["metric", "value"],

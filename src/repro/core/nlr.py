@@ -49,8 +49,6 @@ class NlrConfig:
         (the reply window) and ``intermediate_reply`` to False.
     queue_weight:
         β blending queue occupancy vs busy ratio in the node load.
-    ewma_alpha:
-        Load EWMA smoothing factor.
     own_weight:
         α blending own load vs neighbour mean in the neighbourhood load.
     hop_weight:
@@ -76,7 +74,6 @@ class NlrConfig:
         active_route_timeout_s=5.0,
     ))
     queue_weight: float = 0.5
-    ewma_alpha: float = 0.3
     own_weight: float = 0.5
     hop_weight: float = 0.25
     sample_interval_s: float = 0.25
@@ -99,10 +96,6 @@ class NlrConfig:
         if not 0.0 <= self.queue_weight <= 1.0:
             raise ValueError(
                 f"queue_weight must be in [0, 1], got {self.queue_weight!r}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}"
             )
         if not 0.0 <= self.own_weight <= 1.0:
             raise ValueError(
@@ -151,9 +144,7 @@ class NlrRouting(AodvRouting):
         )
         super().__init__(config.aodv, rng, rreq_policy=policy)
         self.nlr_config = config
-        self.estimator = LoadEstimator(
-            queue_weight=config.queue_weight, alpha_ewma=config.ewma_alpha
-        )
+        self.estimator = LoadEstimator(queue_weight=config.queue_weight)
         self.bus: CrossLayerBus | None = None
         self.neighbourhood: NeighbourhoodLoad | None = None
 
@@ -204,7 +195,7 @@ class NlrRouting(AodvRouting):
         # besides invalidating routes (engine behaviour), drop its
         # neighbourhood-load record, or the dead node's stale advertised
         # load keeps biasing this node's aggregate — and hence every RREQ
-        # cost it stamps — for up to neighbour_lifetime_s.
+        # cost it stamps — for up to the neighbour lifetime.
         if self.neighbour_table is not None:
             self.neighbour_table.drop(neighbour)
         super()._handle_link_failure(neighbour, packet)

@@ -8,18 +8,16 @@ Public surface:
 * :mod:`repro.dse.design` — full-factorial and Latin-hypercube builders;
 * :mod:`repro.dse.evolve` — seeded, resumable evolutionary search whose
   evaluations run as content-hashed :mod:`repro.exec` cells;
-* :mod:`repro.dse.screen` — design screening with surrogate pruning;
+* :mod:`repro.dse.screen` — factorial / Latin-hypercube screening;
 * :mod:`repro.dse.state` — the one :class:`SearchState` both return,
   its ``state.json`` writer and :func:`load_state`;
-* :mod:`repro.dse.surrogate` — numpy polynomial-ridge surrogate;
 * :mod:`repro.dse.objectives` — objectives, weighted scoring, Pareto
   fronts (multi-criteria decision support);
 * :mod:`repro.dse.report` — tables / CSV / ASCII scatter of a state;
 * :mod:`repro.dse.cli` — the ``repro-dse`` entry point.
 
 See ``docs/DSE.md`` for the space JSON schema and the reproducibility
-guarantees (deterministic seeds, kill-and-resume byte-identity, audited
-surrogate pruning).
+guarantees (deterministic seeds, kill-and-resume byte-identity).
 """
 
 from repro.dse.design import full_factorial, latin_hypercube
@@ -49,7 +47,6 @@ from repro.dse.state import (
     load_state,
     population_hash,
 )
-from repro.dse.surrogate import PruneDecision, RidgeSurrogate, prune_candidates
 
 __all__ = [
     "CategoricalDim",
@@ -62,8 +59,6 @@ __all__ = [
     "Objective",
     "ParameterSpace",
     "PointEval",
-    "PruneDecision",
-    "RidgeSurrogate",
     "ScreenSettings",
     "SearchSettings",
     "SearchState",
@@ -77,7 +72,6 @@ __all__ = [
     "parse_objective",
     "point_key",
     "population_hash",
-    "prune_candidates",
     "run_screening",
     "seeded_rng",
     "to_csv",

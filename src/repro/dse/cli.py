@@ -6,8 +6,7 @@ Usage::
     repro-dse search --space space.json --out results/dse/run1 \\
         --generations 6 --population 12 --workers 4
     repro-dse search --space space.json --out results/dse/run1 --resume
-    repro-dse screen --space space.json --out results/dse/fact \\
-        --levels 3 --prune-quantile 0.25
+    repro-dse screen --space space.json --out results/dse/fact --levels 3
     repro-dse report results/dse/run1                 # Pareto table
     repro-dse report results/dse/run1 --format csv -o front.csv
     repro-dse report results/dse/run1 --format scatter --x pdr --y mean_delay_s
@@ -75,14 +74,6 @@ def _add_common_search_args(p: argparse.ArgumentParser) -> None:
         help="objective spec, repeatable (default: pdr:max, mean_delay_s:min, "
         "normalized_routing_load:min)",
     )
-    p.add_argument(
-        "--no-surrogate", action="store_true",
-        help="disable surrogate pruning (evaluate every candidate)",
-    )
-    p.add_argument(
-        "--prune-quantile", type=float, default=None, metavar="Q",
-        help="prune candidates predicted below this quantile",
-    )
     add_exec_args(p)
 
 
@@ -106,8 +97,7 @@ def _objectives(args):
 def _print_outcome(kind: str, state: SearchState, out: Path) -> None:
     best = state.best
     print(f"{kind} done: {len(state.pareto())} Pareto points, "
-          f"{state.simulations_run} simulations run, "
-          f"{state.evaluations_pruned} evaluations pruned")
+          f"{state.simulations_run} simulations run")
     print(f"best (weighted): {json.dumps(best.point, sort_keys=True)} "
           f"fitness={best.fitness:.6g}")
     for key in sorted(best.objectives):
@@ -134,12 +124,6 @@ def cmd_search(args) -> int:
         seed=args.seed,
         n_seeds=args.n_seeds,
         elites=args.elites,
-        surrogate=not args.no_surrogate,
-        **(
-            {"prune_quantile": args.prune_quantile}
-            if args.prune_quantile is not None
-            else {}
-        ),
     )
     out = Path(args.out)
     search = EvolutionarySearch(
@@ -161,12 +145,6 @@ def cmd_screen(args) -> int:
         lhs_n=args.lhs,
         seed=args.seed,
         n_seeds=args.n_seeds,
-        surrogate=not args.no_surrogate,
-        **(
-            {"prune_quantile": args.prune_quantile}
-            if args.prune_quantile is not None
-            else {}
-        ),
     )
     out = Path(args.out)
     state = run_screening(
@@ -178,8 +156,7 @@ def cmd_screen(args) -> int:
         policy=args.policy,
     )
     print(f"design: {state.design_size} cells, "
-          f"{len(state.archive)} evaluated, "
-          f"{state.evaluations_pruned} pruned by surrogate")
+          f"{len(state.archive)} evaluated")
     _print_outcome("screen", state, out)
     return 0
 

@@ -17,23 +17,18 @@ elitism.  Three design rules make it deterministic and kill-safe:
 
 3. **Generation state is persisted.**  After each generation the complete
    :class:`~repro.dse.state.SearchState` (space, settings, objectives, base
-   config, per-generation populations and prune decisions) is written
-   atomically to ``<out>/state.json``.  Resume replays recorded
-   generations from the file (exact floats — JSON round-trips shortest
-   reprs) and continues, so an interrupted and a straight-through run end
-   with byte-identical populations — compare ``final_population_hash``.
+   config, per-generation populations) is written atomically to
+   ``<out>/state.json``.  Resume replays recorded generations from the
+   file (exact floats — JSON round-trips shortest reprs) and continues,
+   so an interrupted and a straight-through run end with byte-identical
+   populations — compare ``final_population_hash``.
 
-The candidate stream is generated identically whether surrogate pruning
-is on or off (same draws, same order); pruning only chooses *which* of
-the oversampled candidates get simulated.  Pruned candidates are exactly
-those predicted strictly below the configured quantile, and every
-decision is logged in the state file.
+Every child a generation breeds is simulated.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -41,9 +36,8 @@ from typing import Any, Sequence
 from repro.dse.evaluate import Evaluator, PointEval
 from repro.dse.design import latin_hypercube
 from repro.dse.objectives import Objective
-from repro.dse.space import ParameterSpace, Point, point_key, seeded_rng
+from repro.dse.space import ParameterSpace, Point, seeded_rng
 from repro.dse.state import GenerationRecord, SearchState, load_state
-from repro.dse.surrogate import PruneDecision, RidgeSurrogate, prune_candidates
 from repro.exec.policy import ExecPolicy
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import config_to_dict
@@ -55,13 +49,11 @@ _STAGE_INIT = 0
 _STAGE_BREED = 1
 
 #: Breeding constants: tournament size, per-dimension mutation probability,
-#: mutation step (fraction of a dimension's range), crossover probability,
-#: and candidates drawn per child slot (the surrogate picks among them).
+#: mutation step (fraction of a dimension's range) and crossover probability.
 TOURNAMENT_K = 3
 MUTATION_RATE = 0.35
 MUTATION_SIGMA = 0.15
 CROSSOVER_RATE = 0.6
-OVERSAMPLE = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +65,6 @@ class SearchSettings:
     seed: int = 1
     n_seeds: int = 1
     elites: int = 2
-    surrogate: bool = True
-    prune_quantile: float = 0.3
-    surrogate_min_train: int = 8
 
     def __post_init__(self) -> None:
         if self.population < 2:
@@ -88,10 +77,6 @@ class SearchSettings:
             raise ValueError(
                 f"elites must be in [0, population), got {self.elites}"
             )
-        if not 0.0 <= self.prune_quantile < 1.0:
-            raise ValueError("prune_quantile must be in [0, 1)")
-        if self.surrogate_min_train < 2:
-            raise ValueError("surrogate_min_train must be ≥ 2")
 
 
 class EvolutionarySearch:
@@ -142,9 +127,9 @@ class EvolutionarySearch:
                 self.evaluator.absorb(g.population)
 
         for g in range(len(state.generations), s.generations):
-            points, prune_log = self._propose(g, state.generations)
+            points = self._propose(g, state.generations)
             evals = self.evaluator.evaluate(points, f"gen{g}", generation=g)
-            state.generations.append(GenerationRecord(g, evals, prune_log))
+            state.generations.append(GenerationRecord(g, evals))
             if self.out_dir is not None:
                 state.write(self.out_dir)
 
@@ -172,75 +157,29 @@ class EvolutionarySearch:
     # ------------------------------------------------------------------ #
     def _propose(
         self, g: int, generations: list[GenerationRecord]
-    ) -> tuple[list[Point], list[PruneDecision]]:
+    ) -> list[Point]:
         """The generation-``g`` population (deterministic in ``g``)."""
         s = self.settings
         if g == 0:
             rng = seeded_rng(s.seed, _STAGE_INIT, 0)
-            return latin_hypercube(self.space, s.population, rng), []
+            return latin_hypercube(self.space, s.population, rng)
 
         rng = seeded_rng(s.seed, _STAGE_BREED, g)
         prev = generations[g - 1].population
         ranked = sorted(prev, key=lambda e: (-e.fitness, e.key))
         elites = [dict(e.point) for e in ranked[: s.elites]]
-        n_children = s.population - len(elites)
-        n_cand = max(n_children, math.ceil(n_children * OVERSAMPLE))
-
-        # The candidate stream consumes the same draws regardless of
-        # surrogate mode — pruning must not perturb the trajectory's
-        # randomness, only the choice of which candidates simulate.
-        candidates: list[Point] = []
-        for _ in range(n_cand):
+        children: list[Point] = []
+        for _ in range(s.population - len(elites)):
             parent = self._tournament(prev, rng)
             if rng.random() < CROSSOVER_RATE:
                 other = self._tournament(prev, rng)
                 child = self.space.crossover(parent.point, other.point, rng)
             else:
                 child = dict(parent.point)
-            candidates.append(
+            children.append(
                 self.space.mutate(child, rng, MUTATION_RATE, MUTATION_SIGMA)
             )
-
-        prune_log: list[PruneDecision] = []
-        archive = self.evaluator.archive
-        if (
-            s.surrogate
-            and len(archive) >= s.surrogate_min_train
-            and n_cand > n_children
-        ):
-            model = RidgeSurrogate(self.space).fit(
-                [e.point for e in archive], [e.fitness for e in archive]
-            )
-            kept, prune_log = prune_candidates(
-                model, candidates, s.prune_quantile
-            )
-            children = kept[:n_children]
-            if len(children) < n_children:
-                # Quantile pruned too deep for the pool size: refill from
-                # the pruned candidates in predicted-fitness order, and
-                # flip their log entries back to kept — the audit log must
-                # list as pruned exactly the candidates never simulated.
-                ranked_pruned = sorted(
-                    (d for d in prune_log if d.pruned),
-                    key=lambda d: (-d.predicted, point_key(d.point)),
-                )
-                refilled: set[str] = set()
-                for d in ranked_pruned:
-                    if len(children) == n_children:
-                        break
-                    children.append(dict(d.point))
-                    refilled.add(point_key(d.point))
-                if refilled:
-                    prune_log = [
-                        PruneDecision(d.point, d.predicted, d.threshold, False)
-                        if d.pruned and point_key(d.point) in refilled
-                        else d
-                        for d in prune_log
-                    ]
-        else:
-            children = candidates[:n_children]
-
-        return elites + children, prune_log
+        return elites + children
 
     def _tournament(
         self, population: Sequence[PointEval], rng

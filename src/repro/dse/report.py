@@ -66,8 +66,7 @@ def pareto_table(state: SearchState, top: int = 0) -> str:
         _rows(ordered, state.space, state.objectives, front_keys),
         title=(
             f"{state.space.name}: {len(state.archive)} evaluated, "
-            f"{len(front)} on Pareto front, "
-            f"{state.evaluations_pruned} pruned by surrogate"
+            f"{len(front)} on Pareto front"
         ),
     )
     return table

@@ -83,9 +83,6 @@ class ContinuousDim:
         """Gaussian perturbation with σ relative to the dimension span."""
         return self.clip(value + rng.normal(0.0, sigma * (self.high - self.low)))
 
-    def normalize(self, value: float) -> list[float]:
-        return [(float(value) - self.low) / (self.high - self.low)]
-
     def levels(self, n: int) -> list[float]:
         """``n`` evenly spaced factorial levels including both bounds."""
         if n < 2:
@@ -135,9 +132,6 @@ class IntegerDim:
         step = int(rng.integers(1, step_max + 1))
         sign = 1 if rng.random() < 0.5 else -1
         return self.clip(int(value) + sign * step)
-
-    def normalize(self, value: int) -> list[float]:
-        return [(float(value) - self.low) / (self.high - self.low)]
 
     def levels(self, n: int) -> list[int]:
         """Up to ``n`` distinct evenly spaced integer levels; one level is
@@ -194,9 +188,6 @@ class CategoricalDim:
         """Re-draw uniformly among the *other* choices."""
         others = [c for c in self.choices if c != value]
         return others[int(rng.integers(len(others)))]
-
-    def normalize(self, value: Any) -> list[float]:
-        return [1.0 if value == c else 0.0 for c in self.choices]
 
     def levels(self, n: int) -> list[Any]:
         return list(self.choices)
@@ -347,13 +338,6 @@ class ParameterSpace:
             d.name: (a if rng.random() < 0.5 else b)[d.name]
             for d in self.dimensions
         }
-
-    def normalize(self, point: Mapping[str, Any]) -> np.ndarray:
-        """Feature vector in [0, 1] (categoricals one-hot) for surrogates."""
-        feats: list[float] = []
-        for d in self.dimensions:
-            feats.extend(d.normalize(point[d.name]))
-        return np.asarray(feats, dtype=float)
 
     # -- config binding -------------------------------------------------- #
     def bind(self, base: ScenarioConfig, point: Mapping[str, Any]) -> ScenarioConfig:

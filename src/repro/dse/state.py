@@ -6,7 +6,10 @@ space, objectives, settings and base config that define it, plus one
 :meth:`SearchState.write` is the only code that writes ``state.json`` and
 :func:`load_state` the only code that reads it; the runs return the same
 type the report reads back, so both answer every question (archive, best,
-Pareto front, pruned count, population hash) the same way.
+Pareto front, population hash) the same way.
+
+State files written before screening and search simulated every cell
+carry a ``prune_log`` list per generation; :func:`load_state` ignores it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Any, Mapping, Sequence
 from repro.dse.evaluate import PointEval
 from repro.dse.objectives import Objective, pareto_front
 from repro.dse.space import ParameterSpace
-from repro.dse.surrogate import PruneDecision
 from repro.experiments.cache import atomic_write_json
 
 __all__ = [
@@ -37,17 +39,15 @@ STATE_SCHEMA = 1
 
 @dataclass(slots=True)
 class GenerationRecord:
-    """One generation: who was simulated, and who was pruned instead."""
+    """One generation: the points simulated and their outcomes."""
 
     index: int
     population: list[PointEval]
-    prune_log: list[PruneDecision] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "index": self.index,
             "population": [e.to_dict() for e in self.population],
-            "prune_log": [d.to_dict() for d in self.prune_log],
         }
 
     @classmethod
@@ -55,7 +55,6 @@ class GenerationRecord:
         return cls(
             index=int(data["index"]),
             population=[PointEval.from_dict(e) for e in data["population"]],
-            prune_log=[PruneDecision(**d) for d in data.get("prune_log", [])],
         )
 
 
@@ -117,12 +116,6 @@ class SearchState:
         archive = self.archive
         idx = pareto_front([e.objectives for e in archive], self.objectives)
         return [archive[i] for i in idx]
-
-    @property
-    def evaluations_pruned(self) -> int:
-        return sum(
-            1 for g in self.generations for d in g.prune_log if d.pruned
-        )
 
     @property
     def final_population_hash(self) -> str:

@@ -273,7 +273,10 @@ def table1_parameters(quick: bool = True) -> FigureResult:
         ["NLR load blend", f"β={cfg.nlr.queue_weight} queue / busy"],
         ["NLR neighbourhood weight", f"α={cfg.nlr.own_weight}"],
         ["NLR damping", f"p∈[{cfg.nlr.p_min},{cfg.nlr.p_max}], γ={cfg.nlr.gamma}"],
-        ["Replications", f"{_reps(quick)} seeds, mean ± 95% CI"],
+        ["Replications",
+         f"{_reps(quick)} seeds per sweep cell, {_point_reps(quick)} per "
+         "single-point cell (fig5, table2, ablations, ext_rtscts, "
+         "ext_energy); mean ± 95% CI"],
     ]
     return FigureResult(
         name="table1",

@@ -89,8 +89,8 @@ audit file) — see docs/CAMPAIGNS.md.
 
 The protocol parameters these figures hold fixed can themselves be
 searched: ``repro-dse`` runs factorial screenings and seeded
-evolutionary searches over any config fields, with surrogate pruning
-and Pareto reporting — see docs/DSE.md.
+evolutionary searches over any config fields, with Pareto reporting —
+see docs/DSE.md.
 
 """
 

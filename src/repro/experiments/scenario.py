@@ -91,7 +91,6 @@ class ScenarioConfig:
     phy: PhyConfig = field(default_factory=PhyConfig)
     mac: str = "csma"               # "csma" | "perfect"
     mac_config: MacConfig = field(default_factory=MacConfig)
-    sinr_threshold_db: float = 10.0
     propagation_delay: bool = True
     #: Batched simulation kernel (DESIGN.md §8): block-event fan-out,
     #: vectorised SINR/capture decisions, slot-batched CSMA timers.
@@ -180,6 +179,13 @@ class ScenarioConfig:
             )
         if self.sim_time_s <= self.warmup_s:
             raise ValueError("sim_time_s must exceed warmup_s")
+        if self.n_flows < 1:
+            raise ValueError(f"n_flows must be ≥ 1, got {self.n_flows!r}")
+        if not self.flow_rate_pps > 0:
+            # ``not >`` also rejects NaN.
+            raise ValueError(
+                f"flow_rate_pps must be positive, got {self.flow_rate_pps!r}"
+            )
         if self.fault_spec is not None and self.fault_plan is not None:
             raise ValueError("give fault_spec or fault_plan, not both")
         # Canonicalise the declarative specs to JSON-native form (tuples →
@@ -425,7 +431,7 @@ def build_network(config: ScenarioConfig) -> Network:
                 i,
                 replace(config.phy),
                 net.streams.stream(f"phy.rx.{i}"),
-                error_model=SinrThresholdErrorModel(config.sinr_threshold_db),
+                error_model=SinrThresholdErrorModel(),
                 tracer=net.tracer,
             )
             net.channel.register(radio, tuple(net.positions[i]))

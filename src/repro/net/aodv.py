@@ -51,6 +51,17 @@ from repro.sim.engine import EventHandle
 
 __all__ = ["AodvConfig", "AodvRouting"]
 
+#: How long an (origin, rreq_id) pair suppresses duplicate RREQs
+#: (RFC 3561 PATH_DISCOVERY_TIME), in seconds.
+PATH_DISCOVERY_TIME = 10.0
+#: Packets buffered during route discovery that are older than this are
+#: dropped at flush time (RFC 3561 §6.3 leaves the bound to the
+#: implementation), in seconds.
+BUFFER_TIMEOUT = 8.0
+#: Upper bound of the uniform delay before an RREQ rebroadcast (the
+#: broadcast jitter RFC 3561 §6.5 refers to), in seconds.
+RREQ_JITTER_MAX = 0.01
+
 
 @dataclass(slots=True)
 class AodvConfig:
@@ -63,9 +74,6 @@ class AodvConfig:
     #: Wait for a RREP after the first attempt (NET_TRAVERSAL_TIME-ish);
     #: doubled on each retry.
     rreq_wait_s: float = 1.0
-    #: How long an (origin, rreq_id) pair suppresses duplicates
-    #: (PATH_DISCOVERY_TIME).
-    rreq_id_cache_s: float = 10.0
     #: RREQ TTL for network-wide floods (NET_DIAMETER).
     rreq_ttl: int = 32
     #: Expanding-ring search (RFC 3561 §6.4): first attempts use growing
@@ -77,12 +85,9 @@ class AodvConfig:
     ttl_threshold: int = 7
     #: Packets buffered per destination during discovery.
     buffer_capacity: int = 64
-    #: Buffered packets older than this are dropped at flush time.
-    buffer_timeout_s: float = 8.0
     #: HELLO beaconing (needed for neighbour liveness and NLR piggyback).
     hello_enabled: bool = True
     hello_interval_s: float = 1.0
-    neighbour_lifetime_s: float = 2.5
     #: Intermediate nodes with a fresh-enough route may answer RREQs.
     intermediate_reply: bool = True
     #: RFC 3561 §6.6.3: when an intermediate node answers a RREQ, also
@@ -90,8 +95,6 @@ class AodvConfig:
     #: route back to the originator (needed when the destination must
     #: reply to unsolicited data, e.g. TCP-like request/response).
     gratuitous_rrep: bool = False
-    #: Uniform jitter before an RREQ rebroadcast.
-    rreq_jitter_max_s: float = 0.01
     #: Destination-side reply window: 0 answers the first RREQ copy (plain
     #: AODV); > 0 collects copies and answers the best-cost one (NLR).
     dest_reply_wait_s: float = 0.0
@@ -200,9 +203,7 @@ class AodvRouting(RoutingProtocol):
         from repro.net.routing_base import RoutingTable
 
         self.table = RoutingTable(stack.sim)
-        self.neighbour_table = NeighbourTable(
-            stack.sim, lifetime_s=self.config.neighbour_lifetime_s
-        )
+        self.neighbour_table = NeighbourTable(stack.sim)
         if self.config.hello_enabled:
             self.hello = HelloService(
                 stack,
@@ -276,7 +277,7 @@ class AodvRouting(RoutingProtocol):
 
     def _flush_buffer(self, dst: int) -> None:
         q = self._buffer.pop(dst, [])
-        horizon = self.sim.now - self.config.buffer_timeout_s
+        horizon = self.sim.now - BUFFER_TIMEOUT
         for packet, enqueued in q:
             if enqueued < horizon:
                 self.data_dropped_buffer += 1
@@ -401,7 +402,7 @@ class AodvRouting(RoutingProtocol):
     # RREQ handling
     # ------------------------------------------------------------------ #
     def _remember_rreq(self, key: tuple[int, int]) -> None:
-        self._rreq_seen[key] = self.sim.now + self.config.rreq_id_cache_s
+        self._rreq_seen[key] = self.sim.now + PATH_DISCOVERY_TIME
         if len(self._rreq_seen) > 4096:
             now = self.sim.now
             self._rreq_seen = {
@@ -576,7 +577,7 @@ class AodvRouting(RoutingProtocol):
             return
         delay = decision.assessment_delay_s
         if delay <= 0.0:
-            delay = float(self.rng.uniform(0.0, self.config.rreq_jitter_max_s))
+            delay = float(self.rng.uniform(0.0, RREQ_JITTER_MAX))
         state.pending = self.sim.schedule_in(
             delay, self._rebroadcast_rreq, packet, key
         )

@@ -71,6 +71,20 @@ class TestRunCli:
         assert rc == 2
         assert "bad --grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--time", "3", "--warmup", "5"], "sim_time_s must exceed warmup_s"),
+            (["--rate", "-5"], "flow_rate_pps must be positive"),
+            (["--grid", "0x0"], "grid dimensions must be ≥ 1"),
+        ],
+    )
+    def test_bad_scenario_value_exits_2(self, capsys, args, message):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("python -m repro: error: ")
+        assert message in err and len(err.splitlines()) == 1
+
     def test_bad_protocol_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--protocol", "ospf"])

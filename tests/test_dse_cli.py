@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -102,11 +103,11 @@ def test_screen_command(env, capsys):
     args = [
         "screen", "--space", str(env / "space.json"),
         "--base", str(env / "base.json"), "--out", str(env / "screen"),
-        "--levels", "3", "--no-surrogate", "--seed", "7",
+        "--levels", "3", "--seed", "7",
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
-    assert "design: 9 cells, 9 evaluated, 0 pruned" in out
+    assert "design: 9 cells, 9 evaluated\n" in out
     assert (env / "screen" / "state.json").exists()
     # The report reads the same state and prints the same hash line.
     hash_line = [l for l in out.splitlines()
@@ -126,7 +127,7 @@ def test_cli_prunes_run_logs_to_the_newest(env, capsys):
     assert main([
         "screen", "--space", str(env / "space.json"),
         "--base", str(env / "base.json"), "--out", str(env / "screen"),
-        "--levels", "1", "--no-surrogate",
+        "--levels", "1",
     ]) == 0
     capsys.readouterr()
     assert not any(p.exists() for p in stubs[:3])
@@ -154,3 +155,33 @@ def test_errors_exit_2(env, capsys, tmp_path):
 
     assert main(["report", str(tmp_path / "nowhere")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--no-surrogate", "--prune-quantile=0.3"])
+def test_pruning_flags_are_gone(env, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(search_args(env, extra=[flag]))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_report_reads_a_state_file_with_a_prune_log(tmp_path, capsys):
+    # Written by a version that pruned screening cells with a surrogate
+    # model: its generations carry a ``prune_log`` and its settings carry
+    # the pruning knobs.  The report ignores both.
+    src = Path(__file__).with_name("dse_state_with_prune_log.json")
+    out = tmp_path / "old"
+    out.mkdir()
+    (out / "state.json").write_text(src.read_text())
+    assert "prune_log" in json.loads(src.read_text())["generations"][0]
+
+    assert main(["report", str(out)]) == 0
+    table = capsys.readouterr().out
+    assert "screen2: 8 evaluated" in table
+    assert "final population hash: 30b51a6084d043f7" in table
+
+    assert main(["report", str(out), "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 8
+
+    assert main(["report", str(out), "--format", "scatter"]) == 0
+    assert "(* = Pareto front)" in capsys.readouterr().out

@@ -81,10 +81,6 @@ class TestDimensions:
         assert IntegerDim("r", "x", 2, 20).levels(1) == [11]
         assert IntegerDim("r", "x", 2, 20).levels(3) == [2, 11, 20]
 
-    def test_normalize(self):
-        assert ContinuousDim("x", "f", 0.0, 2.0).normalize(1.0) == [0.5]
-        assert CategoricalDim("x", "f", ("a", "b")).normalize("b") == [0.0, 1.0]
-
 
 class TestParameterSpace:
     def test_rejects_duplicates_and_empty(self):
@@ -152,13 +148,13 @@ class TestParameterSpace:
             space2.bind(base, {"x": 0.5})
 
     def test_bind_runs_config_validation(self):
-        # gamma bounds come from NlrConfig itself — a space declared wider
+        # p_min bounds come from NlrConfig itself — a space declared wider
         # than the config's legal range cannot smuggle bad values through.
         space = ParameterSpace(
-            "s", [ContinuousDim("w", "nlr.ewma_alpha", 0.0, 1.0)]
+            "s", [ContinuousDim("p", "nlr.p_min", 0.0, 1.0)]
         )
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            space.bind(ScenarioConfig(), {"w": 0.0})
+        with pytest.raises(ValueError, match="p_min"):
+            space.bind(ScenarioConfig(), {"p": 0.0})
 
     def test_crossover_mixes_parents(self):
         space = small_space()

@@ -35,6 +35,19 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(sim_time_s=5.0, warmup_s=5.0)
 
+    @pytest.mark.parametrize("pattern", ["gateway", "random"])
+    @pytest.mark.parametrize("n_flows", [0, -3])
+    def test_no_flows_rejected(self, pattern, n_flows):
+        # Without the check a gateway scenario ran with no flows and
+        # reported pdr 0.0; a random one failed only inside build_network.
+        with pytest.raises(ValueError, match="n_flows must be ≥ 1"):
+            ScenarioConfig(n_flows=n_flows, flow_pattern=pattern)
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, math.nan])
+    def test_non_positive_flow_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="flow_rate_pps must be positive"):
+            ScenarioConfig(flow_rate_pps=rate)
+
     def test_node_count(self):
         assert ScenarioConfig(grid_nx=4, grid_ny=5).node_count == 20
         assert ScenarioConfig(topology="random", n_nodes=17).node_count == 17

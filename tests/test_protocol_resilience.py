@@ -105,7 +105,7 @@ class TestRerrPropagationOnChain:
 class TestHelloUnderFlapping:
     def test_neighbour_expires_while_dark_and_returns(self):
         # Node 4's radio goes dark from t=6 to t=15 (one long flap cycle):
-        # neighbours must expire it after neighbour_lifetime_s, then
+        # neighbours must expire it after their 2.5 s lifetime, then
         # re-learn it from post-recovery HELLOs.
         plan = FaultPlan([RadioFlap(node=4, start_s=5.0, period_s=10.0,
                                     duty_on=0.1, until_s=16.0)])
