@@ -6,6 +6,9 @@ Every experiment result persists as content-keyed JSON under
 few figures that do not run on exec cells.  Campaign run logs live in
 its ``runs/`` directory.
 :func:`cache_key` is the stable content hash the cell ids are built from;
+it folds in :data:`SEMANTICS_STAMP`, so a change of simulator behaviour
+(which must rewrite ``tests/golden_runs.json``, and with it the stamp)
+leaves every older checkpoint unread;
 :func:`atomic_write_json` writes through a per-process unique temp file
 followed by an atomic ``os.replace``, so concurrent writers of the same
 key (e.g. parallel campaign workers) can never interleave bytes — last
@@ -24,7 +27,11 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-__all__ = ["atomic_write_json", "cache_dir", "cache_key"]
+__all__ = ["SEMANTICS_STAMP", "atomic_write_json", "cache_dir", "cache_key"]
+
+#: The first 16 hex digits of sha256(``tests/golden_runs.json``); a test
+#: keeps the two equal.
+SEMANTICS_STAMP = "b79355b59f3efa27"
 
 
 def cache_dir() -> Path:
@@ -42,8 +49,12 @@ def cache_dir() -> Path:
 
 
 def cache_key(name: str, params: dict[str, Any]) -> str:
-    """Stable content hash for ``name`` with ``params``."""
-    blob = json.dumps({"name": name, "params": params}, sort_keys=True, default=str)
+    """Stable content hash for ``name`` with ``params`` under this
+    simulator's :data:`SEMANTICS_STAMP`."""
+    blob = json.dumps(
+        {"name": name, "params": params, "semantics": SEMANTICS_STAMP},
+        sort_keys=True, default=str,
+    )
     return f"{name}-{hashlib.sha256(blob.encode()).hexdigest()[:16]}"
 
 

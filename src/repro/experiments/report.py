@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import subprocess
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -66,6 +67,18 @@ repository's simulator actually measures.  Absolute numbers are not
 comparable to the original (different simulator substrate); orderings and
 trends are the reproduction target.
 
+Each figure's **Claims** check its expected shape on its own per-seed
+runs.  A claim compares one cell's mean with a threshold, or the
+difference of two cells with a margin, pairing run k of one cell with
+run k of the other over their common seed ladder (a pair with a NaN is
+dropped).  Each line gives the estimate, its 95 % Student-t interval and
+the number of runs n.  `holds` means the whole interval lies on the
+claimed side, `contradicted` that it lies wholly on the other side, and
+`unresolved` anything else; validation_mac's single deterministic runs
+are compared as values (`n=1`).  In the ablations, a variant's `pdr` and
+`jain_fairness` claims against AODV form one either-or check: the
+variant is not dominated by AODV when either holds.
+
 Regenerate any single figure with::
 
     python -m repro.experiments --figure fig1
@@ -95,6 +108,19 @@ see docs/DSE.md.
 """
 
 
+def _source_rev() -> str:
+    """``git describe --always --dirty`` of the source tree, or ``unknown``."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent, capture_output=True,
+            text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
 def generate_report(
     figures: Iterable[str] | None = None,
     quick: bool = True,
@@ -104,8 +130,8 @@ def generate_report(
     names = list(figures) if figures is not None else list(ALL_FIGURES)
     sections = [_PREAMBLE]
     sections.append(
-        f"_Generated {datetime.date.today().isoformat()} in "
-        f"{'quick' if quick else 'full'} mode._\n"
+        f"_Generated {datetime.date.today().isoformat()} at rev "
+        f"`{_source_rev()}` in {'quick' if quick else 'full'} mode._\n"
     )
     for name in names:
         fn = ALL_FIGURES[name]
@@ -123,6 +149,11 @@ def generate_report(
             sections.append("")
             sections.append(chart)
         sections.append("```\n")
+        if result.claims:
+            sections.append("**Claims:**\n")
+            sections.append("```text")
+            sections.extend(str(claim) for claim in result.claims)
+            sections.append("```\n")
         if result.notes:
             sections.append(f"**Measured:** {result.notes}\n")
     return "\n".join(sections)

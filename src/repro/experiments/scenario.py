@@ -186,6 +186,51 @@ class ScenarioConfig:
             raise ValueError(
                 f"flow_rate_pps must be positive, got {self.flow_rate_pps!r}"
             )
+        # What build_network would reject only later, inside a worker.
+        if self.grid_nx < 1 or self.grid_ny < 1:
+            raise ValueError(
+                "grid dimensions must be ≥ 1, got grid_nx×grid_ny = "
+                f"{self.grid_nx}×{self.grid_ny}"
+            )
+        if not self.spacing_m > 0:
+            raise ValueError(f"spacing_m must be positive, got {self.spacing_m!r}")
+        if self.topology != "grid" and self.n_nodes < 2:
+            raise ValueError(
+                f"n_nodes must be ≥ 2 for a {self.topology} topology, "
+                f"got {self.n_nodes!r}"
+            )
+        if self.payload_bytes <= 0:
+            raise ValueError(
+                f"payload_bytes must be positive, got {self.payload_bytes!r}"
+            )
+        if self.flow_pattern == "gateway" and not (
+            1 <= self.n_gateways <= self.node_count
+        ):
+            raise ValueError(
+                f"n_gateways must be in [1, {self.node_count}], "
+                f"got {self.n_gateways!r}"
+            )
+        if self.mobility == "rwp":
+            vmin, vmax = self.speed_range
+            if not 0 < vmin <= vmax:
+                raise ValueError(
+                    f"speed_range must satisfy 0 < vmin ≤ vmax, "
+                    f"got {self.speed_range!r}"
+                )
+            if self.pause_s < 0:
+                raise ValueError(f"pause_s must be ≥ 0, got {self.pause_s!r}")
+            if not self.mobility_update_s > 0:
+                raise ValueError(
+                    f"mobility_update_s must be positive, "
+                    f"got {self.mobility_update_s!r}"
+                )
+        last_start = self.flow_start_s + (self.n_flows - 1) * self.flow_stagger_s
+        if last_start >= self.sim_time_s:
+            raise ValueError(
+                f"the last flow starts at {last_start:g} s "
+                f"(flow_start_s + (n_flows − 1)·flow_stagger_s), "
+                f"not before sim_time_s = {self.sim_time_s:g}"
+            )
         if self.fault_spec is not None and self.fault_plan is not None:
             raise ValueError("give fault_spec or fault_plan, not both")
         # Canonicalise the declarative specs to JSON-native form (tuples →

@@ -43,6 +43,7 @@ json_values = st.recursive(
 
 @st.composite
 def scenario_configs(draw) -> ScenarioConfig:
+    n_flows = draw(st.integers(min_value=1, max_value=12))
     kwargs = {
         "protocol": draw(st.sampled_from(["nlr", "aodv", "dsdv", "gossip"])),
         "seed": draw(st.integers(min_value=0, max_value=2**31 - 1)),
@@ -57,13 +58,16 @@ def scenario_configs(draw) -> ScenarioConfig:
         "gossip_p": draw(st.floats(min_value=0.01, max_value=1.0,
                                    allow_nan=False)),
         "counter_threshold": draw(st.integers(min_value=1, max_value=8)),
-        "n_flows": draw(st.integers(min_value=1, max_value=12)),
+        "n_flows": n_flows,
         "flow_rate_pps": draw(st.floats(min_value=0.1, max_value=50.0,
                                         allow_nan=False)),
         "traffic": draw(st.sampled_from(["cbr", "poisson", "onoff"])),
         "warmup_s": 0.5,
-        "sim_time_s": draw(st.floats(min_value=1.0, max_value=100.0,
-                                     allow_nan=False)),
+        # Past the last flow start, 1.0 + (n_flows - 1) * 0.5 s at the
+        # default start and stagger: a config that can never run is
+        # rejected at construction.
+        "sim_time_s": draw(st.floats(min_value=1.0 + 0.5 * n_flows,
+                                     max_value=100.0, allow_nan=False)),
     }
     if draw(st.booleans()):
         kwargs["fault_spec"] = {

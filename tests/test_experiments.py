@@ -1,5 +1,6 @@
 """Tests for scenario construction, the runner, sweeps, cache, and CLI."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -47,6 +48,34 @@ class TestScenarioConfig:
     def test_non_positive_flow_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="flow_rate_pps must be positive"):
             ScenarioConfig(flow_rate_pps=rate)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(grid_nx=0), "grid_nx"),
+            (dict(grid_ny=0), "grid_ny"),
+            (dict(spacing_m=0.0), "spacing_m"),
+            (dict(spacing_m=-10.0), "spacing_m"),
+            (dict(topology="chain", n_nodes=1), "n_nodes"),
+            (dict(topology="random", n_nodes=1), "n_nodes"),
+            (dict(payload_bytes=0), "payload_bytes"),
+            (dict(flow_pattern="gateway", n_gateways=0), "n_gateways"),
+            (dict(flow_pattern="gateway", n_gateways=26), "n_gateways"),
+            (dict(mobility="rwp", speed_range=(0.0, 5.0)), "speed_range"),
+            (dict(mobility="rwp", speed_range=(5.0, 1.0)), "speed_range"),
+            (dict(mobility="rwp", pause_s=-1.0), "pause_s"),
+            (dict(mobility="rwp", mobility_update_s=0.0), "mobility_update_s"),
+            (dict(grid_nx=3, grid_ny=3, sim_time_s=3.0, warmup_s=1.0),
+             "sim_time_s"),
+            (dict(n_flows=1, flow_start_s=3.0, sim_time_s=3.0, warmup_s=1.0),
+             "sim_time_s"),
+        ],
+    )
+    def test_unbuildable_values_rejected_naming_the_field(self, kwargs, field):
+        # Each of these used to build a config that build_network then
+        # rejected inside a worker, with a message naming no field.
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**kwargs)
 
     def test_node_count(self):
         assert ScenarioConfig(grid_nx=4, grid_ny=5).node_count == 20
@@ -183,6 +212,27 @@ class TestCache:
     def test_key_sensitivity(self):
         assert cache_key("x", {"p": 1}) != cache_key("x", {"p": 2})
 
+    def test_semantics_stamp_tracks_golden_runs(self):
+        # Any behaviour change rewrites golden_runs.json, so the stamp —
+        # and with it every cell id and stored-rows key — must move too.
+        from pathlib import Path
+
+        from repro.experiments.cache import SEMANTICS_STAMP
+
+        golden = Path(__file__).parent / "golden_runs.json"
+        digest = hashlib.sha256(golden.read_bytes()).hexdigest()
+        assert SEMANTICS_STAMP == digest[:16]
+
+    def test_key_carries_the_semantics_stamp(self, monkeypatch):
+        from repro.exec.task import task_id_for
+        from repro.experiments import cache
+
+        config = tiny()
+        key, cell = cache_key("x", {"p": 1}), task_id_for(config)
+        monkeypatch.setattr(cache, "SEMANTICS_STAMP", "0" * 16)
+        assert cache_key("x", {"p": 1}) != key
+        assert task_id_for(config) != cell
+
     def test_cached_roundtrip(self, tmp_path, monkeypatch):
         from repro.experiments.figures import _stored_rows
 
@@ -212,6 +262,72 @@ class TestCache:
         monkeypatch.delenv("REPRO_NO_CACHE")
         _stored_rows("t", {"p": 1}, lambda: calls.append(1) or 1)
         assert len(calls) == 2
+
+
+class TestClaims:
+    """The verdict rule of a figure's expected-shape claims."""
+
+    @staticmethod
+    def level(values, relation, threshold, exact=False):
+        from repro.experiments.figures import _level_claim
+
+        return _level_claim("x", values, relation, threshold, exact=exact)
+
+    @staticmethod
+    def diff(a, b, relation, margin):
+        from repro.experiments.figures import _difference_claim
+
+        return _difference_claim("a − b", a, b, relation, margin)
+
+    def test_holds_when_the_interval_clears_the_threshold(self):
+        claim = self.level([1.0, 1.1, 0.9], ">", 0.5)
+        assert claim.verdict == "holds"
+        assert str(claim).startswith("[holds] x > 0.5: 1 [")
+        assert str(claim).endswith(", n=3")
+
+    def test_contradicted_when_the_interval_lies_on_the_other_side(self):
+        assert self.level([0.1, 0.2, 0.15], ">", 0.5).verdict == "contradicted"
+
+    def test_unresolved_when_the_interval_straddles(self):
+        claim = self.level([0.0, 1.0], ">", 0.5)
+        assert claim.verdict == "unresolved"
+        assert claim.ci.low < 0.5 < claim.ci.high
+
+    def test_zero_spread_on_the_threshold(self):
+        assert self.level([0.0, 0.0, 0.0], "≤", 0.0).verdict == "holds"
+        assert self.level([0.0, 0.0, 0.0], "<", 0.0).verdict == "contradicted"
+
+    def test_single_deterministic_run_is_compared_as_a_value(self):
+        claim = self.level([3.4], "<", 8.0, exact=True)
+        assert claim.verdict == "holds"
+        assert str(claim) == "[holds] x < 8: 3.4, n=1"
+        assert self.level([9.0], "<", 8.0, exact=True).verdict == "contradicted"
+
+    def test_single_random_run_resolves_nothing(self):
+        claim = self.level([0.95], ">", 0.9)
+        assert claim.verdict == "unresolved"
+        assert str(claim) == "[unresolved] x > 0.9: 0.95, n=1"
+        assert self.level([], ">", 0.9).verdict == "unresolved"
+
+    def test_pairs_over_the_common_seed_prefix(self):
+        # Adaptive replication stopped one cell after two runs: only
+        # seeds 0 and 1 have a partner.
+        claim = self.diff([1.0, 2.0, 3.0, 4.0], [0.5, 1.5], ">", 0.0)
+        assert claim.ci.n == 2 and claim.ci.mean == pytest.approx(0.5)
+        assert claim.verdict == "holds"
+        assert str(claim).startswith("[holds] a − b > 0: 0.5 [0.5, 0.5], n=2")
+
+    def test_nan_pairs_dropped(self):
+        # A run with no delivery has a NaN delay: its pair is dropped.
+        nan = math.nan
+        claim = self.diff([nan, 0.2, 0.3, 0.25], [0.1, 0.1, 0.1, nan], ">", 0.0)
+        assert claim.ci.n == 2
+        assert claim.ci.mean == pytest.approx(0.15)
+
+    def test_negative_numbers_print_with_a_minus_sign(self):
+        claim = self.diff([0.1, 0.2], [0.3, 0.3], "≥", -0.05)
+        assert claim.verdict == "unresolved"
+        assert "≥ −0.05: −0.15 [" in str(claim)
 
 
 class TestSweepCheckpoints:
@@ -245,29 +361,37 @@ class TestSweepCheckpoints:
             protocols=("aodv",),
         )
 
-    def test_changed_apply_is_not_served_stale(self, outcomes):
-        from repro.experiments.figures import _summarize_cell
+    @staticmethod
+    def dump(sweep):
+        return json.dumps(
+            {p: {v: [r.as_dict() for r in runs] for v, runs in cells.items()}
+             for p, cells in sweep.items()}
+        )
 
+    def test_changed_apply_is_not_served_stale(self, outcomes):
         first = self.sweep_at(2.0)
         second = self.sweep_at(12.0)
         cell = replace(tiny(sim_time_s=6.0), flow_rate_pps=12.0)
-        expected = _summarize_cell(
-            [run_scenario(replace(cell, seed=cell.seed + k)) for k in range(2)]
+        expected = [
+            run_scenario(replace(cell, seed=cell.seed + k)).as_dict()
+            for k in range(2)
+        ]
+        assert json.dumps([r.as_dict() for r in second["aodv"]["1"]]) == (
+            json.dumps(expected)
         )
-        assert json.dumps(second["aodv"]["1"]) == json.dumps(expected)
-        assert second != first
+        assert self.dump(second) != self.dump(first)
 
     def test_repeat_runs_zero_cells_and_no_cache_recomputes(
         self, outcomes, monkeypatch
     ):
-        first = self.sweep_at(4.0)
+        first = self.dump(self.sweep_at(4.0))
         assert outcomes and all(o.source == "run" for o in outcomes)
         outcomes.clear()
-        assert self.sweep_at(4.0) == first
+        assert self.dump(self.sweep_at(4.0)) == first
         assert outcomes and all(o.source == "checkpoint" for o in outcomes)
         outcomes.clear()
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert json.dumps(self.sweep_at(4.0)) == json.dumps(first)
+        assert self.dump(self.sweep_at(4.0)) == first
         assert outcomes and all(o.source == "run" for o in outcomes)
 
 
@@ -307,6 +431,11 @@ class TestCli:
         assert main(["--figure", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Two-ray ground" in out
+        from repro.experiments.figures import table1_parameters
+
+        labels = {row[0] for row in table1_parameters().rows}
+        assert "Transmission range" in labels
+        assert "NLR damping" in labels
 
     def test_unknown_figure_errors(self):
         from repro.experiments.__main__ import main

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import FigureResult, _difference_claim
 from repro.experiments import report as report_mod
 from repro.experiments.report import generate_report, write_experiments_md
 
@@ -20,6 +20,9 @@ def fake_figures(monkeypatch):
             headers=["rate", "aodv_pdr", "nlr_pdr"],
             rows=[[10, 1.0, 1.0], [20, 0.9, 0.95], [30, 0.7, 0.85]],
             expectation="nlr above aodv",
+            claims=[_difference_claim(
+                "nlr − aodv pdr @ 30", [0.85, 0.86], [0.7, 0.7], ">", 0.0
+            )],
             notes="measured note",
         )
 
@@ -44,6 +47,17 @@ class TestGenerateReport:
         assert "**Expected shape:** nlr above aodv" in out
         assert "**Measured:** measured note" in out
         assert "Provenance caveat" in out
+
+    def test_claims_one_line_each(self, fake_figures):
+        out = generate_report(quick=True)
+        assert "**Claims:**" in out
+        [line] = [l for l in out.splitlines() if l.startswith("[")]
+        assert line.startswith("[holds] nlr − aodv pdr @ 30 > 0: 0.155 [")
+        assert line.endswith(", n=2")
+
+    def test_header_names_the_generating_rev(self, fake_figures):
+        out = generate_report(quick=True)
+        assert " at rev `" in out and "in quick mode" in out
 
     def test_numeric_figure_gets_chart(self, fake_figures):
         out = generate_report(quick=True)
@@ -75,3 +89,14 @@ class TestRenderedFigure:
         assert "f: t" in out
         assert "Expected shape: exp" in out
         assert "Notes: note" in out
+
+    def test_render_prints_one_line_per_claim(self):
+        claims = [
+            _difference_claim("b − a", [1.0, 1.0], [0.0, 0.0], ">", 0.0),
+            _difference_claim("a − b", [0.0, 0.1], [0.1, 0.0], ">", 0.0),
+        ]
+        fig = FigureResult(name="f", title="t", headers=["a"], rows=[[1]],
+                           expectation="exp", claims=claims)
+        lines = fig.render().splitlines()
+        assert lines[-2] == "[holds] b − a > 0: 1 [1, 1], n=2"
+        assert lines[-1].startswith("[unresolved] a − b > 0: 0 [")
