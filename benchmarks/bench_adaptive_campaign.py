@@ -14,7 +14,7 @@ Three claims of the campaign fabric, measured and gated:
 
 2. **Keeping the shared pool up amortises worker startup.**  A burst of
    small campaigns — the replicate-wave / DSE-generation shape — runs on
-   the ``pool`` backend three ways: cold (``shutdown_shared_pools()``
+   the shared pool three ways: cold (``shutdown_shared_pools()``
    before every campaign, which is what a fresh pool per campaign cost),
    kept up with its one fork charged inside the window, and steady-state
    (workers already up, the sustained regime of a long sweep session).
@@ -23,8 +23,8 @@ Three claims of the campaign fabric, measured and gated:
    ``kept_up_steady_wall_s`` (the kept-up arms).  Both speedups are
    recorded; on multi-core machines steady-state must exceed 1.05×.
 
-3. **The fixed budget on ``--backend pool`` stays byte-identical and faster.**
-   The sweep's fixed-budget aggregate through the pool backend must equal
+3. **The fixed budget on the shared pool stays byte-identical and faster.**
+   The sweep's fixed-budget aggregate through the pool must equal
    the serial reference bit for bit, and with two or more cores the pool
    arm must run it at least 1.2× faster than serial (2.5× with four
    workers on four or more cores).
@@ -159,7 +159,7 @@ def bench_pool_reuse(quick: bool, workers: int) -> dict:
         [replace(base, seed=base.seed + 10 * c + k) for k in range(workers)]
         for c in range(n_campaigns)
     ]
-    policy = ExecPolicy(workers=workers, backend="pool", checkpoint=False)
+    policy = ExecPolicy(workers=workers, checkpoint=False)
 
     def run_burst(arm: str, fresh_per_campaign: bool) -> float:
         t0 = time.perf_counter()
@@ -187,7 +187,7 @@ def bench_pool_reuse(quick: bool, workers: int) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# 3. Fixed-budget byte-identity and speedup through the pool backend
+# 3. Fixed-budget byte-identity and speedup through the shared pool
 # --------------------------------------------------------------------- #
 def bench_identity(quick: bool, workers: int) -> dict:
     cells = _sweep_cells(quick)
@@ -199,7 +199,7 @@ def bench_identity(quick: bool, workers: int) -> dict:
     t1 = time.perf_counter()
     pool = run_configs(
         "bench-ident-pool", configs,
-        ExecPolicy(workers=workers, backend="pool", checkpoint=False),
+        ExecPolicy(workers=workers, checkpoint=False),
     )
     t2 = time.perf_counter()
     a = json.dumps([r.as_dict() for r in serial], sort_keys=True)
@@ -276,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{POLICY.ci_halfwidth} half-width)"
         )
     if not identity["pool_matches_serial"]:
-        failures.append("pool backend aggregate diverged from serial")
+        failures.append("pool aggregate diverged from serial")
     floor = 2.5 if workers >= 4 else 1.2
     if cores >= 2 and identity["pool_speedup"] < floor:
         failures.append(

@@ -24,13 +24,12 @@ Because each cell is simulated from its own seed in a fresh engine, the
 aggregate of a parallel campaign is byte-identical to the serial one —
 results are reassembled in task order, never completion order.
 
-Execution is pluggable (:mod:`repro.exec.backends`): beyond the shared
-process pool there is a coordinator-free *filestore* backend where N
-independent launcher processes cooperate over the content-addressed cell
-directory via atomic claim files (kill-safe: stale claims from dead
-launchers are swept).  Pool workers keep the environment they were forked
-with: call :func:`shutdown_shared_pools` after changing ``REPRO_*``
-variables that cells should see.
+The worker count alone picks where cells run (:mod:`repro.exec.backends`):
+in-process at ``workers=1``, on the shared pool otherwise.  Kill safety
+comes from the per-cell checkpoints: a killed campaign re-run with
+``resume=True`` recomputes only what had not finished.  Pool workers keep
+the environment they were forked with: call :func:`shutdown_shared_pools`
+after changing ``REPRO_*`` variables that cells should see.
 
 Every replicated cell — ``replicate()``, ``sweep()``, the figures, DSE
 evaluation — goes through :func:`replicate_cells`
@@ -62,16 +61,7 @@ from repro.exec.adaptive import (
     parse_adaptive_spec,
     replicate_cells,
 )
-from repro.exec.backends import (
-    BACKENDS,
-    Backend,
-    ClaimStore,
-    FileStoreBackend,
-    PoolBackend,
-    SerialBackend,
-    make_backend,
-    shutdown_shared_pools,
-)
+from repro.exec.backends import shutdown_shared_pools
 from repro.exec.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
 from repro.exec.policy import ExecPolicy, configure, current_policy, using
 from repro.exec.progress import ProgressReporter
@@ -84,27 +74,20 @@ from repro.exec.scheduler import (
 from repro.exec.task import Campaign, Task
 
 __all__ = [
-    "BACKENDS",
     "CHECKPOINT_SCHEMA",
     "AdaptiveDecision",
     "AdaptivePolicy",
     "AdaptiveReport",
-    "Backend",
     "Campaign",
     "CampaignExecutor",
     "CampaignResult",
     "CheckpointStore",
-    "ClaimStore",
     "ExecPolicy",
-    "FileStoreBackend",
-    "PoolBackend",
     "ProgressReporter",
-    "SerialBackend",
     "Task",
     "TaskOutcome",
     "configure",
     "current_policy",
-    "make_backend",
     "parse_adaptive_spec",
     "replicate_cells",
     "run_configs",

@@ -3,7 +3,7 @@
 :class:`ExecPolicy` bundles every knob of the campaign executor.  The
 module also keeps one process-wide default policy so high-level entry
 points (``replicate``, the figure sweeps) pick up CLI settings
-(``--workers``, ``--backend``) without threading a parameter through every
+(``--workers``, ``--adaptive``) without threading a parameter through every
 call site: the CLI calls :func:`configure` once, everything downstream
 calls :func:`current_policy`.  :func:`add_exec_args` and
 :func:`policy_from_args` give every CLI the same execution flags.
@@ -33,12 +33,6 @@ __all__ = [
     "using",
 ]
 
-#: Backend names accepted by :attr:`ExecPolicy.backend` (see
-#: :mod:`repro.exec.backends`); ``auto`` resolves to ``serial`` for one
-#: worker and ``pool`` otherwise.
-BACKEND_CHOICES = ("auto", "serial", "pool", "filestore")
-
-
 @dataclass(slots=True, frozen=True)
 class ExecPolicy:
     """Knobs governing one campaign execution.
@@ -46,7 +40,9 @@ class ExecPolicy:
     Attributes
     ----------
     workers:
-        Process-pool size; ``1`` runs cells in-process in task order.
+        Process-pool size; ``1`` runs cells in-process in task order,
+        more run them on one process-wide ``ProcessPoolExecutor`` kept up
+        across campaigns (see :mod:`repro.exec.backends`).
     task_timeout_s:
         Per-task wall-clock budget; a cell exceeding it is recorded as a
         timeout failure (and retried up to ``retries`` times).  ``None``
@@ -69,12 +65,6 @@ class ExecPolicy:
     log_dir:
         Directory for run logs and adaptive audits (default:
         ``results/cache/runs``).
-    backend:
-        Execution backend (see :mod:`repro.exec.backends`): ``auto``
-        (serial for one worker, process pool otherwise), ``serial``,
-        ``pool`` (one process-wide ``ProcessPoolExecutor`` of ``workers``
-        processes, kept up across campaigns), or ``filestore``
-        (cooperating launchers over the cell directory).
     adaptive:
         Optional :class:`~repro.exec.adaptive.AdaptivePolicy`.  When set,
         :func:`~repro.exec.adaptive.replicate_cells` — and so
@@ -92,7 +82,6 @@ class ExecPolicy:
     checkpoint: bool | None = None
     progress: bool = False
     log_dir: Path | None = None
-    backend: str = "auto"
     adaptive: "AdaptivePolicy | None" = None
 
     def __post_init__(self) -> None:
@@ -107,24 +96,10 @@ class ExecPolicy:
                 "task_timeout_s must be positive and finite, or None; "
                 f"got {self.task_timeout_s}"
             )
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_CHOICES}, got {self.backend!r}"
-            )
-
-    @property
-    def effective_backend(self) -> str:
-        """``auto`` resolved to a concrete backend name."""
-        if self.backend == "auto":
-            return "serial" if self.workers <= 1 else "pool"
-        return self.backend
 
     @property
     def wants_checkpoint(self) -> bool:
-        """Effective checkpointing switch (auto-on for parallel/resume/
-        filestore — the latter communicates *through* checkpoints)."""
-        if self.backend == "filestore":
-            return True
+        """Effective checkpointing switch (auto-on for parallel/resume)."""
         if self.checkpoint is not None:
             return self.checkpoint
         return self.resume or self.workers > 1
@@ -160,7 +135,7 @@ def using(**overrides) -> Iterator[ExecPolicy]:
 
 def add_exec_args(parser: Any) -> None:
     """Add the execution flags every CLI shares to an argparse parser:
-    ``--workers --task-timeout --retries --backend --adaptive``."""
+    ``--workers --task-timeout --retries --adaptive``."""
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker processes for simulation cells (default 1 = serial)",
@@ -172,10 +147,6 @@ def add_exec_args(parser: Any) -> None:
     parser.add_argument(
         "--retries", type=int, default=1, metavar="N",
         help="re-attempts per failed/timed-out cell (default 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="auto",
-        help="execution backend (auto = serial at --workers 1, else pool)",
     )
     parser.add_argument(
         "--adaptive", default=None, metavar="METRIC:HW[:MIN_REPS]",
@@ -201,7 +172,6 @@ def policy_from_args(parser: Any, args: Any) -> ExecPolicy:
             workers=args.workers,
             task_timeout_s=args.task_timeout,
             retries=args.retries,
-            backend=args.backend,
             adaptive=parse_adaptive_spec(args.adaptive) if args.adaptive else None,
             progress=args.workers > 1,
         )

@@ -8,8 +8,8 @@ X ev/s | ETA Ys``).  It always writes the campaign's *run log*: a
 (:mod:`repro.obs.schema`), so ``repro-trace validate`` reads it like any
 trace.
 
-* **Header:** ``campaign``, ``tasks``, ``workers``, ``backend``, ``host``,
-  ``pid`` and ``start_time`` (epoch seconds).
+* **Header:** ``campaign``, ``tasks``, ``workers``, ``host``, ``pid`` and
+  ``start_time`` (epoch seconds).
 * **Records:** ``cat="exec"``, ``node=-1``, ``t`` in seconds since the
   header.  ``ev="task_done"`` carries task id, status, source (fresh run
   vs checkpoint), attempts, duration, simulated events, seed, protocol
@@ -149,7 +149,6 @@ class ProgressReporter:
             campaign=campaign.name,
             tasks=len(campaign),
             workers=policy.workers,
-            backend=policy.effective_backend,
         )
 
     def task_finished(self, outcome: "TaskOutcome") -> None:

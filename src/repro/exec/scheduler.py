@@ -1,16 +1,16 @@
-"""Campaign scheduler: orchestration over pluggable execution backends.
+"""Campaign scheduler: resume, retry rounds and crash budgets.
 
 The :class:`CampaignExecutor` runs a :class:`~repro.exec.task.Campaign`
-under an :class:`~repro.exec.policy.ExecPolicy`.  Every backend
-(``serial`` — the ``auto`` default at ``workers == 1`` — ``pool`` and
-``filestore``; see :mod:`repro.exec.backends`) runs cells in
-retry *rounds*.  Failure containment is layered: simulation errors and
-wall-clock timeouts are returned as structured failures by the worker
-(retried with exponential backoff up to ``retries`` times); hard process
-death is reported by the backend as a *crash suspect* under a separate,
-small crash budget, so one poisoned cell cannot sink its innocent
-neighbours, yet a cell that kills every worker it touches is eventually
-recorded as failed and the campaign completes without it.
+under an :class:`~repro.exec.policy.ExecPolicy`.  Cells run in retry
+*rounds*, in-process at ``workers == 1`` and on the shared process pool
+otherwise (see :mod:`repro.exec.backends`).  Failure containment is
+layered: simulation errors and wall-clock timeouts are returned as
+structured failures by the worker (retried with exponential backoff up
+to ``retries`` times); hard process death is reported by the pool as a
+*crash suspect* under a separate, small crash budget, so one poisoned
+cell cannot sink its innocent neighbours, yet a cell that kills every
+worker it touches is eventually recorded as failed and the campaign
+completes without it.
 
 Completed cells are checkpointed per-task (see
 :mod:`repro.exec.checkpoint`); with ``resume=True`` they are loaded
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.exec.backends import Backend, make_backend
+from repro.exec.backends import run_pool, run_serial
 from repro.exec.checkpoint import CheckpointStore
 from repro.exec.policy import ExecPolicy, current_policy
 from repro.exec.progress import ProgressReporter
@@ -113,12 +113,10 @@ class CampaignExecutor:
         policy: ExecPolicy | None = None,
         store: CheckpointStore | None = None,
         reporter: ProgressReporter | None = None,
-        backend: Backend | None = None,
     ) -> None:
         self.policy = policy
         self.store = store
         self.reporter = reporter
-        self.backend = backend
 
     # ------------------------------------------------------------------ #
     def run(self, campaign: Campaign) -> CampaignResult:
@@ -162,13 +160,7 @@ class CampaignExecutor:
                 pending.append(i)
 
         if pending:
-            backend = self.backend
-            if backend is None:
-                backend = make_backend(policy, store=store)
-            try:
-                self._run_rounds(campaign, pending, policy, record, backend)
-            finally:
-                backend.close()
+            self._run_rounds(campaign, pending, policy, record)
 
         ordered = [outcomes[i] for i in range(len(campaign.tasks))]
         result = CampaignResult(campaign, ordered, time.monotonic() - t0)
@@ -176,15 +168,16 @@ class CampaignExecutor:
         return result
 
     # ------------------------------------------------------------------ #
-    def _run_rounds(self, campaign, pending, policy, record, backend) -> None:
-        # Crash containment: the pool backend cannot attribute a hard
+    def _run_rounds(self, campaign, pending, policy, record) -> None:
+        run_batch = run_pool if policy.workers > 1 else run_serial
+        # Crash containment: the pool cannot attribute a hard
         # worker death to one cell (the whole stdlib pool breaks), so it
         # reports every unfinished in-flight cell as a *suspect*.  Suspects
         # re-run one per single-task batch, alone on the shared pool, so a
         # poisoned cell can only break the pool under itself.  A cell that
         # crashes ``crash_limit`` times (once shared, then solo) is
         # recorded as failed; innocents complete on their first solo
-        # run.  Only the pool backend reports suspects.
+        # run.  Only the pool reports suspects.
         crash_limit = max(2, policy.retries + 1)
         queue: list[tuple[int, int, int]] = [(i, 1, 0) for i in pending]
         round_no = 0
@@ -226,9 +219,9 @@ class CampaignExecutor:
             fresh = [e for e in batch if e[2] == 0]
             suspects = [e for e in batch if e[2] > 0]
             if fresh:
-                backend.run_batch(campaign, fresh, policy, absorb, crashed)
+                run_batch(campaign, fresh, policy, absorb, crashed)
             for entry in suspects:
-                backend.run_batch(campaign, [entry], policy, absorb, crashed)
+                run_batch(campaign, [entry], policy, absorb, crashed)
             queue = retry
 
     # ------------------------------------------------------------------ #
@@ -265,8 +258,8 @@ def run_configs(
 
     The one-call entry point the figure sweeps use: policy defaults to the
     process-wide :func:`~repro.exec.policy.current_policy` (which the CLI
-    configures from ``--workers``/``--backend``), and any failed cell
-    raises with a summary of what went wrong.
+    configures from ``--workers``), and any failed cell raises with a
+    summary of what went wrong.
     """
     campaign = Campaign.from_configs(name, configs, tags=tags)
     executor = CampaignExecutor(policy=policy, reporter=reporter)

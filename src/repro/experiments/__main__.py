@@ -13,8 +13,8 @@ processes (tables stay byte-identical to serial runs).  Every finished
 cell is checkpointed and every run resumes from the checkpoints, so an
 interrupted regeneration picks up where it stopped and a repeat render
 simulates nothing (``REPRO_NO_CACHE=1`` recomputes every cell).
-``--backend`` selects how workers run
-(``pool``/``filestore`` — see docs/CAMPAIGNS.md) and
+``--workers 1`` runs cells in-process; more run them on one process pool
+kept up across campaigns (see docs/CAMPAIGNS.md).
 ``--adaptive METRIC:HALFWIDTH[:MIN_REPS]`` turns the replication count of
 every replicated figure into a budget with sequential-CI early stopping
 (without it, output is byte-identical to the fixed budget).

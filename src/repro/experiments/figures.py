@@ -205,7 +205,7 @@ def _difference_claim(
 def _campaign_policy() -> ExecPolicy:
     """The policy every figure campaign runs under.
 
-    The process-wide policy (workers, backend, adaptive, …) with cell
+    The process-wide policy (workers, adaptive, …) with cell
     checkpoints always written and always resumed from — except that
     ``REPRO_NO_CACHE=1`` skips the checkpoint reads, so every cell
     recomputes (and its checkpoint is rewritten).

@@ -75,9 +75,12 @@ dropped).  Each line gives the estimate, its 95 % Student-t interval and
 the number of runs n.  `holds` means the whole interval lies on the
 claimed side, `contradicted` that it lies wholly on the other side, and
 `unresolved` anything else; validation_mac's single deterministic runs
-are compared as values (`n=1`).  In the ablations, a variant's `pdr` and
-`jain_fairness` claims against AODV form one either-or check: the
-variant is not dominated by AODV when either holds.
+are compared as values (`n=1`).  Quick-mode sweep cells (fig1–fig4,
+fig6, ext_mobility, resilience) carry 2 seeds, so their intervals use
+t(1) = 12.7: there `unresolved` means too few runs, not a failed shape.
+In the ablations, a variant's `pdr` and `jain_fairness` claims against
+AODV form one either-or check: the variant is not dominated by AODV
+when either holds.
 
 Regenerate any single figure with::
 
@@ -92,13 +95,12 @@ to a serial run — fixed-seed cells are bit-deterministic across
 processes and the executor reassembles them in task order.  Every
 finished cell is checkpointed and every run resumes from the
 checkpoints, so an interrupted regeneration continues where it stopped
-(``REPRO_NO_CACHE=1`` recomputes every cell).  ``--backend`` picks the
-execution backend (a process pool kept up across campaigns, or
-multi-launcher ``filestore``) and ``--adaptive
-pdr:0.02`` replicates each cell only until its 95 % CI half-width meets
-the declared target in every replicated figure (without it each cell
-buys the fixed budget; the per-cell stop decisions are logged to a JSONL
-audit file) — see docs/CAMPAIGNS.md.
+(``REPRO_NO_CACHE=1`` recomputes every cell).  ``--workers 1`` runs
+cells in-process; more run them on one process pool kept up across
+campaigns.  ``--adaptive pdr:0.02`` replicates each cell only until its
+95 % CI half-width meets the declared target in every replicated figure
+(without it each cell buys the fixed budget; the per-cell stop decisions
+are logged to a JSONL audit file) — see docs/CAMPAIGNS.md.
 
 The protocol parameters these figures hold fixed can themselves be
 searched: ``repro-dse`` runs factorial screenings and seeded

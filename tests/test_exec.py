@@ -351,7 +351,7 @@ class TestProgress:
         CampaignExecutor(ExecPolicy(log_dir=tmp_path)).run(campaign)
         [log] = tmp_path.glob("quiet-*.jsonl")
         header, records, _ = load_trace(log)
-        assert header["backend"] == "serial" and header["workers"] == 1
+        assert header["workers"] == 1 and "backend" not in header
         assert header["pid"] == os.getpid() and header["host"]
         assert header["start_time"] == pytest.approx(time.time(), abs=60)
         assert [r["ev"] for r in records] == ["task_done", "campaign_end"]

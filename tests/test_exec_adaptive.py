@@ -513,15 +513,14 @@ class TestCliSpecWiring:
         from repro.exec import configure, current_policy
 
         assert main(["--list", "--adaptive", "pdr:0.02:3",
-                     "--backend", "pool"]) == 0
+                     "--workers", "2"]) == 0
         pol = current_policy()
         try:
             assert pol.adaptive is not None
             assert pol.adaptive.metric == "pdr"
-            assert pol.backend == "pool"
+            assert pol.workers == 2
         finally:
-            configure(adaptive=None, backend="auto", workers=1,
-                      progress=False, resume=False)
+            configure(adaptive=None, workers=1, progress=False, resume=False)
 
     @pytest.mark.parametrize("flags", [
         ["--retries", "-1"],
@@ -531,6 +530,7 @@ class TestCliSpecWiring:
         ["--adaptive", "pdr"],
         ["--no-adaptive"],
         ["--claim-ttl", "5"],
+        ["--backend", "pool"],
         ["--task-timeout", "inf"],
         ["--task-timeout", "nan"],
         ["--adaptive", "pdr:nan"],

@@ -1,20 +1,16 @@
-"""Tests for the pluggable execution backends (repro.exec.backends).
+"""Tests for where campaign cells run (repro.exec.backends).
 
-Covers the byte-identity contract every backend owes the serial
-reference, the shared process pool (reuse across campaigns, crash
-attribution, replacement of a pool broken while idle), the filestore
-backend's claim protocol (including the stale-lock sweep and
-kill-mid-claim resume), and the scheduler's retry/timeout paths and
-failure records (the run log's ``task_done`` records) serially and under
-``--workers 4``.
+Covers the byte-identity contract the shared process pool owes the
+serial reference, the pool itself (reuse across campaigns, crash
+attribution, replacement of a pool broken while idle), and the
+scheduler's retry/timeout paths and failure records (the run log's
+``task_done`` records) serially and under ``--workers 4``.
 """
 
 import json
 import multiprocessing as mp
 import os
 import signal
-import subprocess
-import threading
 import time
 
 import pytest
@@ -22,10 +18,7 @@ import pytest
 from repro.exec import (
     Campaign,
     CampaignExecutor,
-    CheckpointStore,
-    ClaimStore,
     ExecPolicy,
-    FileStoreBackend,
     run_configs,
     shutdown_shared_pools,
 )
@@ -77,40 +70,15 @@ class TestBackendIdentity:
     def test_reused_pool_matches_serial(self):
         configs = [tiny(p, seed=s) for p in ("aodv", "nlr") for s in (3, 4)]
         serial = run_configs("id-serial", configs, ExecPolicy())
-        policy = ExecPolicy(workers=2, backend="pool", checkpoint=False)
+        policy = ExecPolicy(workers=2, checkpoint=False)
         first = run_configs("id-pool-a", configs, policy)
         second = run_configs("id-pool-b", configs, policy)  # same workers
         assert metric_dump(serial) == metric_dump(first)
         assert metric_dump(serial) == metric_dump(second)
 
-    def test_filestore_matches_serial(self):
-        configs = [tiny(seed=s) for s in (3, 4, 5)]
-        serial = run_configs("id-serial", configs, ExecPolicy())
-        fs = run_configs(
-            "id-fs", configs, ExecPolicy(workers=2, backend="filestore")
-        )
-        assert metric_dump(serial) == metric_dump(fs)
-
-    def test_explicit_pool_matches_serial(self):
-        configs = [tiny(seed=s) for s in (3, 4)]
-        serial = run_configs("id-serial", configs, ExecPolicy())
-        pool = run_configs(
-            "id-pool", configs,
-            ExecPolicy(workers=2, backend="pool", checkpoint=False),
-        )
-        assert metric_dump(serial) == metric_dump(pool)
-
-    def test_unknown_backend_rejected(self):
-        for name in ("carrier-pigeon", "warm"):
-            with pytest.raises(ValueError, match="backend"):
-                ExecPolicy(backend=name)
-
 
 class TestSharedPool:
-    POLICY = ExecPolicy(
-        workers=2, backend="pool", retries=0, backoff_s=0.0,
-        checkpoint=False,
-    )
+    POLICY = ExecPolicy(workers=2, retries=0, backoff_s=0.0, checkpoint=False)
 
     def test_workers_persist_across_campaigns(self):
         run_configs("pool-a", [tiny(seed=s) for s in (3, 4, 5)], self.POLICY)
@@ -160,108 +128,8 @@ class TestSharedPool:
         assert len(pool_pids()) == 2
 
 
-class TestClaimStore:
-    def test_claim_is_exclusive_until_released(self, tmp_path):
-        claims = ClaimStore(tmp_path / "claims")
-        assert claims.try_claim("t1")
-        assert not claims.try_claim("t1")
-        claims.release("t1")
-        assert claims.try_claim("t1")
-
-    def test_live_same_host_claim_not_stale(self, tmp_path):
-        claims = ClaimStore(tmp_path / "claims")
-        claims.try_claim("t1")  # our own live PID
-        assert not claims.is_stale("t1", ttl_s=0.0)
-
-    def test_dead_pid_claim_is_stale_immediately(self, tmp_path):
-        claims = ClaimStore(tmp_path / "claims")
-        proc = subprocess.Popen(["sleep", "0"])
-        proc.wait()  # reaped: the PID is provably gone
-        claims.path("t1").write_text(json.dumps(
-            {"pid": proc.pid, "host": claims.host, "t": time.time()}
-        ))
-        assert claims.is_stale("t1", ttl_s=3600.0)
-        assert claims.sweep_stale(["t1"], ttl_s=3600.0) == ["t1"]
-        assert not claims.path("t1").exists()
-
-    def test_foreign_host_claim_needs_ttl(self, tmp_path):
-        claims = ClaimStore(tmp_path / "claims")
-        path = claims.path("t1")
-        path.write_text(json.dumps(
-            {"pid": 1, "host": "some-other-host", "t": time.time()}
-        ))
-        assert not claims.is_stale("t1", ttl_s=3600.0)
-        old = time.time() - 100.0
-        os.utime(path, (old, old))
-        assert claims.is_stale("t1", ttl_s=60.0)
-
-    def test_torn_claim_gets_grace_then_reaped(self, tmp_path):
-        claims = ClaimStore(tmp_path / "claims")
-        path = claims.path("t1")
-        path.write_text('{"pid": 12')  # claimant died mid-write
-        assert not claims.is_stale("t1", ttl_s=3600.0)  # within grace
-        old = time.time() - 10.0
-        os.utime(path, (old, old))
-        assert claims.is_stale("t1", ttl_s=3600.0)
-
-    def test_released_claim_not_stale(self, tmp_path):
-        claims = ClaimStore(tmp_path / "claims")
-        assert not claims.is_stale("never-claimed", ttl_s=0.0)
-
-
-class TestFileStoreResume:
-    def test_killed_launcher_claim_swept_and_cell_finished(self):
-        """SIGKILL-mid-claim shape: a dead peer's claim must not wedge us."""
-        configs = [tiny(seed=s) for s in (3, 4, 5)]
-        campaign = Campaign.from_configs("fs-resume", configs)
-        store = CheckpointStore()
-        backend = FileStoreBackend(store=store, poll_s=0.05)
-        proc = subprocess.Popen(["sleep", "0"])
-        proc.wait()
-        wedged = campaign.tasks[1].task_id
-        backend.claims.path(wedged).write_text(json.dumps(
-            {"pid": proc.pid, "host": backend.claims.host, "t": time.time()}
-        ))
-        policy = ExecPolicy(workers=2, backend="filestore", backoff_s=0.0)
-        result = CampaignExecutor(policy, backend=backend).run(campaign)
-        assert result.ok == 3
-        assert not backend.claims.path(wedged).exists()
-        serial = run_configs("fs-resume-ref", configs, ExecPolicy())
-        assert metric_dump(serial) == metric_dump(
-            [o.result for o in result.outcomes]
-        )
-
-    def test_peer_checkpoint_absorbed_without_local_run(self):
-        """A cell claimed by a live peer is awaited, not recomputed."""
-        configs = [tiny(seed=s) for s in (3, 4)]
-        campaign = Campaign.from_configs("fs-peer", configs)
-        store = CheckpointStore()
-        backend = FileStoreBackend(store=store, poll_s=0.05)
-        peer_task = campaign.tasks[0]
-        assert backend.claims.try_claim(peer_task.task_id)  # live peer: us
-
-        def peer_finishes():
-            from repro.exec.worker import execute_payload, payload_for_config
-            from repro.experiments.serialization import result_to_dict  # noqa: F401
-
-            out = execute_payload(payload_for_config(peer_task.config, None))
-            store.store(peer_task.task_id, out["result"])
-            backend.claims.release(peer_task.task_id)
-
-        t = threading.Thread(target=peer_finishes)
-        t.start()
-        policy = ExecPolicy(workers=2, backend="filestore", backoff_s=0.0)
-        result = CampaignExecutor(policy, backend=backend).run(campaign)
-        t.join()
-        assert result.ok == 2
-        by_seed = {o.task.config.seed: o for o in result.outcomes}
-        # Peer-delivered cells carry no local compute time.
-        assert by_seed[3].duration_s == 0.0
-        assert by_seed[4].duration_s > 0.0
-
-
 class TestRetryTimeoutQuarantine:
-    """Scheduler failure paths, serial (in-process ``SerialBackend``) and
+    """Scheduler failure paths, serial (in-process ``run_serial``) and
     under ``--workers 4``; both run through the same retry rounds.  The
     crash case stays parallel-only: a hard exit in-process would take the
     test runner down with it."""

@@ -79,7 +79,7 @@ GUARDED_RUN = textwrap.dedent(
             digests[name] = run_digest(config)
 
     configs = [replace(base_config(), protocol="nlr", seed=s) for s in (1, 2, 3)]
-    policy = ExecPolicy(workers=2, backend="pool", checkpoint=False)
+    policy = ExecPolicy(workers=2, checkpoint=False)
     outcomes = CampaignExecutor(policy=policy).run(
         Campaign.from_configs("guard", configs)
     ).outcomes
