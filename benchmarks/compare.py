@@ -23,6 +23,11 @@ Gates::
 The wall and ratio-drop gates compare like with like: they need both
 records in the same ``quick`` mode.
 
+Two ``perfbench`` records (``record.py`` wraps perfbench runs) are only
+printed, never gated: per workload and end-to-end metric, the median and
+quartiles over each record's untraced runs (every run contributes its
+own per-run median), and the ratio of the new median to the old one.
+
 ``old`` may also be a *directory* (e.g. the repo root): the newest
 ``BENCH_*.json`` in it of the candidate's kind and ``quick`` mode is
 picked automatically — which is how CI diffs a fresh rerun against
@@ -38,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from pathlib import Path
 
@@ -150,6 +156,55 @@ def compare(
     return failures
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)`` of ``values`` (inclusive method)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def _run_values(record: dict) -> dict[tuple[str, str], list[float]]:
+    """``(workload, metric)`` → the values of a perfbench record's
+    untraced runs, in run order; ``failed_frac`` counts as a metric."""
+    out: dict[tuple[str, str], list[float]] = {}
+    for run in record["detail"]["runs"]:
+        values = {k: m["value"] for k, m in run["metrics"].items()}
+        values["failed_frac"] = run["failed_frac"]
+        for name, value in values.items():
+            out.setdefault((run["workload"], name), []).append(value)
+    return out
+
+
+def compare_runs(old: dict, new: dict) -> None:
+    """Print the end-to-end metrics of two perfbench records side by side."""
+    for tag, rec in (("old", old), ("new", new)):
+        revs = sorted({run["rev"] for run in rec["detail"]["runs"]})
+        print(f"{tag}: perfbench rev {rec['rev']}  source revs "
+              f"{', '.join(revs) or '--'}  ({rec['generated_utc']})")
+    old_v, new_v = _run_values(old), _run_values(new)
+    print(f"\n{'workload':<11}{'metric':<13}{'n':>7}"
+          f"{'old median [q1, q3]':>32}{'new median [q1, q3]':>32}"
+          f"{'ratio':>8}")
+    for key in sorted(set(old_v) | set(new_v)):
+        cols, medians = [], []
+        for side in (old_v, new_v):
+            values = side.get(key)
+            if not values:
+                cols.append(f"{'--':>32}")
+                continue
+            q1, med, q3 = quartiles(values)
+            medians.append(med)
+            cols.append(f"{f'{med:.4g} [{q1:.4g}, {q3:.4g}]':>32}")
+        counts = "/".join(str(len(side.get(key, []))) for side in (old_v, new_v))
+        ratio = (f"{medians[1] / medians[0]:.3f}x"
+                 if len(medians) == 2 and medians[0] else "--")
+        print(f"{key[0]:<11}{key[1]:<13}{counts:>7}{cols[0]}{cols[1]}"
+              f"{ratio:>8}")
+    print("\nratio = new median / old median (base: the old median); "
+          "n = old/new runs")
+
+
 def _parse_min_derived(specs: list[str]) -> dict[str, float]:
     out: dict[str, float] = {}
     for spec in specs:
@@ -189,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
     if old["kind"] != new["kind"]:
         raise SystemExit(
             f"cannot compare a {old['kind']} record with a {new['kind']} one")
+    if new["kind"] == "perfbench":
+        if args.fail_above is not None or args.min_derived:
+            raise SystemExit("perfbench records are printed, not gated")
+        compare_runs(old, new)
+        return 0
     failures = compare(old, new, args.fail_above,
                        _parse_min_derived(args.min_derived))
     if failures:

@@ -41,8 +41,12 @@ from repro.exec import (
     replicate_cells,
 )
 from repro.experiments.cache import cache_key
-from repro.experiments.runner import ScenarioResult
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.runner import (
+    ScenarioResult,
+    collect_result,
+    frees_simulation,
+)
+from repro.experiments.scenario import ScenarioConfig, build_network
 from repro.metrics.fairness import jain_index, load_concentration
 from repro.metrics.summary import format_table
 
@@ -1035,6 +1039,25 @@ def validation_mac(quick: bool = True) -> FigureResult:
 # ---------------------------------------------------------------------- #
 # Extension — communication energy and network lifetime
 # ---------------------------------------------------------------------- #
+@frees_simulation
+def _energy_run(
+    config: ScenarioConfig, battery_j: float
+) -> tuple[float, float, float, float]:
+    """One metered run of ``config``: the busiest node's energy (J), Jain
+    fairness over per-node energy, projected lifetime (s) and PDR."""
+    from repro.phy.energy import EnergyConfig, attach_energy_meters
+
+    net = build_network(config)
+    meters = attach_energy_meters(net, EnergyConfig(idle_w=0.0))
+    net.start()
+    net.sim.run(until=config.sim_time_s)
+    net.stop()
+    consumed = [m.consumed_j() for m in meters.values()]
+    peak = max(consumed)
+    lifetime = battery_j / (peak / config.sim_time_s)
+    return peak, jain_index(consumed), lifetime, collect_result(net).pdr
+
+
 def ext_energy(quick: bool = True) -> FigureResult:
     """Extension: does load spreading translate into network lifetime?
 
@@ -1045,11 +1068,6 @@ def ext_energy(quick: bool = True) -> FigureResult:
     *projected lifetime* — how long a battery of fixed size would last at
     the busiest node's burn rate (first-node-death convention).
     """
-    from repro.experiments.runner import collect_result
-    from repro.experiments.scenario import build_network
-    from repro.metrics.fairness import jain_index
-    from repro.phy.energy import EnergyConfig, attach_energy_meters
-
     protocols = ("aodv", "gossip", "nlr")
     n_runs = _point_reps(quick)
     sim_time = 20.0 if quick else 40.0
@@ -1067,19 +1085,11 @@ def ext_energy(quick: bool = True) -> FigureResult:
                     protocol=proto, sim_time_s=sim_time,
                     **{**REFERENCE_POINT, "seed": REFERENCE_POINT["seed"] + k},
                 )
-                net = build_network(config)
-                meters = attach_energy_meters(
-                    net, EnergyConfig(idle_w=0.0)
-                )
-                net.start()
-                net.sim.run(until=sim_time)
-                net.stop()
-                consumed = [m.consumed_j() for m in meters.values()]
-                peak = max(consumed)
+                peak, jain, lifetime, pdr = _energy_run(config, battery_j)
                 max_j.append(peak)
-                jain_vals.append(jain_index(consumed))
-                lifetimes.append(battery_j / (peak / sim_time))
-                pdrs.append(collect_result(net).pdr)
+                jain_vals.append(jain)
+                lifetimes.append(lifetime)
+                pdrs.append(pdr)
             out[proto] = {"max_j": max_j, "jain_energy": jain_vals,
                           "lifetime_s": lifetimes, "pdr": pdrs}
         return out

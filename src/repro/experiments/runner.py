@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import time
+import traceback
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -17,7 +20,10 @@ from repro.metrics.fairness import forwarding_load, jain_index
 from repro.obs.spec import finalize_observability
 from repro.obs.wiring import totals_from_snapshot
 
-__all__ = ["METRIC_KEYS", "ScenarioResult", "run_scenario", "replicate"]
+__all__ = [
+    "METRIC_KEYS", "ScenarioResult", "frees_simulation", "run_scenario",
+    "replicate",
+]
 
 #: The scalar metrics of :meth:`ScenarioResult.as_dict`, in its order.
 METRIC_KEYS = (
@@ -69,6 +75,45 @@ class ScenarioResult:
         return {key: getattr(self, key) for key in METRIC_KEYS}
 
 
+def frees_simulation(fn: Callable) -> Callable:
+    """Collect the simulation ``fn`` builds before its caller gets control.
+
+    A wired network is one web of reference cycles (bound-method
+    callbacks radio↔MAC↔stack, channel↔radios, timer↔owner), so
+    refcounting never frees it and CPython's automatic full collection
+    runs too seldom to keep up with back-to-back runs.  The wrapper calls
+    ``fn`` (its frame and every local are gone once it returns), then
+    runs one ``gc.collect()``.  When nothing is frozen on entry, the call
+    and the collection sit inside a ``gc.freeze()``/``gc.unfreeze()``
+    bracket, so the collection walks only the objects created during the
+    call, not the caller's heap.  Objects a caller froze stay frozen.  If
+    ``fn`` raises (a simulation error, or a worker's wall-clock timeout),
+    the locals of its finished frames are cleared, so the exception's
+    traceback does not keep the network alive either, and the bracket is
+    closed all the same.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        bracket = gc.get_freeze_count() == 0
+        if bracket:
+            gc.freeze()
+        try:
+            try:
+                return fn(*args, **kwargs)
+            except BaseException as exc:
+                traceback.clear_frames(exc.__traceback__)
+                raise
+            finally:
+                gc.collect()
+        finally:
+            if bracket:
+                gc.unfreeze()
+
+    return wrapper
+
+
+@frees_simulation
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Build, run, and measure one scenario.
 
@@ -76,7 +121,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     artifact is closed here and its ``*.metrics.json`` /
     ``*.profile.json`` companions written (same snapshot the result
     carries), so every run — including exec worker cells — leaves a
-    self-contained artifact set behind.
+    self-contained artifact set behind.  The network is collected before
+    this returns (:func:`frees_simulation`).
     """
     t0 = time.perf_counter()
     net = build_network(config)

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.forwarding_policy import LoadAdaptiveGossip
+from repro.experiments.runner import frees_simulation
 from repro.mac.csma import CsmaMac, MacConfig
 from repro.net.addressing import BROADCAST_ADDR
 from repro.net.flooding import BroadcastService
@@ -58,6 +59,7 @@ def _make_policy(
     raise ValueError(f"unknown storm policy {name!r}; choose from {STORM_POLICIES}")
 
 
+@frees_simulation
 def run_storm(
     policy: str = "blind",
     n_nodes: int = 30,

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from repro.analysis.bianchi import saturation_throughput_bps
+from repro.experiments.runner import frees_simulation
 from repro.mac.csma import CsmaMac, MacConfig
 from repro.phy.channel import Channel
 from repro.phy.propagation import TwoRayGround
@@ -26,6 +27,7 @@ from repro.sim.rng import RandomStreams
 __all__ = ["run_saturation", "saturation_comparison"]
 
 
+@frees_simulation
 def run_saturation(
     n: int,
     duration_s: float = 5.0,

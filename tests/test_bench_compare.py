@@ -83,6 +83,52 @@ class TestCompare:
         assert cmp.compare(old, new, 1.25, {"r": 2.0})
 
 
+def _perfbench(rev, rss, workload="campaign", trace=0):
+    """A perfbench record of one untraced run per ``rss`` value."""
+    runs = [
+        {"workload": workload, "trace": trace, "rev": f"src-{rev}",
+         "cpu": "cpu-x", "cores": 2, "python": "3.11", "numpy": "2",
+         "failed_frac": 0.0,
+         "metrics": {"peak_rss_mb": {"value": v, "unit": "MB", "n": 1}}}
+        for v in rss
+    ]
+    return record.perfbench(runs, rev)
+
+
+class TestComparePerfbench:
+    def test_prints_median_quartiles_and_ratio(self, capsys):
+        old = _perfbench("a", [96.0, 95.0, 97.0, 96.5, 95.5])
+        new = _perfbench("b", [79.0, 80.0, 79.5, 78.5, 79.2])
+        cmp.compare_runs(old, new)
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "peak_rss_mb" in line)
+        assert row.split()[:3] == ["campaign", "peak_rss_mb", "5/5"]
+        assert "96 [95.5, 96.5]" in row
+        assert "79.2 [79, 79.5]" in row
+        assert row.endswith(f"{79.2 / 96.0:.3f}x")
+        assert "source revs src-a" in out and "base: the old median" in out
+
+    def test_workload_on_one_side_only(self, capsys):
+        old = _perfbench("a", [50.0], workload="discovery")
+        new = _perfbench("b", [40.0, 42.0])
+        cmp.compare_runs(old, new)
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if "peak_rss_mb" in line]
+        assert rows[0].split()[:3] == ["campaign", "peak_rss_mb", "0/2"]
+        assert rows[1].split()[:4] == ["discovery", "peak_rss_mb", "1/0",
+                                       "50"]
+        assert all(row.endswith("--") for row in rows)
+
+    def test_main_prints_and_refuses_gates(self, tmp_path, capsys):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(_perfbench("a", [96.0])))
+        new.write_text(json.dumps(_perfbench("b", [79.0])))
+        assert cmp.main([str(old), str(new)]) == 0
+        assert "0.823x" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cmp.main([str(old), str(new), "--fail-above", "1.25"])
+
+
 class TestParseMinDerived:
     def test_parses_pairs(self):
         got = cmp._parse_min_derived(["a:1.5", "b:3"])
