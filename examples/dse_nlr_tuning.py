@@ -2,15 +2,15 @@
 """Design-space exploration demo: tune NLR's gossip curve automatically.
 
 The paper hand-picks the load-adaptive gossip parameters (γ, p_min, the
-load-mix weights).  This demo lets the ``repro.dse`` subsystem find them:
-a seeded evolutionary search over a three-dimensional slice of the NLR
-parameter space, evaluated on a loaded 4×4 mesh, with a Pareto report of
-the delivery/latency/overhead trade-off at the end.
+load-mix weights).  This demo lets the ``repro.dse`` subsystem map them:
+a seeded 26-point Latin-hypercube screening of a three-dimensional slice
+of the NLR parameter space, evaluated on a loaded 4×4 mesh, with a Pareto
+report of the delivery/latency/overhead trade-off at the end.
 
 Everything is deterministic: re-running this script reproduces the same
-final population hash, and killing it mid-run and re-running resumes from
-``results/dse-example/`` plus the per-cell checkpoints instead of
-starting over.
+final population hash, and killing it mid-run and re-running loads every
+finished cell from its checkpoint instead of starting over.  The state
+file is written to ``results/dse-example/``.
 
 Run:
     python examples/dse_nlr_tuning.py            (~1-2 minutes)
@@ -20,11 +20,11 @@ from pathlib import Path
 
 from repro.dse import (
     ContinuousDim,
-    EvolutionarySearch,
     ParameterSpace,
-    SearchSettings,
+    ScreenSettings,
     ascii_scatter,
     pareto_table,
+    run_screening,
 )
 from repro.experiments.scenario import ScenarioConfig
 
@@ -44,12 +44,11 @@ def main() -> None:
         protocol="nlr", grid_nx=4, grid_ny=4, n_flows=6,
         flow_rate_pps=50.0, sim_time_s=12.0, warmup_s=2.0, seed=7,
     )
-    settings = SearchSettings(population=8, generations=4, seed=11, elites=2)
+    settings = ScreenSettings(lhs_n=26, seed=11)
 
-    print(f"searching {space.name}: {len(space)} dimensions, "
-          f"{settings.population}×{settings.generations} evaluations budget")
-    search = EvolutionarySearch(space, base, settings, out_dir=OUT)
-    state = search.run(resume=True)  # picks up prior state if present
+    print(f"screening {space.name}: {len(space)} dimensions, "
+          f"{settings.lhs_n}-point Latin hypercube")
+    state = run_screening(space, base, settings, out_dir=OUT)
 
     best = state.best
     print(f"\nsimulations run: {state.simulations_run}")

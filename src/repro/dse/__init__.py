@@ -6,10 +6,10 @@ Public surface:
   integer / categorical dimensions) bound declaratively onto
   :class:`~repro.experiments.scenario.ScenarioConfig` fields;
 * :mod:`repro.dse.design` — full-factorial and Latin-hypercube builders;
-* :mod:`repro.dse.evolve` — seeded, resumable evolutionary search whose
-  evaluations run as content-hashed :mod:`repro.exec` cells;
-* :mod:`repro.dse.screen` — factorial / Latin-hypercube screening;
-* :mod:`repro.dse.state` — the one :class:`SearchState` both return,
+* :mod:`repro.dse.screen` — factorial / Latin-hypercube screening, the
+  one way this package explores a space; every design point runs as
+  content-hashed :mod:`repro.exec` cells;
+* :mod:`repro.dse.state` — the :class:`SearchState` a screening returns,
   its ``state.json`` writer and :func:`load_state`;
 * :mod:`repro.dse.objectives` — objectives, weighted scoring, Pareto
   fronts (multi-criteria decision support);
@@ -17,12 +17,12 @@ Public surface:
 * :mod:`repro.dse.cli` — the ``repro-dse`` entry point.
 
 See ``docs/DSE.md`` for the space JSON schema and the reproducibility
-guarantees (deterministic seeds, kill-and-resume byte-identity).
+guarantees (deterministic seeds; a killed screening, re-run, reproduces
+the uninterrupted population hash).
 """
 
 from repro.dse.design import full_factorial, latin_hypercube
 from repro.dse.evaluate import Evaluator, PointEval
-from repro.dse.evolve import EvolutionarySearch, SearchSettings
 from repro.dse.objectives import (
     DEFAULT_OBJECTIVES,
     Objective,
@@ -41,26 +41,18 @@ from repro.dse.space import (
     point_key,
     seeded_rng,
 )
-from repro.dse.state import (
-    GenerationRecord,
-    SearchState,
-    load_state,
-    population_hash,
-)
+from repro.dse.state import SearchState, load_state, population_hash
 
 __all__ = [
     "CategoricalDim",
     "ContinuousDim",
     "DEFAULT_OBJECTIVES",
     "Evaluator",
-    "EvolutionarySearch",
-    "GenerationRecord",
     "IntegerDim",
     "Objective",
     "ParameterSpace",
     "PointEval",
     "ScreenSettings",
-    "SearchSettings",
     "SearchState",
     "aggregate_objectives",
     "ascii_scatter",

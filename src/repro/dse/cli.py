@@ -3,17 +3,16 @@
 Usage::
 
     repro-dse template -o space.json            # bundled example space
-    repro-dse search --space space.json --out results/dse/run1 \\
-        --generations 6 --population 12 --workers 4
-    repro-dse search --space space.json --out results/dse/run1 --resume
     repro-dse screen --space space.json --out results/dse/fact --levels 3
-    repro-dse report results/dse/run1                 # Pareto table
-    repro-dse report results/dse/run1 --format csv -o front.csv
-    repro-dse report results/dse/run1 --format scatter --x pdr --y mean_delay_s
+    repro-dse screen --space space.json --out results/dse/lhs \\
+        --lhs 60 --workers 4
+    repro-dse report results/dse/lhs                  # Pareto table
+    repro-dse report results/dse/lhs --format csv -o front.csv
+    repro-dse report results/dse/lhs --format scatter --x pdr --y mean_delay_s
 
 (or ``python -m repro.dse ...`` without installing the entry point).
-Searches, screenings and table reports print the final population hash;
-a resumed run after a kill must reproduce the hash of an uninterrupted run
+Screenings and table reports print the final population hash; re-running
+a killed screening must reproduce the hash of an uninterrupted run
 byte-for-byte — CI asserts exactly that.
 """
 
@@ -24,12 +23,11 @@ import json
 import sys
 from pathlib import Path
 
-from repro.dse.evolve import EvolutionarySearch, SearchSettings
 from repro.dse.objectives import DEFAULT_OBJECTIVES, parse_objective
 from repro.dse.report import ascii_scatter, pareto_table, to_csv
 from repro.dse.screen import ScreenSettings, run_screening
 from repro.dse.space import ParameterSpace
-from repro.dse.state import SearchState, load_state
+from repro.dse.state import load_state
 from repro.exec.policy import add_exec_args, policy_from_args
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import load_config
@@ -57,7 +55,7 @@ EXAMPLE_SPACE: dict = {
 }
 
 
-def _add_common_search_args(p: argparse.ArgumentParser) -> None:
+def _add_screen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", required=True, help="parameter-space JSON file")
     p.add_argument(
         "--base", default=None, metavar="CONFIG.json",
@@ -94,18 +92,6 @@ def _objectives(args):
     return DEFAULT_OBJECTIVES
 
 
-def _print_outcome(kind: str, state: SearchState, out: Path) -> None:
-    best = state.best
-    print(f"{kind} done: {len(state.pareto())} Pareto points, "
-          f"{state.simulations_run} simulations run")
-    print(f"best (weighted): {json.dumps(best.point, sort_keys=True)} "
-          f"fitness={best.fitness:.6g}")
-    for key in sorted(best.objectives):
-        print(f"  {key} = {best.objectives[key]:.6g}")
-    print(f"state: {out / 'state.json'}")
-    print(f"final population hash: {state.final_population_hash}")
-
-
 def cmd_template(args) -> int:
     text = json.dumps(EXAMPLE_SPACE, indent=2) + "\n"
     if args.output == "-":
@@ -113,28 +99,6 @@ def cmd_template(args) -> int:
     else:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}")
-    return 0
-
-
-def cmd_search(args) -> int:
-    space = ParameterSpace.load(args.space)
-    settings = SearchSettings(
-        population=args.population,
-        generations=args.generations,
-        seed=args.seed,
-        n_seeds=args.n_seeds,
-        elites=args.elites,
-    )
-    out = Path(args.out)
-    search = EvolutionarySearch(
-        space,
-        _base_config(args),
-        settings,
-        objectives=_objectives(args),
-        out_dir=out,
-        policy=args.policy,
-    )
-    _print_outcome("search", search.run(resume=args.resume), out)
     return 0
 
 
@@ -155,9 +119,17 @@ def cmd_screen(args) -> int:
         out_dir=out,
         policy=args.policy,
     )
+    best = state.best
     print(f"design: {state.design_size} cells, "
           f"{len(state.archive)} evaluated")
-    _print_outcome("screen", state, out)
+    print(f"screen done: {len(state.pareto())} Pareto points, "
+          f"{state.simulations_run} simulations run")
+    print(f"best (weighted): {json.dumps(best.point, sort_keys=True)} "
+          f"fitness={best.fitness:.6g}")
+    for key in sorted(best.objectives):
+        print(f"  {key} = {best.objectives[key]:.6g}")
+    print(f"state: {out / 'state.json'}")
+    print(f"final population hash: {state.final_population_hash}")
     return 0
 
 
@@ -192,19 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("-o", "--output", default="-", help="file or - for stdout")
     p.set_defaults(func=cmd_template)
 
-    p = sub.add_parser("search", help="evolutionary search")
-    _add_common_search_args(p)
-    p.add_argument("--generations", type=int, default=6)
-    p.add_argument("--population", type=int, default=12)
-    p.add_argument("--elites", type=int, default=2)
-    p.add_argument(
-        "--resume", action="store_true",
-        help="continue from <out>/state.json and per-cell checkpoints",
-    )
-    p.set_defaults(func=cmd_search)
-
     p = sub.add_parser("screen", help="factorial / LHS screening")
-    _add_common_search_args(p)
+    _add_screen_args(p)
     p.add_argument(
         "--levels", type=int, default=3,
         help="factorial levels per dimension (default 3)",
@@ -216,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_screen)
 
     p = sub.add_parser("report", help="Pareto front from a state file")
-    p.add_argument("out_dir", help="search output dir (or state.json path)")
+    p.add_argument("out_dir", help="screening output dir (or state.json path)")
     p.add_argument(
         "--format", choices=("table", "csv", "scatter"), default="table"
     )
@@ -227,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    if args.command in ("search", "screen"):
+    if args.command == "screen":
         args.policy = policy_from_args(parser, args)
     try:
         return args.func(args)

@@ -1,6 +1,6 @@
 """Evaluation adapter: parameter points → exec campaign cells → objectives.
 
-The :class:`Evaluator` is the bridge between search algorithms and the
+The :class:`Evaluator` is the bridge between a screening design and the
 campaign fabric.  Each point is bound onto the base config and the whole
 batch is replicated across ``n_seeds`` consecutive seeds by
 :func:`~repro.exec.adaptive.replicate_cells` — one campaign, or one per
@@ -9,9 +9,10 @@ content-hashed cell with per-cell checkpointing, worker-pool parallelism,
 crash containment, and byte-identical parallel-vs-serial aggregates, none
 of which this module has to reimplement.
 
-Checkpoint resume is forced on: a killed search re-runs its evaluation
-batches, but every cell that already completed loads from its checkpoint,
-which is what makes kill-and-resume produce byte-identical trajectories.
+Checkpoint resume is forced on: re-running a killed screening re-submits
+its design, but every cell that already completed loads from its
+checkpoint, which is what makes a killed and re-run screening end with the
+same population as an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class PointEval:
     """Aggregated outcome of evaluating one point.
 
     ``objectives`` holds the across-seed mean per objective key;
-    ``fitness`` the weighted score the search climbs; ``per_seed`` the raw
+    ``fitness`` the weighted score that ranks points; ``per_seed`` the raw
     per-replicate values for CI reporting.
     """
 
@@ -47,7 +48,6 @@ class PointEval:
     objectives: dict[str, float]
     fitness: float
     per_seed: list[dict[str, float]] = field(default_factory=list)
-    generation: int = 0
 
     @property
     def key(self) -> str:
@@ -59,7 +59,6 @@ class PointEval:
             "objectives": dict(self.objectives),
             "fitness": self.fitness,
             "per_seed": [dict(s) for s in self.per_seed],
-            "generation": self.generation,
         }
 
     @classmethod
@@ -69,18 +68,15 @@ class PointEval:
             objectives=dict(data["objectives"]),
             fitness=float(data["fitness"]),
             per_seed=[dict(s) for s in data.get("per_seed", [])],
-            generation=int(data.get("generation", 0)),
         )
 
 
 class Evaluator:
     """Runs points through the exec fabric and caches their outcomes.
 
-    The cache is keyed on the point's canonical JSON: a point that
-    reappears (an elite carried over, a mutation landing on explored
-    ground) costs nothing.  On resume, recorded evaluations are replayed
-    into the cache via :meth:`absorb` so completed generations never touch
-    the executor at all.
+    The cache is keyed on the point's canonical JSON: a point a design
+    repeats (a Latin hypercube over an integer space with fewer values
+    than points) is simulated once.
     """
 
     def __init__(
@@ -100,7 +96,7 @@ class Evaluator:
         self.n_seeds = n_seeds
         base_policy = policy if policy is not None else current_policy()
         # Content-hashed cells make resume free and kill-safe; never run
-        # a search without it.
+        # a screening without it.
         self.policy = replace(base_policy, resume=True, checkpoint=True)
         self.campaign_prefix = campaign_prefix
         self._cache: dict[str, PointEval] = {}
@@ -112,15 +108,8 @@ class Evaluator:
         """Every distinct evaluated point, in first-evaluation order."""
         return list(self._cache.values())
 
-    def absorb(self, evals: Sequence[PointEval]) -> None:
-        """Seed the cache with recorded evaluations (state-file replay)."""
-        for ev in evals:
-            self._cache.setdefault(ev.key, ev)
-
     # ------------------------------------------------------------------ #
-    def evaluate(
-        self, points: Sequence[Point], label: str, generation: int = 0
-    ) -> list[PointEval]:
+    def evaluate(self, points: Sequence[Point], label: str) -> list[PointEval]:
         """Evaluate ``points`` (one campaign per wave), returning aligned
         outcomes.
 
@@ -128,24 +117,21 @@ class Evaluator:
         only genuinely new cells reach the executor.
         """
         points = [self.space.validate_point(p) for p in points]
-        fresh: list[tuple[str, Point]] = []
-        seen: set[str] = set()
+        fresh: dict[str, Point] = {}
         for p in points:
             k = point_key(p)
-            if k in self._cache or k in seen:
-                continue
-            seen.add(k)
-            fresh.append((k, p))
+            if k not in self._cache:
+                fresh.setdefault(k, p)
 
         if fresh:
             grouped = replicate_cells(
                 f"{self.campaign_prefix}-{label}",
-                [(k, self.space.bind(self.base, p)) for k, p in fresh],
+                [(k, self.space.bind(self.base, p)) for k, p in fresh.items()],
                 self.n_seeds,
                 policy=self.policy,
                 run_fn=self._run_campaign,
             ).results
-            for (k, p) in fresh:
+            for k, p in fresh.items():
                 mine = grouped[k]
                 values = aggregate_objectives(mine, self.objectives)
                 per_seed = [
@@ -159,7 +145,6 @@ class Evaluator:
                     objectives=values,
                     fitness=weighted_score(values, self.objectives),
                     per_seed=per_seed,
-                    generation=generation,
                 )
         return [self._cache[point_key(p)] for p in points]
 

@@ -10,7 +10,7 @@ scale.
 
 Two decision-support views are built on top:
 
-* **weighted score** — the scalar fitness evolutionary search climbs:
+* **weighted score** — the scalar fitness that ranks screened points:
   ``Σᵢ wᵢ · dirᵢ · vᵢ/scaleᵢ`` with ``dir`` +1 for max, −1 for min.
   NaN objective values (e.g. delay when nothing was delivered) poison the
   score to −inf, so broken configurations can never win.

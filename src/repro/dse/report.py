@@ -1,8 +1,7 @@
-"""Decision-support reporting over search/screening state files.
+"""Decision-support reporting over screening state files.
 
-Renders a :class:`~repro.dse.state.SearchState` — returned by a search or
-screening, or read back with :func:`~repro.dse.state.load_state` — three
-ways:
+Renders a :class:`~repro.dse.state.SearchState` — returned by a screening
+or read back with :func:`~repro.dse.state.load_state` — three ways:
 
 * an aligned table of the Pareto front (then the dominated rest), with
   per-dimension values, objective means, and weighted fitness;
@@ -38,7 +37,7 @@ def _rows(
             ["*" if ev.key in front_keys else ""]
             + [ev.point[d.name] for d in space.dimensions]
             + [ev.objectives[o.key] for o in objectives]
-            + [ev.fitness, ev.generation]
+            + [ev.fitness]
         )
     return rows
 
@@ -59,7 +58,7 @@ def pareto_table(state: SearchState, top: int = 0) -> str:
         ["front"]
         + [d.name for d in state.space.dimensions]
         + [f"{o.key} ({o.goal})" for o in state.objectives]
-        + ["fitness", "gen"]
+        + ["fitness"]
     )
     table = format_table(
         headers,
@@ -83,14 +82,14 @@ def to_csv(state: SearchState) -> str:
         ["front"]
         + [d.name for d in state.space.dimensions]
         + [o.key for o in state.objectives]
-        + ["fitness", "generation"]
+        + ["fitness"]
     )
     for ev in state.archive:
         writer.writerow(
             [1 if ev.key in front_keys else 0]
             + [ev.point[d.name] for d in state.space.dimensions]
             + [ev.objectives[o.key] for o in state.objectives]
-            + [ev.fitness, ev.generation]
+            + [ev.fitness]
         )
     return buf.getvalue()
 

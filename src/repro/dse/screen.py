@@ -1,11 +1,12 @@
 """Design screening: factorial / Latin-hypercube sweeps.
 
-Every design cell is simulated.  Determinism mirrors the evolutionary
-loop: the Latin-hypercube draw is keyed on the seed alone, evaluations are
-content-hashed exec cells, and the returned
-:class:`~repro.dse.state.SearchState` (written to ``<out>/state.json``)
-records design size and outcomes as one generation, so a screening is
-resumable and byte-reproducible.
+Screening is how :mod:`repro.dse` explores a space, and every design cell
+is simulated.  The Latin-hypercube draw is keyed on the seed alone,
+evaluations are content-hashed exec cells with forced checkpoint resume,
+and the returned :class:`~repro.dse.state.SearchState` (written to
+``<out>/state.json``) records design size and outcomes, so a screening is
+byte-reproducible and kill-safe: re-run the same screening and every
+finished cell loads from its checkpoint.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from repro.dse.design import full_factorial, latin_hypercube
 from repro.dse.evaluate import Evaluator
 from repro.dse.objectives import Objective
 from repro.dse.space import ParameterSpace, seeded_rng
-from repro.dse.state import GenerationRecord, SearchState
+from repro.dse.state import SearchState
 from repro.exec.policy import ExecPolicy
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import config_to_dict
 
 __all__ = ["ScreenSettings", "run_screening"]
 
-# RNG stage key for the Latin-hypercube draw (distinct from evolve's).
+# RNG stage key for the Latin-hypercube draw.
 _STAGE_LHS = 2
 
 
@@ -82,13 +83,12 @@ def run_screening(
     evaluator.evaluate(design, "screen-full")
 
     state = SearchState(
-        kind="screen",
         space=space,
         objectives=objectives,
         settings=asdict(settings),
         base_config=config_to_dict(base),
-        generations=[GenerationRecord(0, evaluator.archive)],
         design_size=len(design),
+        archive=evaluator.archive,
         simulations_run=evaluator.simulations_run,
     )
     if out_dir is not None:

@@ -11,11 +11,11 @@ constructor check (gamma bounds, p_min ≤ p_max, …) fires before any
 simulation is scheduled.
 
 Spaces themselves serialise to JSON (:meth:`to_dict`/:meth:`from_dict`),
-which is how the ``repro-dse`` CLI defines them and how search state files
-record exactly what was explored.
+which is how the ``repro-dse`` CLI defines them and how screening state
+files record exactly what was explored.
 
-Everything that draws randomness takes an explicit
-:class:`numpy.random.Generator`; the space holds no RNG state of its own.
+The space draws no randomness: the Latin-hypercube design takes an explicit
+:class:`numpy.random.Generator` from :func:`seeded_rng`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -76,13 +76,6 @@ class ContinuousDim:
     def clip(self, value: float) -> float:
         return float(min(self.high, max(self.low, float(value))))
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def mutate(self, value: float, rng: np.random.Generator, sigma: float) -> float:
-        """Gaussian perturbation with σ relative to the dimension span."""
-        return self.clip(value + rng.normal(0.0, sigma * (self.high - self.low)))
-
     def levels(self, n: int) -> list[float]:
         """``n`` evenly spaced factorial levels including both bounds."""
         if n < 2:
@@ -120,18 +113,6 @@ class IntegerDim:
 
     def clip(self, value: float) -> int:
         return int(min(self.high, max(self.low, int(round(float(value))))))
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.low, self.high + 1))
-
-    def mutate(self, value: int, rng: np.random.Generator, sigma: float) -> int:
-        """Creep mutation: a ±step walk scaled to the range, never a no-op
-        step draw (a zero step would make small ranges mutation-dead)."""
-        span = self.high - self.low
-        step_max = max(1, int(round(sigma * span)))
-        step = int(rng.integers(1, step_max + 1))
-        sign = 1 if rng.random() < 0.5 else -1
-        return self.clip(int(value) + sign * step)
 
     def levels(self, n: int) -> list[int]:
         """Up to ``n`` distinct evenly spaced integer levels; one level is
@@ -180,14 +161,6 @@ class CategoricalDim:
                 f"dimension {self.name!r}: {value!r} not among {self.choices!r}"
             )
         return value
-
-    def sample(self, rng: np.random.Generator) -> Any:
-        return self.choices[int(rng.integers(len(self.choices)))]
-
-    def mutate(self, value: Any, rng: np.random.Generator, sigma: float) -> Any:
-        """Re-draw uniformly among the *other* choices."""
-        others = [c for c in self.choices if c != value]
-        return others[int(rng.integers(len(others)))]
 
     def levels(self, n: int) -> list[Any]:
         return list(self.choices)
@@ -305,40 +278,6 @@ class ParameterSpace:
             for d in self.dimensions
         }
 
-    def random_point(self, rng: np.random.Generator) -> Point:
-        return {d.name: canonical_json_value(d.sample(rng), d.name)
-                for d in self.dimensions}
-
-    def mutate(
-        self,
-        point: Mapping[str, Any],
-        rng: np.random.Generator,
-        rate: float,
-        sigma: float,
-    ) -> Point:
-        """Per-dimension mutation with probability ``rate``; ≥ 1 dimension
-        always mutates, so a child is never a byte-copy of its parent."""
-        out = dict(point)
-        forced = int(rng.integers(len(self.dimensions)))
-        for i, d in enumerate(self.dimensions):
-            if i == forced or rng.random() < rate:
-                out[d.name] = canonical_json_value(
-                    d.mutate(out[d.name], rng, sigma), d.name
-                )
-        return out
-
-    def crossover(
-        self,
-        a: Mapping[str, Any],
-        b: Mapping[str, Any],
-        rng: np.random.Generator,
-    ) -> Point:
-        """Uniform crossover: each gene from parent ``a`` or ``b``."""
-        return {
-            d.name: (a if rng.random() < 0.5 else b)[d.name]
-            for d in self.dimensions
-        }
-
     # -- config binding -------------------------------------------------- #
     def bind(self, base: ScenarioConfig, point: Mapping[str, Any]) -> ScenarioConfig:
         """Base config + point → fully validated :class:`ScenarioConfig`.
@@ -374,7 +313,7 @@ def _set_path(data: dict[str, Any], path: str, value: Any, dim_name: str) -> Non
 
 
 def seeded_rng(*entropy: int) -> np.random.Generator:
-    """A PCG64 generator keyed on explicit integers (search seed, stage,
-    generation) — derivable at any point of a resumed run, so no RNG state
-    ever needs persisting."""
+    """A PCG64 generator keyed on explicit integers (screening seed, stage,
+    index) — a re-run derives the same stream, so no RNG state ever needs
+    persisting."""
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))

@@ -1,15 +1,16 @@
-"""The DSE search state: one record, one writer, one reader.
+"""The DSE screening state: one record, one writer, one reader.
 
-A search or screening is fully described by :class:`SearchState` — the
-space, objectives, settings and base config that define it, plus one
-:class:`GenerationRecord` per completed generation (a screening has one).
-:meth:`SearchState.write` is the only code that writes ``state.json`` and
-:func:`load_state` the only code that reads it; the runs return the same
-type the report reads back, so both answer every question (archive, best,
-Pareto front, population hash) the same way.
+A screening is fully described by :class:`SearchState` — the space,
+objectives, settings and base config that define it, plus the one
+population it simulated.  :meth:`SearchState.write` is the only code that
+writes ``state.json`` and :func:`load_state` the only code that reads it;
+:func:`~repro.dse.screen.run_screening` returns the same type the report
+reads back, so both answer every question (archive, best, Pareto front,
+population hash) the same way.
 
-State files written before screening and search simulated every cell
-carry a ``prune_log`` list per generation; :func:`load_state` ignores it.
+On disk the population is the single entry of a ``generations`` list
+(schema 1).  State files written before screening simulated every cell
+carry a ``prune_log`` list in that entry; :func:`load_state` ignores it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.dse.evaluate import PointEval
 from repro.dse.objectives import Objective, pareto_front
@@ -27,7 +28,6 @@ from repro.experiments.cache import atomic_write_json
 
 __all__ = [
     "STATE_SCHEMA",
-    "GenerationRecord",
     "SearchState",
     "load_state",
     "population_hash",
@@ -35,27 +35,6 @@ __all__ = [
 
 #: State-file layout version; bump on incompatible changes.
 STATE_SCHEMA = 1
-
-
-@dataclass(slots=True)
-class GenerationRecord:
-    """One generation: the points simulated and their outcomes."""
-
-    index: int
-    population: list[PointEval]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "population": [e.to_dict() for e in self.population],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GenerationRecord":
-        return cls(
-            index=int(data["index"]),
-            population=[PointEval.from_dict(e) for e in data["population"]],
-        )
 
 
 def population_hash(population: Sequence[PointEval]) -> str:
@@ -78,33 +57,23 @@ def population_hash(population: Sequence[PointEval]) -> str:
 
 @dataclass(slots=True)
 class SearchState:
-    """Everything a search or screening knows, plus decision-support views.
+    """Everything a screening knows, plus decision-support views.
 
-    ``kind`` is ``"evolve"`` or ``"screen"``; ``settings`` and
-    ``base_config`` are the JSON dicts of the run's settings and
-    :class:`~repro.experiments.scenario.ScenarioConfig`; ``design_size``
-    is set only for a screening.  ``simulations_run`` counts the cells
-    the returning run simulated (not loaded from checkpoints); it is not
-    part of the file and reads 0 after :func:`load_state`.
+    ``settings`` and ``base_config`` are the JSON dicts of the run's
+    settings and :class:`~repro.experiments.scenario.ScenarioConfig`;
+    ``archive`` holds every distinct evaluated point in design order.
+    ``simulations_run`` counts the cells the returning run simulated (not
+    loaded from checkpoints); it is not part of the file and reads 0 after
+    :func:`load_state`.
     """
 
-    kind: str
     space: ParameterSpace
     objectives: list[Objective]
     settings: dict[str, Any]
     base_config: dict[str, Any]
-    generations: list[GenerationRecord] = field(default_factory=list)
-    design_size: int | None = None
+    design_size: int
+    archive: list[PointEval]
     simulations_run: int = field(default=0, compare=False)
-
-    @property
-    def archive(self) -> list[PointEval]:
-        """Distinct evaluated points in first-evaluation order."""
-        seen: dict[str, PointEval] = {}
-        for gen in self.generations:
-            for ev in gen.population:
-                seen.setdefault(ev.key, ev)
-        return list(seen.values())
 
     @property
     def best(self) -> PointEval:
@@ -119,22 +88,23 @@ class SearchState:
 
     @property
     def final_population_hash(self) -> str:
-        return population_hash(self.generations[-1].population)
+        return population_hash(self.archive)
 
     def write(self, out_dir: str | Path) -> None:
         """Atomically write ``<out_dir>/state.json``."""
-        data: dict[str, Any] = {
+        atomic_write_json(Path(out_dir) / "state.json", {
             "schema": STATE_SCHEMA,
-            "kind": self.kind,
+            "kind": "screen",
             "space": self.space.to_dict(),
             "settings": self.settings,
             "objectives": [o.to_dict() for o in self.objectives],
             "base_config": self.base_config,
-        }
-        if self.design_size is not None:
-            data["design_size"] = self.design_size
-        data["generations"] = [g.to_dict() for g in self.generations]
-        atomic_write_json(Path(out_dir) / "state.json", data)
+            "design_size": self.design_size,
+            "generations": [{
+                "index": 0,
+                "population": [e.to_dict() for e in self.archive],
+            }],
+        })
 
 
 def load_state(out_dir: str | Path) -> SearchState:
@@ -150,17 +120,21 @@ def load_state(out_dir: str | Path) -> SearchState:
         raise ValueError(
             f"{path}: unsupported state schema {data.get('schema')!r}"
         )
-    state = SearchState(
-        kind=data.get("kind", "evolve"),
+    if data.get("kind") != "screen":
+        raise ValueError(
+            f"{path}: not a screening state (kind {data.get('kind')!r})"
+        )
+    generations = data.get("generations", [])
+    if len(generations) != 1:
+        raise ValueError(
+            f"{path}: a screening state holds one population, "
+            f"got {len(generations)}"
+        )
+    return SearchState(
         space=ParameterSpace.from_dict(data["space"]),
         objectives=[Objective.from_dict(o) for o in data["objectives"]],
         settings=dict(data.get("settings", {})),
         base_config=dict(data.get("base_config", {})),
-        generations=[
-            GenerationRecord.from_dict(g) for g in data.get("generations", [])
-        ],
-        design_size=data.get("design_size"),
+        design_size=int(data["design_size"]),
+        archive=[PointEval.from_dict(e) for e in generations[0]["population"]],
     )
-    if not state.generations:
-        raise ValueError(f"{path}: state has no completed generations")
-    return state

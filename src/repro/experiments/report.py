@@ -103,9 +103,8 @@ campaigns.  ``--adaptive pdr:0.02`` replicates each cell only until its
 are logged to a JSONL audit file) — see docs/CAMPAIGNS.md.
 
 The protocol parameters these figures hold fixed can themselves be
-searched: ``repro-dse`` runs factorial screenings and seeded
-evolutionary searches over any config fields, with Pareto reporting —
-see docs/DSE.md.
+explored: ``repro-dse`` runs factorial and Latin-hypercube screenings
+over any config fields, with Pareto reporting — see docs/DSE.md.
 
 """
 

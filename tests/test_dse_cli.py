@@ -1,4 +1,4 @@
-"""``repro-dse`` end-to-end: template → search → resume → report."""
+"""``repro-dse`` end-to-end: template → screen → re-run → report."""
 
 from __future__ import annotations
 
@@ -39,12 +39,11 @@ def env(tmp_path, monkeypatch):
     return tmp_path
 
 
-def search_args(env, out="run", extra=()):
+def screen_args(env, out="run", extra=()):
     return [
-        "search", "--space", str(env / "space.json"),
+        "screen", "--space", str(env / "space.json"),
         "--base", str(env / "base.json"), "--out", str(env / out),
-        "--generations", "2", "--population", "4", "--elites", "1",
-        "--seed", "7", *extra,
+        "--lhs", "4", "--seed", "7", *extra,
     ]
 
 
@@ -62,18 +61,21 @@ def test_template_stdout(capsys):
 
 
 def test_search_report_round_trip(env, capsys):
-    assert main(search_args(env)) == 0
+    # One SearchState round trip: a screening, its re-run from cell
+    # checkpoints, and the three report formats over its state file.
+    assert main(screen_args(env)) == 0
     out_lines = capsys.readouterr().out.splitlines()
     hash_line = [l for l in out_lines if l.startswith("final population hash:")]
     assert hash_line, out_lines
     first_hash = hash_line[0].split()[-1]
     assert (env / "run" / "state.json").exists()
 
-    # A --resume invocation replays state and reproduces the exact hash.
-    assert main(search_args(env, extra=["--resume"])) == 0
-    resumed = capsys.readouterr().out
-    assert f"final population hash: {first_hash}" in resumed
-    assert "0 simulations run" in resumed
+    # Re-running the same screening loads every cell from its checkpoint
+    # and reproduces the exact hash.
+    assert main(screen_args(env)) == 0
+    rerun = capsys.readouterr().out
+    assert f"final population hash: {first_hash}" in rerun
+    assert "0 simulations run" in rerun
 
     # Reports in all three formats.
     assert main(["report", str(env / "run")]) == 0
@@ -137,32 +139,48 @@ def test_cli_prunes_run_logs_to_the_newest(env, capsys):
 
 
 def test_errors_exit_2(env, capsys, tmp_path):
-    assert main(["search", "--space", str(tmp_path / "missing.json"),
+    assert main(["screen", "--space", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 2
     assert "error" in capsys.readouterr().err
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "b", "dimensions": [], "junk": 1}))
-    assert main(["search", "--space", str(bad),
+    assert main(["screen", "--space", str(bad),
                  "--out", str(tmp_path / "x")]) == 2
     assert "unknown space keys" in capsys.readouterr().err
 
-    assert main(search_args(env, extra=["--objective", "no_such_metric:max"])) == 2
+    assert main(screen_args(env, extra=["--objective", "no_such_metric:max"])) == 2
     assert "not found" in capsys.readouterr().err
 
-    assert main(search_args(env, extra=["--objective", "pdr:max:nan"])) == 2
+    assert main(screen_args(env, extra=["--objective", "pdr:max:nan"])) == 2
     assert "weight must be finite" in capsys.readouterr().err
 
     assert main(["report", str(tmp_path / "nowhere")]) == 2
     capsys.readouterr()
 
+    # A state file of the deleted evolutionary search is refused.
+    assert main(screen_args(env, out="old")) == 0
+    state = env / "old" / "state.json"
+    state.write_text(
+        json.dumps({**json.loads(state.read_text()), "kind": "evolve"})
+    )
+    capsys.readouterr()
+    assert main(["report", str(env / "old")]) == 2
+    assert "not a screening state" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("flag", ["--no-surrogate", "--prune-quantile=0.3"])
 def test_pruning_flags_are_gone(env, capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(search_args(env, extra=[flag]))
+        main(screen_args(env, extra=[flag]))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+    # So is the evolutionary search subcommand.
+    with pytest.raises(SystemExit) as exc:
+        main(["search", *screen_args(env)[1:]])
+    assert exc.value.code == 2
+    assert "invalid choice: 'search'" in capsys.readouterr().err
 
 
 def test_report_reads_a_state_file_with_a_prune_log(tmp_path, capsys):

@@ -1,13 +1,14 @@
-"""Evolutionary search + screening: determinism, resume, parallelism.
+"""Screening: determinism, kill-and-re-run, parallelism, the state file.
 
 These are the acceptance tests for the DSE reproducibility guarantees:
 
-* a fixed-seed search is deterministic across fresh runs;
-* killing a search mid-generation and resuming yields a byte-identical
-  final population (``population_hash``), including when some cell
-  checkpoints were lost;
+* a fixed-seed Latin-hypercube screening is deterministic across fresh
+  runs, and its population hash is pinned;
 * ``workers=2`` produces the same bytes as serial execution;
-* a screening simulates every cell it designs.
+* re-running a killed screening (state file and some cell checkpoints
+  lost) reproduces the uninterrupted hash and simulates only the lost
+  cells;
+* a screening simulates every distinct cell it designs, once.
 
 The base scenario is deliberately tiny (3×3 grid, 6 simulated seconds,
 ~60 ms per cell) so dozens of real simulations stay cheap.
@@ -22,11 +23,9 @@ import pytest
 
 from repro.dse import (
     ContinuousDim,
-    EvolutionarySearch,
     IntegerDim,
     ParameterSpace,
     ScreenSettings,
-    SearchSettings,
     load_state,
     population_hash,
     run_screening,
@@ -63,70 +62,52 @@ def tiny_space() -> ParameterSpace:
     )
 
 
-def tiny_settings(**over) -> SearchSettings:
-    kw = dict(population=6, generations=3, seed=5, elites=2)
-    kw.update(over)
-    return SearchSettings(**kw)
-
-
-def run_search(out_dir: Path | None = None, resume: bool = False, **over):
-    search = EvolutionarySearch(
-        tiny_space(), tiny_base(), tiny_settings(**over), out_dir=out_dir
+def run_lhs(out_dir: Path | None = None, policy=None, seed: int = 5):
+    return run_screening(
+        tiny_space(), tiny_base(), ScreenSettings(lhs_n=8, seed=seed),
+        out_dir=out_dir, policy=policy,
     )
-    return search.run(resume=resume)
 
 
 class TestDeterminism:
     def test_final_population_hash_is_pinned(self, isolated_cache):
-        # Breeding draws from a generator keyed on (seed, stage, g) and
-        # simulates every child; a change to the candidate stream, the
-        # operators or the simulation shows up here.
-        assert run_search().final_population_hash == (
-            "2e1da168c18c802cb37d5e506a40385edd6c70c7631c2a5441c5bd214dc6e1d3"
+        # The Latin-hypercube draw is keyed on (seed, stage, 1) and every
+        # cell is simulated; a change to the design stream, the dedupe or
+        # the simulation shows up here.
+        assert run_lhs().final_population_hash == (
+            "f63455f54ce34a9cf70917045e9ec983ceeb3262755ef9d341a96d9345be3c22"
         )
 
     def test_fresh_runs_byte_identical(self, tmp_path, monkeypatch):
         hashes = []
         for d in ("a", "b"):
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / d))
-            hashes.append(run_search().final_population_hash)
+            hashes.append(run_lhs().final_population_hash)
         assert hashes[0] == hashes[1]
 
     def test_different_seed_differs(self, isolated_cache):
-        a = run_search()
-        b = run_search(seed=6)
+        a = run_lhs()
+        b = run_lhs(seed=6)
         assert a.final_population_hash != b.final_population_hash
 
     def test_workers_two_matches_serial(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
-        serial = run_search()
+        serial = run_lhs()
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "par"))
-        search = EvolutionarySearch(
-            tiny_space(), tiny_base(), tiny_settings(),
-            policy=ExecPolicy(workers=2),
-        )
-        parallel = search.run()
+        parallel = run_lhs(policy=ExecPolicy(workers=2))
         assert parallel.final_population_hash == serial.final_population_hash
 
     def test_result_views(self, isolated_cache):
-        res = run_search()
-        assert res.simulations_run > 0
+        res = run_lhs()
+        assert res.simulations_run == 8
         assert res.best in res.archive
         front = res.pareto()
         assert front and set(map(id, front)) <= set(map(id, res.archive))
-        assert len(res.generations[-1].population) == 6
+        assert res.design_size == len(res.archive) == 8
 
 
 class TestStateFile:
     """A run returns exactly the state ``load_state`` reads back."""
-
-    def test_search_returns_what_it_wrote(self, isolated_cache, tmp_path):
-        res = run_search(out_dir=tmp_path / "run")
-        loaded = load_state(tmp_path / "run")
-        assert loaded == res
-        assert loaded.simulations_run == 0 < res.simulations_run
-        assert loaded.final_population_hash == res.final_population_hash
-        assert loaded.best == res.best and loaded.pareto() == res.pareto()
 
     def test_screening_returns_what_it_wrote(self, isolated_cache, tmp_path):
         out = tmp_path / "screen"
@@ -136,59 +117,48 @@ class TestStateFile:
         )
         loaded = load_state(out)
         assert loaded == res
+        assert loaded.simulations_run == 0 < res.simulations_run
         assert res.design_size == 27 and len(res.archive) == 27
-        # One generation: its population is the archive.
         assert res.final_population_hash == population_hash(res.archive)
+
+    def test_load_rejects_an_evolve_state(self, isolated_cache, tmp_path):
+        out = tmp_path / "screen"
+        run_screening(
+            tiny_space(), tiny_base(), ScreenSettings(levels=1), out_dir=out
+        )
+        path = out / "state.json"
+        data = json.loads(path.read_text())
+        data["kind"] = "evolve"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="not a screening state"):
+            load_state(out)
 
 
 class TestResume:
-    def test_extend_resume_matches_straight_run(self, isolated_cache, tmp_path):
-        straight = run_search(out_dir=tmp_path / "straight")
-        short = run_search(out_dir=tmp_path / "resumed", generations=2)
-        assert len(short.generations) == 2
-        resumed = run_search(
-            out_dir=tmp_path / "resumed", generations=3, resume=True
-        )
-        assert resumed.final_population_hash == straight.final_population_hash
-        # Replayed generations never touch the executor again.
-        assert resumed.simulations_run < straight.simulations_run
-
-    def test_kill_mid_generation_resume(self, isolated_cache, tmp_path):
+    def test_kill_mid_screening_rerun(self, isolated_cache, tmp_path):
         out = tmp_path / "run"
-        straight = run_search(out_dir=out)
-        state_path = out / "state.json"
-        state = json.loads(state_path.read_text())
+        straight = run_lhs(out_dir=out)
 
-        # Emulate a kill during generation 1: only generation 0 made it to
-        # the state file, and some of the in-flight cells' checkpoints are
-        # gone too.
-        state["generations"] = state["generations"][:1]
-        state_path.write_text(json.dumps(state))
+        # Emulate a kill before the screening finished: no state file yet,
+        # and some of the in-flight cells' checkpoints are missing.
+        (out / "state.json").unlink()
         cells = sorted((tmp_path / "cache" / "cells").glob("*.json"))
-        assert cells, "expected per-cell checkpoints on disk"
-        for ckpt in cells[::3]:
+        assert len(cells) == 8, "expected one checkpoint per cell"
+        lost = cells[::3]
+        for ckpt in lost:
             ckpt.unlink()
 
-        resumed = run_search(out_dir=out, resume=True)
-        assert resumed.final_population_hash == straight.final_population_hash
-        assert [g.index for g in resumed.generations] == [0, 1, 2]
+        rerun = run_lhs(out_dir=out)
+        assert rerun.final_population_hash == straight.final_population_hash
+        assert rerun.simulations_run == len(lost)
+        assert load_state(out) == straight
 
     def test_fully_recorded_resume_runs_nothing(self, isolated_cache, tmp_path):
         out = tmp_path / "run"
-        straight = run_search(out_dir=out)
-        resumed = run_search(out_dir=out, resume=True)
-        assert resumed.simulations_run == 0
-        assert resumed.final_population_hash == straight.final_population_hash
-
-    def test_resume_rejects_redefined_search(self, isolated_cache, tmp_path):
-        out = tmp_path / "run"
-        run_search(out_dir=out, generations=1)
-        with pytest.raises(ValueError, match="differs from the requested"):
-            run_search(out_dir=out, resume=True, seed=99)
-
-    def test_resume_without_state_starts_fresh(self, isolated_cache, tmp_path):
-        res = run_search(out_dir=tmp_path / "new", resume=True)
-        assert len(res.generations) == 3
+        straight = run_lhs(out_dir=out)
+        rerun = run_lhs(out_dir=out)
+        assert rerun.simulations_run == 0
+        assert rerun.final_population_hash == straight.final_population_hash
 
 
 class TestScreening:
@@ -209,6 +179,19 @@ class TestScreening:
         assert len({e.key for e in res.archive}) == 10
         assert res.simulations_run == 10
 
+    def test_lhs_wider_than_an_integer_range_dedupes(self, isolated_cache):
+        # Ten strata over four integer values: the design repeats points,
+        # and each distinct point is simulated once.
+        space = ParameterSpace(
+            "ints", [IntegerDim("rerr", "aodv.rerr_rate_limit_per_s", 2, 5)]
+        )
+        res = run_screening(
+            space, tiny_base(), ScreenSettings(lhs_n=10, seed=5)
+        )
+        assert res.design_size == 10
+        assert sorted(e.point["rerr"] for e in res.archive) == [2, 3, 4, 5]
+        assert res.simulations_run == 4
+
     def test_screening_writes_state(self, isolated_cache, tmp_path):
         out = tmp_path / "screen"
         res = run_screening(
@@ -218,4 +201,5 @@ class TestScreening:
         state = json.loads((out / "state.json").read_text())
         assert state["kind"] == "screen"
         assert state["design_size"] == 9
+        assert len(state["generations"]) == 1
         assert len(state["generations"][0]["population"]) == len(res.archive)

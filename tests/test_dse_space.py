@@ -55,22 +55,6 @@ class TestDimensions:
         with pytest.raises(ValueError, match="not among"):
             CategoricalDim("x", "f", ("a", "b")).clip("c")
 
-    def test_mutation_stays_in_bounds_and_changes_categorical(self):
-        rng = seeded_rng(1, 9, 9)
-        c = ContinuousDim("x", "f", 0.0, 1.0)
-        i = IntegerDim("y", "f2", 0, 3)
-        k = CategoricalDim("z", "f3", ("a", "b"))
-        for _ in range(200):
-            assert 0.0 <= c.mutate(0.5, rng, 0.5) <= 1.0
-            assert 0 <= i.mutate(2, rng, 0.5) <= 3
-            assert k.mutate("a", rng, 0.5) == "b"
-
-    def test_integer_mutation_never_noop_step(self):
-        # Even tiny sigma must move the value (clip can still pin it).
-        rng = seeded_rng(2, 9, 9)
-        d = IntegerDim("y", "f", 0, 100)
-        assert all(d.mutate(50, rng, 0.01) != 50 for _ in range(50))
-
     def test_levels(self):
         assert ContinuousDim("x", "f", 0.0, 1.0).levels(3) == [0.0, 0.5, 1.0]
         assert IntegerDim("x", "f", 0, 2).levels(5) == [0, 1, 2]
@@ -155,17 +139,6 @@ class TestParameterSpace:
         )
         with pytest.raises(ValueError, match="p_min"):
             space.bind(ScenarioConfig(), {"p": 0.0})
-
-    def test_crossover_mixes_parents(self):
-        space = small_space()
-        a = {"gamma": 0.0, "rerr": 0, "traffic": "cbr"}
-        b = {"gamma": 1.0, "rerr": 20, "traffic": "poisson"}
-        rng = seeded_rng(3, 9, 9)
-        children = [space.crossover(a, b, rng) for _ in range(50)]
-        assert any(c != a and c != b for c in children)
-        for c in children:
-            for name in c:
-                assert c[name] in (a[name], b[name])
 
     def test_point_key_is_order_insensitive(self):
         assert point_key({"a": 1, "b": 2.5}) == point_key({"b": 2.5, "a": 1})

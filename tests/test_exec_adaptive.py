@@ -543,7 +543,7 @@ class TestCliSpecWiring:
 
         before = current_policy()
         for argv in (["--list", *flags],
-                     ["search", "--space", "s.json", "--out", "o", *flags]):
+                     ["screen", "--space", "s.json", "--out", "o", *flags]):
             run = main if argv[0] == "--list" else dse_main
             with pytest.raises(SystemExit) as exc:
                 run(argv)
