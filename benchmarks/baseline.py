@@ -49,7 +49,6 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.mac.busy_monitor import BusyMonitor
 from repro.mac.csma import CsmaMac, MacConfig
 from repro.phy.channel import Channel
-from repro.phy.error_models import SinrThresholdErrorModel
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import TwoRayGround
 from repro.phy.radio import PhyConfig, Radio
@@ -83,9 +82,8 @@ def one_cell_grid():
 def _grid_channel(nx: int, ny: int, spacing: float) -> Channel:
     sim = Simulator()
     ch = Channel(sim, TwoRayGround(), propagation_delay=False)
-    rs = RandomStreams(1)
     for i in range(nx * ny):
-        r = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
+        r = Radio(sim, i, PhyConfig())
         ch.register(r, (spacing * (i % nx), spacing * (i // nx)))
     return ch
 
@@ -249,7 +247,7 @@ def kernel_dcf_unicast_exchange(quick: bool) -> dict:
     rs = RandomStreams(2)
     macs = []
     for i, pos in enumerate([(0.0, 0.0), (150.0, 0.0)]):
-        radio = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
+        radio = Radio(sim, i, PhyConfig())
         ch.register(radio, pos)
         # The queue must hold the whole burst (default drop-tail is 50).
         macs.append(CsmaMac(sim, radio, MacConfig(queue_capacity=128),
@@ -352,10 +350,8 @@ def _kernel_sinr_slot(quick: bool, batched: bool) -> dict:
     sim = Simulator()
     ch = Channel(sim, TwoRayGround(), propagation_delay=False,
                  batched=batched)
-    rs = RandomStreams(1)
     for i in range(nx * nx):
-        r = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"),
-                  error_model=SinrThresholdErrorModel(10.0))
+        r = Radio(sim, i, PhyConfig())
         ch.register(r, (80.0 * (i % nx), 80.0 * (i // nx)))
     tx = (nx * nx) // 2
     power = PhyConfig().tx_power_w

@@ -60,7 +60,6 @@ from repro.sim.engine import (
     _TIME,
     Simulator,
 )
-from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 from record import envelope, git_rev, write
 
@@ -222,9 +221,8 @@ def _dispatch_workload(runner, broadcasts: int) -> int:
     """The standard dispatch benchmark: broadcasts drained via ``runner``."""
     sim = Simulator()
     ch = Channel(sim, TwoRayGround(), propagation_delay=False)
-    rs = RandomStreams(1)
     for i in range(49):
-        r = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
+        r = Radio(sim, i, PhyConfig())
         ch.register(r, (230.0 * (i % 7), 230.0 * (i // 7)))
     power = PhyConfig().tx_power_w
     t0 = time.perf_counter()

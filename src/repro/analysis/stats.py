@@ -3,15 +3,15 @@
 Beyond the report-facing :func:`mean_ci`/:func:`summarize`, this module
 holds the *sequential* helpers the adaptive campaign scheduler
 (:mod:`repro.exec.adaptive`) stops on: :func:`t_critical` (the shared
-Student-t quantile), :func:`sequential_halfwidth` (the conservative
-stop-test statistic), and :func:`reps_to_target` (a wave-size planner).
+Student-t quantile) and :func:`sequential_halfwidth` (the conservative
+stop-test statistic).
 
 The two families deliberately disagree on ``n = 1``: a report CI prints a
 half-width of 0 for a single observation (there is nothing to spread),
 while a *stopping rule* must never conclude from one sample — so
 ``sequential_halfwidth`` returns ``inf`` until two finite values exist.
 Zero-variance samples yield a half-width of exactly ``0.0`` in both,
-unless the sequential helpers are given ``trials`` (packets per run
+unless :func:`sequential_halfwidth` is given ``trials`` (packets per run
 behind a proportion such as PDR): then the per-run variance never falls
 below the binomial :func:`proportion_variance_floor`.
 
@@ -31,7 +31,6 @@ __all__ = [
     "ConfidenceInterval",
     "mean_ci",
     "proportion_variance_floor",
-    "reps_to_target",
     "sequential_halfwidth",
     "summarize",
     "t_critical",
@@ -141,31 +140,6 @@ def sequential_halfwidth(
     if sd == 0.0:
         return 0.0
     return t_critical(n, level) * sd / math.sqrt(n)
-
-
-def reps_to_target(
-    values: Sequence[float], target: float, level: float = 0.95,
-    trials: float | None = None,
-) -> int:
-    """Estimated *total* replicates needed to reach ``target`` half-width.
-
-    Plans the next wave from the current sample's variance:
-    ``n* = (t · s / target)²`` with the t value of the current sample
-    (conservative for the larger n it predicts); ``trials`` floors ``s``
-    exactly as in :func:`sequential_halfwidth`.  Returns at least the
-    current sample size; with fewer than two finite values (no variance
-    estimate yet) or a non-positive target it returns ``n + 1`` — "buy at
-    least one more and re-ask".
-    """
-    x = _finite(values)
-    n = len(x)
-    if n < 2 or target <= 0.0:
-        return n + 1
-    sd = _sd(x, trials)
-    if sd == 0.0:
-        return n
-    need = math.ceil((t_critical(n, level) * sd / target) ** 2)
-    return max(n, int(need))
 
 
 def mean_ci(values: Sequence[float], level: float = 0.95) -> ConfidenceInterval:

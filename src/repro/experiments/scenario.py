@@ -40,7 +40,6 @@ from repro.net.node import NodeStack
 from repro.net.routing_base import RoutingProtocol
 from repro.net.static_routing import RouteOracle, StaticRouting
 from repro.phy.channel import Channel
-from repro.phy.error_models import SinrThresholdErrorModel
 from repro.phy.propagation import LogNormalShadowing, TwoRayGround
 from repro.phy.radio import PhyConfig, Radio
 from repro.sim.engine import Simulator
@@ -475,8 +474,6 @@ def build_network(config: ScenarioConfig) -> Network:
                 net.sim,
                 i,
                 replace(config.phy),
-                net.streams.stream(f"phy.rx.{i}"),
-                error_model=SinrThresholdErrorModel(),
                 tracer=net.tracer,
             )
             net.channel.register(radio, tuple(net.positions[i]))

@@ -89,7 +89,7 @@ def run_storm(
     received: dict[int, set[int]] = {}  # flood seq -> receiving node ids
 
     for i in range(n_nodes):
-        radio = Radio(sim, i, PhyConfig(), streams.stream(f"phy.rx.{i}"))
+        radio = Radio(sim, i, PhyConfig())
         channel.register(radio, tuple(positions[i]))
         mac = CsmaMac(sim, radio, MacConfig(), streams.stream(f"mac.{i}"))
         rng = streams.stream(f"policy.{i}")

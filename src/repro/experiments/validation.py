@@ -57,7 +57,7 @@ def run_saturation(
     for i in range(n):
         angle = 2.0 * math.pi * i / n
         pos = (10.0 * math.cos(angle), 10.0 * math.sin(angle))
-        radio = Radio(sim, i, phy, streams.stream(f"phy.{i}"))
+        radio = Radio(sim, i, phy)
         channel.register(radio, pos)
         macs.append(
             CsmaMac(
@@ -65,7 +65,7 @@ def run_saturation(
                 streams.stream(f"mac.{i}"),
             )
         )
-    sink_radio = Radio(sim, n, phy, streams.stream("phy.sink"))
+    sink_radio = Radio(sim, n, phy)
     channel.register(sink_radio, (0.0, 0.0))
     sink = CsmaMac(
         sim, sink_radio, mac_config or MacConfig(), streams.stream("mac.sink")

@@ -1,6 +1,5 @@
-"""Periodic time-series sampling of arbitrary probes, plus re-binning.
+"""Re-binning of time series onto fixed-width bins.
 
-:class:`TimeSeries` samples live probes inside a simulation;
 :func:`bin_series` regrids any ``(times, values)`` pair — sampled series,
 trace event streams — onto fixed-width bins for plotting and rate
 computation (``repro-trace timeline`` is built on it).
@@ -8,14 +7,11 @@ computation (``repro-trace timeline`` is built on it).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
-
-__all__ = ["TimeSeries", "bin_series"]
+__all__ = ["bin_series"]
 
 
 def bin_series(
@@ -51,6 +47,11 @@ def bin_series(
     (centers, binned):
         Bin-center timestamps and the aggregated values, one per bin.
         Empty input (or an empty range) yields ``([], [])``.
+
+    Examples
+    --------
+    >>> bin_series([0.1, 0.4, 1.2], bin_s=1.0, agg="count")
+    ([0.6, 1.6], [2.0, 1.0])
     """
     if bin_s <= 0:
         raise ValueError(f"bin_s must be positive, got {bin_s!r}")
@@ -87,69 +88,3 @@ def bin_series(
     centers = lo + (np.arange(n_bins) + 0.5) * bin_s
     return centers.tolist(), binned.tolist()
 
-
-class TimeSeries:
-    """Samples named probes at a fixed period.
-
-    Parameters
-    ----------
-    sim:
-        Event engine.
-    period_s:
-        Sampling period.
-
-    Examples
-    --------
-    >>> sim = Simulator()
-    >>> ts = TimeSeries(sim, period_s=1.0)
-    >>> ts.add_probe("clock", lambda: sim.now)
-    >>> ts.start(); sim.run(until=3.0); ts.stop()
-    >>> ts.values("clock")
-    [1.0, 2.0, 3.0]
-    """
-
-    def __init__(self, sim: Simulator, period_s: float = 1.0) -> None:
-        self.sim = sim
-        self._probes: dict[str, Callable[[], float]] = {}
-        self._times: list[float] = []
-        self._data: dict[str, list[float]] = {}
-        self._proc = PeriodicProcess(sim, period_s, self._sample)
-
-    def add_probe(self, name: str, fn: Callable[[], float]) -> None:
-        """Register probe ``name`` sampled as ``fn()`` each period."""
-        if name in self._probes:
-            raise ValueError(f"probe {name!r} already registered")
-        self._probes[name] = fn
-        self._data[name] = []
-
-    def start(self) -> None:
-        """Begin sampling."""
-        self._proc.start()
-
-    def stop(self) -> None:
-        """Stop sampling."""
-        self._proc.stop()
-
-    def _sample(self) -> None:
-        self._times.append(self.sim.now)
-        for name, fn in self._probes.items():
-            self._data[name].append(float(fn()))
-
-    @property
-    def times(self) -> list[float]:
-        """Sample timestamps."""
-        return list(self._times)
-
-    def values(self, name: str) -> list[float]:
-        """Samples of probe ``name``."""
-        return list(self._data[name])
-
-    def as_array(self, name: str) -> np.ndarray:
-        """Samples of probe ``name`` as a float array."""
-        return np.asarray(self._data[name], dtype=float)
-
-    def binned(
-        self, name: str, bin_s: float, agg: str = "mean"
-    ) -> tuple[list[float], list[float]]:
-        """Probe ``name`` regridded onto ``bin_s`` bins (see :func:`bin_series`)."""
-        return bin_series(self._times, self._data[name], bin_s, agg=agg)

@@ -7,7 +7,7 @@ ns-2 also takes for MANET stacks).
 
 from __future__ import annotations
 
-__all__ = ["NodeAddress", "BROADCAST_ADDR", "is_valid_address"]
+__all__ = ["NodeAddress", "BROADCAST_ADDR"]
 
 #: Type alias for readability in signatures.
 NodeAddress = int
@@ -15,19 +15,3 @@ NodeAddress = int
 #: Network-layer broadcast address.
 BROADCAST_ADDR: NodeAddress = -1
 
-
-def is_valid_address(addr: int, allow_broadcast: bool = True) -> bool:
-    """True for a well-formed destination address.
-
-    >>> is_valid_address(3)
-    True
-    >>> is_valid_address(BROADCAST_ADDR)
-    True
-    >>> is_valid_address(BROADCAST_ADDR, allow_broadcast=False)
-    False
-    >>> is_valid_address(-7)
-    False
-    """
-    if addr == BROADCAST_ADDR:
-        return allow_broadcast
-    return addr >= 0

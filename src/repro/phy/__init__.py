@@ -1,31 +1,21 @@
-"""Radio/PHY substrate: propagation, reception, errors, shared channel.
+"""Radio/PHY substrate: propagation, reception, shared channel.
 
 Layout mirrors ns-2's PHY split:
 
-* :mod:`~repro.phy.propagation` — deterministic path-loss models (free
-  space, two-ray ground, log-distance) plus log-normal shadowing, all with
-  vectorised many-receiver evaluation (the hot path).
-* :mod:`~repro.phy.error_models` — SINR → BER/FER for DSSS (802.11b) and
-  generic PSK/QAM modulations, plus a simple SINR-threshold model.
+* :mod:`~repro.phy.propagation` — two-ray ground path loss plus log-normal
+  shadowing, with vectorised many-receiver evaluation (the hot path).
 * :mod:`~repro.phy.frame` — physical-layer frame wrapper and airtime math.
 * :mod:`~repro.phy.radio` — per-node radio state machine with
-  SINR-segmented reception and capture.
+  SINR-segmented reception and capture; a frame is decoded iff its
+  minimum SINR is at least 10 dB.
 * :mod:`~repro.phy.channel` — the shared broadcast medium dispatching
   transmissions to all radios in range.
 """
 
 from repro.phy.channel import Channel
 from repro.phy.energy import EnergyConfig, EnergyMeter, attach_energy_meters
-from repro.phy.error_models import (
-    Dsss11ErrorModel,
-    ErrorModel,
-    PskErrorModel,
-    SinrThresholdErrorModel,
-)
 from repro.phy.frame import PhyFrame, RxInfo
 from repro.phy.propagation import (
-    FreeSpace,
-    LogDistance,
     LogNormalShadowing,
     PropagationModel,
     TwoRayGround,
@@ -37,18 +27,12 @@ __all__ = [
     "EnergyConfig",
     "EnergyMeter",
     "attach_energy_meters",
-    "Dsss11ErrorModel",
-    "ErrorModel",
-    "FreeSpace",
-    "LogDistance",
     "LogNormalShadowing",
     "PhyConfig",
     "PhyFrame",
     "PropagationModel",
-    "PskErrorModel",
     "Radio",
     "RadioState",
     "RxInfo",
-    "SinrThresholdErrorModel",
     "TwoRayGround",
 ]

@@ -644,8 +644,8 @@ class Channel:
                 g[0].append(receivers[k])
                 g[1].append(powers[k])
             # The trailing dict is the group's constants cache, populated
-            # lazily by the block handlers (per-radio config gathers and
-            # the error-model homogeneity check, hoisted off the hot path).
+            # lazily by the block handlers (per-radio config gathers,
+            # hoisted off the hot path).
             groups = [(d, rxs, pws, {}) for d, (rxs, pws) in by_delay.items()]
             self._block_plans[key] = (plan, groups)
         sim = self.sim

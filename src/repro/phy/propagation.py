@@ -5,12 +5,11 @@ power in watts.  The many-receiver form is the hot path — one call per
 transmission — so it is fully vectorised over a ``(n, 2)`` position array,
 per the hpc-parallel guide (vectorise the inner loop, no per-node Python).
 
-Models follow their ns-2 namesakes:
+Two models, following their ns-2 namesakes:
 
-* :class:`FreeSpace` — Friis equation, exponent 2 everywhere.
 * :class:`TwoRayGround` — Friis below the crossover distance, fourth-power
-  ground-reflection beyond it (the ns-2 WMN default).
-* :class:`LogDistance` — reference loss at ``d0`` plus ``10·n·log10(d/d0)``.
+  ground-reflection beyond it (the ns-2 WMN default, 250 m reception and
+  550 m carrier sense at the ns-2 thresholds).
 * :class:`LogNormalShadowing` — wraps any model, adding a per-link *static*
   shadowing term (dB, zero-mean Gaussian) that is deterministic per link so
   a link's quality does not fluctuate packet-to-packet.
@@ -28,9 +27,7 @@ from repro.sim.units import SPEED_OF_LIGHT
 
 __all__ = [
     "PropagationModel",
-    "FreeSpace",
     "TwoRayGround",
-    "LogDistance",
     "LogNormalShadowing",
 ]
 
@@ -168,63 +165,20 @@ class PropagationModel(ABC):
         return self.range_for(tx_power_w, threshold_w)
 
 
-class FreeSpace(PropagationModel):
-    """Friis free-space model: ``Pr = Pt·Gt·Gr·λ² / ((4πd)²·L)``.
+class TwoRayGround(PropagationModel):
+    """Two-ray ground reflection model (ns-2's WMN default).
+
+    Friis ``Pr = Pt·Gt·Gr·λ² / ((4πd)²·L)`` up to the crossover distance
+    ``dc = 4π·ht·hr/λ``, then ``Pr = Pt·Gt·Gr·ht²·hr² / (d⁴·L)``.
 
     Parameters
     ----------
     frequency_hz:
         Carrier frequency (default 2.4 GHz ISM).
-    tx_gain, rx_gain, system_loss:
-        Linear antenna gains and system loss (all default 1.0, as ns-2).
-    """
-
-    def __init__(
-        self,
-        frequency_hz: float = 2.4e9,
-        tx_gain: float = 1.0,
-        rx_gain: float = 1.0,
-        system_loss: float = 1.0,
-    ) -> None:
-        if frequency_hz <= 0:
-            raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
-        if min(tx_gain, rx_gain, system_loss) <= 0:
-            raise ValueError("gains and system loss must be positive")
-        self.frequency_hz = frequency_hz
-        self.wavelength_m = SPEED_OF_LIGHT / frequency_hz
-        self.tx_gain = tx_gain
-        self.rx_gain = rx_gain
-        self.system_loss = system_loss
-        self._k = (
-            tx_gain * rx_gain * self.wavelength_m**2 / ((4.0 * math.pi) ** 2 * system_loss)
-        )
-
-    def rx_power_many(
-        self, tx_power_w: float, tx_pos: np.ndarray, rx_pos: np.ndarray,
-        rx_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
-        d = _distances(tx_pos, rx_pos)
-        return tx_power_w * self._k / (d * d)
-
-    def rx_power_pairs(
-        self, tx_power_w: "np.ndarray | float", tx_pos: np.ndarray,
-        rx_pos: np.ndarray, tx_ids: np.ndarray | None = None,
-        rx_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
-        d = _pair_distances(np.asarray(tx_pos, float), np.asarray(rx_pos, float))
-        return tx_power_w * self._k / (d * d)
-
-
-class TwoRayGround(PropagationModel):
-    """Two-ray ground reflection model (ns-2's WMN default).
-
-    Friis up to the crossover distance ``dc = 4π·ht·hr/λ``, then
-    ``Pr = Pt·Gt·Gr·ht²·hr² / (d⁴·L)``.
-
-    Parameters
-    ----------
     antenna_height_m:
         Height of both antennas (ns-2 default 1.5 m).
+    tx_gain, rx_gain, system_loss:
+        Linear antenna gains and system loss (all default 1.0, as ns-2).
     """
 
     def __init__(
@@ -235,13 +189,20 @@ class TwoRayGround(PropagationModel):
         rx_gain: float = 1.0,
         system_loss: float = 1.0,
     ) -> None:
+        if frequency_hz <= 0:
+            raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
+        if min(tx_gain, rx_gain, system_loss) <= 0:
+            raise ValueError("gains and system loss must be positive")
         if antenna_height_m <= 0:
             raise ValueError(f"antenna height must be positive, got {antenna_height_m!r}")
-        self._friis = FreeSpace(frequency_hz, tx_gain, rx_gain, system_loss)
         self.antenna_height_m = antenna_height_m
+        wavelength_m = SPEED_OF_LIGHT / frequency_hz
+        self._k2 = (
+            tx_gain * rx_gain * wavelength_m**2 / ((4.0 * math.pi) ** 2 * system_loss)
+        )
         self.crossover_m = (
             4.0 * math.pi * antenna_height_m * antenna_height_m
-        ) / self._friis.wavelength_m
+        ) / wavelength_m
         self._k4 = (
             tx_gain * rx_gain * antenna_height_m**4 / system_loss
         )
@@ -251,7 +212,7 @@ class TwoRayGround(PropagationModel):
         rx_ids: np.ndarray | None = None,
     ) -> np.ndarray:
         d = _distances(tx_pos, rx_pos)
-        near = tx_power_w * self._friis._k / (d * d)
+        near = tx_power_w * self._k2 / (d * d)
         far = tx_power_w * self._k4 / (d**4)
         return np.where(d < self.crossover_m, near, far)
 
@@ -261,55 +222,9 @@ class TwoRayGround(PropagationModel):
         rx_ids: np.ndarray | None = None,
     ) -> np.ndarray:
         d = _pair_distances(np.asarray(tx_pos, float), np.asarray(rx_pos, float))
-        near = tx_power_w * self._friis._k / (d * d)
+        near = tx_power_w * self._k2 / (d * d)
         far = tx_power_w * self._k4 / (d**4)
         return np.where(d < self.crossover_m, near, far)
-
-
-class LogDistance(PropagationModel):
-    """Log-distance path loss: ``PL(d) = PL(d0) + 10·n·log10(d/d0)`` dB.
-
-    Parameters
-    ----------
-    exponent:
-        Path-loss exponent ``n`` (2 free space, 2.7–4 urban mesh).
-    reference_distance_m:
-        Reference distance ``d0``; loss there is computed with Friis.
-    """
-
-    def __init__(
-        self,
-        exponent: float = 3.0,
-        reference_distance_m: float = 1.0,
-        frequency_hz: float = 2.4e9,
-    ) -> None:
-        if exponent <= 0:
-            raise ValueError(f"exponent must be positive, got {exponent!r}")
-        if reference_distance_m <= 0:
-            raise ValueError("reference distance must be positive")
-        self.exponent = exponent
-        self.d0 = reference_distance_m
-        friis = FreeSpace(frequency_hz)
-        # Linear gain at the reference distance (power ratio Pr/Pt at d0).
-        self._g0 = friis._k / (self.d0 * self.d0)
-
-    def rx_power_many(
-        self, tx_power_w: float, tx_pos: np.ndarray, rx_pos: np.ndarray,
-        rx_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
-        d = np.maximum(_distances(tx_pos, rx_pos), self.d0)
-        return tx_power_w * self._g0 * (self.d0 / d) ** self.exponent
-
-    def rx_power_pairs(
-        self, tx_power_w: "np.ndarray | float", tx_pos: np.ndarray,
-        rx_pos: np.ndarray, tx_ids: np.ndarray | None = None,
-        rx_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
-        d = np.maximum(
-            _pair_distances(np.asarray(tx_pos, float), np.asarray(rx_pos, float)),
-            self.d0,
-        )
-        return tx_power_w * self._g0 * (self.d0 / d) ** self.exponent
 
 
 class LogNormalShadowing(PropagationModel):

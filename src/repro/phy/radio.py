@@ -7,9 +7,11 @@ the ns-2/ns-3 "lock + interference accumulation" abstraction:
   is IDLE *locks* the radio onto it; every other impinging signal only adds
   interference power.
 * Whenever the interference level changes during a locked reception, the
-  current SINR *segment* is closed and a new one opened; at the end of the
-  frame the error model converts the segment list into a success
-  probability, which is Bernoulli-sampled with the node's own RNG stream.
+  current SINR *segment* is closed and a new one opened, and the frame's
+  running minimum SINR is updated.  At the end of the frame the one
+  reception rule applies: the frame is decoded iff its minimum SINR is at
+  least :data:`SINR_THRESHOLD` (10 dB, the ns-2 threshold), so reception
+  is deterministic and draws no random numbers.
 * An optional *capture* rule lets a sufficiently stronger late arrival
   steal the lock (the old frame is marked corrupted), modelling preamble
   capture — without it, the classic 802.11 hidden-terminal collision
@@ -24,25 +26,30 @@ is transmitting, receiving, or the total impinging power clears
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.phy import sinr_kernel
-from repro.phy.error_models import ErrorModel, SinrThresholdErrorModel
 from repro.phy.frame import PhyFrame, RxInfo
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.trace import Tracer
 
 __all__ = [
+    "SINR_THRESHOLD",
     "PhyConfig",
     "Radio",
     "RadioState",
     "rx_start_block",
     "rx_end_block",
 ]
+
+#: Minimum SINR (linear ratio) over a frame for it to be decoded: 10 dB,
+#: the ns-2 threshold.
+SINR_THRESHOLD = 10.0
 
 
 class RadioState(enum.Enum):
@@ -83,16 +90,25 @@ class PhyConfig:
     capture_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.tx_power_w <= 0:
-            raise ValueError("tx power must be positive")
-        if not (self.noise_floor_w > 0):
-            raise ValueError("noise floor must be positive")
+        # Checked here, not first inside a run: a DSE point or campaign
+        # cell with a bad value fails before it reaches a worker.
+        for name in (
+            "tx_power_w", "rx_threshold_w", "cs_threshold_w", "noise_floor_w",
+            "data_rate_bps", "basic_rate_bps",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (math.isfinite(self.preamble_s) and self.preamble_s >= 0):
+            raise ValueError(
+                f"preamble_s must be non-negative and finite, got {self.preamble_s!r}"
+            )
         if self.cs_threshold_w > self.rx_threshold_w:
             raise ValueError(
                 "carrier-sense threshold must not exceed the rx threshold "
                 f"(cs={self.cs_threshold_w!r} > rx={self.rx_threshold_w!r})"
             )
-        if self.capture_ratio < 1.0:
+        if not self.capture_ratio >= 1.0:
             raise ValueError("capture ratio must be ≥ 1 (linear)")
 
 
@@ -103,7 +119,6 @@ class _Reception:
     frame: PhyFrame
     rx_power_w: float
     start: float
-    segments: list[tuple[float, int]] = field(default_factory=list)
     segment_start: float = 0.0
     interference_w: float = 0.0
     corrupted: bool = False
@@ -121,10 +136,6 @@ class Radio:
         Owning node id (also the index into the channel position table).
     config:
         PHY parameters.
-    rng:
-        Node-local generator for reception Bernoulli draws.
-    error_model:
-        SINR → success model (default: 10 dB threshold).
     tracer:
         Optional tracer (category ``"phy"``).
 
@@ -140,15 +151,11 @@ class Radio:
         sim: Simulator,
         node_id: int,
         config: PhyConfig,
-        rng: np.random.Generator,
-        error_model: ErrorModel | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
         self.config = config
-        self.rng = rng
-        self.error_model = error_model or SinrThresholdErrorModel()
         self.tracer = tracer if tracer is not None else Tracer()
         self.channel: Any = None  # set by Channel.register
 
@@ -367,18 +374,10 @@ class Radio:
             uid=frame.uid, power=rx_power_w,
         )
 
-    def _effective_bitrate(self, frame: PhyFrame) -> float:
-        # The preamble has no payload bits; spreading the payload bits over
-        # the whole airtime yields the per-segment bit counts used by the
-        # error model (documented approximation, see module docstring).
-        return frame.bits / frame.duration_s
-
     def _close_segment(self, cur: _Reception) -> None:
         dt = self.sim.now - cur.segment_start
         if dt > 0:
             sinr = cur.rx_power_w / (cur.interference_w + self.config.noise_floor_w)
-            bits = max(1, int(round(dt * self._effective_bitrate(cur.frame))))
-            cur.segments.append((sinr, bits))
             cur.min_sinr = min(cur.min_sinr, sinr)
         cur.segment_start = self.sim.now
 
@@ -406,21 +405,17 @@ class Radio:
         self._close_segment(cur)
         self._current = None
         self._set_state(RadioState.IDLE)
+        self._deliver(cur, rx_power_w)
 
-        p_ok = self.error_model.frame_success_probability(cur.segments)
-        ok = p_ok >= 1.0 or (p_ok > 0.0 and self.rng.random() < p_ok)
-        self._deliver(cur, rx_power_w, ok, p_ok)
-
-    def _deliver(
-        self, cur: _Reception, rx_power_w: float, ok: bool, p_ok: float
-    ) -> None:
-        """Outcome effects of a completed reception (stats, trace, upcall).
+    def _deliver(self, cur: _Reception, rx_power_w: float) -> None:
+        """Decide a completed reception and apply its effects (stats,
+        trace, upcall).
 
         Split from :meth:`_finish_current` so the batched ``rx_end`` block
-        handler can inject a vectorised frame decision and still run the
-        observable effects through the one shared code path.
+        handler runs the decision and the observable effects through the
+        one shared code path.
         """
-        if ok:
+        if cur.min_sinr >= SINR_THRESHOLD:
             self.frames_received += 1
             info = RxInfo(
                 rx_power_w=rx_power_w,
@@ -439,7 +434,7 @@ class Radio:
             self.frames_corrupted += 1
             self.tracer.record(
                 self.sim.now, "phy", self.node_id, "rx_error",
-                uid=cur.frame.uid, p_ok=p_ok, sinr=cur.min_sinr,
+                uid=cur.frame.uid, sinr=cur.min_sinr,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -457,8 +452,8 @@ class Radio:
 # process all the group's radios in one call.  Decisions that the scalar
 # path makes per-radio are evaluated through the array kernel
 # (:mod:`repro.phy.sinr_kernel`); effects are then applied per radio *in
-# receiver order*, so traces, callbacks, schedules and RNG draws happen in
-# exactly the scalar sequence.  Correctness of the two-pass split rests on
+# receiver order*, so traces, callbacks and schedules happen in exactly the
+# scalar sequence.  Correctness of the two-pass split rests on
 # one repo-wide invariant: no radio/MAC callback synchronously touches
 # another node's radio — cross-node interaction always goes through newly
 # scheduled events.
@@ -481,26 +476,12 @@ def _group_constants(receivers: list[Radio]) -> dict:
     """Per-radio constants for one receiver group, gathered once.
 
     Everything here is fixed at construction time — per-radio
-    :class:`PhyConfig` thresholds and the error-model instance are never
-    mutated mid-run anywhere in the repo (failure injection toggles
-    ``powered``, not thresholds) — so the channel caches this dict
-    alongside the delay group and the block handlers skip re-gathering it
-    on every slot.
-
-    ``shared_model`` is the one error model shared (by type and threshold
-    value) by the whole group when all of them run the exact
-    :class:`SinrThresholdErrorModel`, else ``None`` — the homogeneity
-    criterion of DESIGN.md §8, hoisted out of the per-slot path.
+    :class:`PhyConfig` thresholds are never mutated mid-run anywhere in the
+    repo (failure injection toggles ``powered``, not thresholds) — so the
+    channel caches this dict alongside the delay group and the block
+    handlers skip re-gathering it on every slot.
     """
     n = len(receivers)
-    m0 = receivers[0].error_model
-    shared = None
-    if type(m0) is SinrThresholdErrorModel and all(
-        type(r.error_model) is SinrThresholdErrorModel
-        and r.error_model._threshold_linear == m0._threshold_linear
-        for r in receivers
-    ):
-        shared = m0
     return {
         "thr": np.fromiter(
             (r.config.rx_threshold_w for r in receivers), dtype=float, count=n
@@ -513,7 +494,6 @@ def _group_constants(receivers: list[Radio]) -> dict:
         ),
         # Python-float list: read per radio in the inlined CCA check.
         "cs_thr": [r.config.cs_threshold_w for r in receivers],
-        "shared_model": shared,
     }
 
 
@@ -637,11 +617,10 @@ def rx_end_block(
 
     Two passes: pass 1 performs each radio's pure bookkeeping (arrival
     tables, impinging power, SINR segment closure) — verified free of
-    observable effects — then the frame decisions for every finishing
-    receiver are evaluated in one array op when their error models permit
-    (``exact_vectorized``, no RNG), and pass 2 applies the observable
-    effects (state change, stats, traces, callbacks, CCA) per radio in
-    receiver order, exactly as the scalar sequence interleaves them.
+    observable effects — and pass 2 decides each finished frame and
+    applies the observable effects (state change, stats, traces,
+    callbacks, CCA) per radio in receiver order, exactly as the scalar
+    sequence interleaves them.
     """
     if cache is None:
         cache = {}
@@ -684,24 +663,7 @@ def rx_end_block(
             else:
                 r._reseed_segment()
 
-    # Vectorised frame decision: only when every finishing radio runs the
-    # exact threshold model (frame success ≡ min-SINR compare, no RNG
-    # draw) with one shared threshold (precomputed per group).  Anything
-    # else — curve models, mixed models — falls back to the per-radio
-    # scalar decision below, which is the reference computation verbatim.
-    oks = None
-    model = consts["shared_model"]
-    if model is not None and len(fin) >= 2:
-        # dict preserves insertion order = ascending k, matching pass 2.
-        min_sinrs = np.fromiter(
-            (cur.min_sinr for cur, _ in fin.values()),
-            dtype=float,
-            count=len(fin),
-        )
-        oks = model.frame_ok_many(min_sinrs).tolist()
-
     # Pass 2: observable effects, in receiver order.
-    i = 0
     idle_state = RadioState.IDLE
     get_fin = fin.get
     for k in range(n):
@@ -712,16 +674,7 @@ def rx_end_block(
         if e is not None:
             cur, rx_power_w = e
             r._set_state(idle_state)
-            if oks is None:
-                p_ok = r.error_model.frame_success_probability(cur.segments)
-                ok = p_ok >= 1.0 or (p_ok > 0.0 and r.rng.random() < p_ok)
-            else:
-                ok = oks[i]
-                # Threshold-model p is always exactly 0 or 1, so the
-                # rx_error trace detail stays byte-identical.
-                p_ok = 1.0 if ok else 0.0
-            i += 1
-            r._deliver(cur, rx_power_w, ok, p_ok)
+            r._deliver(cur, rx_power_w)
         # Inlined Radio._update_cca (same computation; skipping the call
         # when the flag cannot change is unobservable).
         busy = r.state is not idle_state or r._impinging_w >= cs_thr[k]

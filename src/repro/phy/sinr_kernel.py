@@ -1,23 +1,22 @@
-"""Vectorised SINR/capture decision kernel (batched reception path).
+"""Vectorised capture decision kernel (batched reception path).
 
 When the channel fans one transmission out to N receivers as a block event
 (DESIGN.md §8), every receiver faces the same branch structure at
-``rx_start`` — lock / capture / reseed / ignore — and, at ``rx_end``, the
-same frame-success decision.  This module evaluates those decisions across
-all N receivers with array ops instead of N Python branch chains.
+``rx_start``: lock / capture / reseed / ignore.  This module evaluates that
+decision across all N receivers with array ops instead of N Python branch
+chains.  The end-of-frame decision needs no kernel: it is one float
+compare per radio (``min_sinr >= SINR_THRESHOLD``), made in the block
+handler's per-radio pass.
 
-The functions here are *pure*: they read snapshots of per-radio state and
-return decisions, mutating nothing.  :mod:`repro.phy.radio`'s block
+The function here is *pure*: it reads snapshots of per-radio state and
+returns decisions, mutating nothing.  :mod:`repro.phy.radio`'s block
 handlers apply the decisions per-receiver afterwards, in receiver order,
-so the observable effect sequence (traces, callbacks, RNG draws) is
-exactly the scalar loop's.
+so the observable effect sequence (traces, callbacks) is exactly the
+scalar loop's.
 
 Exactness: every operation is an elementwise float64 compare or multiply
 — numpy evaluates these bit-identically to the equivalent scalar Python
-expression, so the decisions can never diverge from ``Radio.on_rx_start``
-/ ``Radio._finish_current``.  (Curve error models whose probabilities go
-through transcendental functions are excluded by the
-``ErrorModel.exact_vectorized`` gate.)
+expression, so the decisions can never diverge from ``Radio.on_rx_start``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "ST_RX",
     "ST_TX",
     "capture_actions",
-    "frame_success_many",
 ]
 
 # Per-receiver rx_start actions (mirror Radio.on_rx_start's branches).
@@ -94,40 +92,3 @@ def capture_actions(
     actions[rx & ~cap] = ACT_RESEED
     return actions
 
-
-def frame_success_many(
-    model,
-    sinr: np.ndarray,
-    bits: np.ndarray,
-    offsets: np.ndarray,
-) -> np.ndarray:
-    """Per-frame success probabilities over concatenated segment arrays.
-
-    ``sinr``/``bits`` hold every frame's segments back to back;
-    ``offsets[i]`` is where frame *i*'s segments start.  Equivalent to
-    calling ``model.frame_success_probability`` per frame (without the
-    early-out at p == 0, which does not change the product), with the
-    per-segment probabilities evaluated through the model's vectorised
-    ``segment_success_probability_many``.  Frames with zero segments get
-    the empty product, 1.0.
-
-    Precondition: every segment has ``bits >= 1`` (what
-    ``Radio._close_segment`` emits); segments with non-positive bit
-    counts would be skipped by the scalar path but not here.
-    """
-    sinr = np.asarray(sinr, dtype=float)
-    bits = np.asarray(bits, dtype=float)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    n = len(offsets)
-    out = np.ones(n)
-    if n == 0 or len(sinr) == 0:
-        return out
-    p = model.segment_success_probability_many(sinr, bits)
-    ends = np.append(offsets[1:], len(p))
-    nonempty = ends > offsets
-    # reduceat would return p[offsets[i]] (not 1.0) for an empty frame;
-    # restricting the index list to non-empty frames sidesteps the quirk
-    # without changing any other frame's grouping.
-    if nonempty.any():
-        out[nonempty] = np.multiply.reduceat(p, offsets[nonempty])
-    return out

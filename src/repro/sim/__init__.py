@@ -10,7 +10,7 @@ every other subsystem is built on:
   — restartable one-shot and repeating activities layered on the engine.
 * :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
   :class:`numpy.random.Generator` substreams derived from a single root seed.
-* :mod:`~repro.sim.units` — physical unit constants and dBm/mW conversions.
+* :mod:`~repro.sim.units` — the speed of light and frame airtime.
 * :class:`~repro.sim.trace.Tracer` — structured, filterable event tracing.
 """
 

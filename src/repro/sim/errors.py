@@ -14,6 +14,3 @@ class SchedulingError(SimulationError):
     or cancelling an event twice.
     """
 
-
-class ConfigurationError(SimulationError):
-    """Raised when a model is constructed with invalid parameters."""

@@ -1,128 +1,28 @@
-"""Physical units, constants, and dB conversions.
+"""Physical constants and airtime.
 
 All simulator-internal quantities use SI base units: seconds, metres, bits,
-bits-per-second, watts.  Decibel quantities appear only at configuration
-boundaries; convert once on the way in with the helpers here.
+bits-per-second, watts.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 __all__ = [
-    "MICRO",
-    "MILLI",
-    "KILO",
-    "MEGA",
-    "GIGA",
     "SPEED_OF_LIGHT",
-    "BOLTZMANN",
-    "dbm_to_watt",
-    "watt_to_dbm",
-    "db_to_linear",
-    "linear_to_db",
-    "thermal_noise_watt",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "airtime",
-    "isclose_time",
 ]
-
-MICRO = 1e-6
-MILLI = 1e-3
-KILO = 1e3
-MEGA = 1e6
-GIGA = 1e9
 
 #: Speed of light in vacuum, m/s.
 SPEED_OF_LIGHT = 299_792_458.0
 
-#: Boltzmann constant, J/K.
-BOLTZMANN = 1.380_649e-23
-
-
-def dbm_to_watt(dbm: float | np.ndarray) -> float | np.ndarray:
-    """Convert a power level in dBm to watts.
-
-    >>> dbm_to_watt(0.0)
-    0.001
-    >>> round(dbm_to_watt(30.0), 9)
-    1.0
-    """
-    return 10.0 ** ((np.asarray(dbm, dtype=float) - 30.0) / 10.0) if isinstance(
-        dbm, np.ndarray
-    ) else 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: float | np.ndarray) -> float | np.ndarray:
-    """Convert watts to dBm.  ``watt`` must be strictly positive.
-
-    >>> watt_to_dbm(0.001)
-    0.0
-    """
-    arr = np.asarray(watt, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("power must be strictly positive to express in dBm")
-    out = 10.0 * np.log10(arr) + 30.0
-    return out if isinstance(watt, np.ndarray) else float(out)
-
-
-def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
-    """Convert a dB ratio to a linear ratio."""
-    if isinstance(db, np.ndarray):
-        return 10.0 ** (db / 10.0)
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(ratio: float | np.ndarray) -> float | np.ndarray:
-    """Convert a linear ratio (> 0) to dB."""
-    arr = np.asarray(ratio, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("ratio must be strictly positive to express in dB")
-    out = 10.0 * np.log10(arr)
-    return out if isinstance(ratio, np.ndarray) else float(out)
-
-
-def thermal_noise_watt(bandwidth_hz: float, temperature_k: float = 290.0,
-                       noise_figure_db: float = 0.0) -> float:
-    """Thermal noise floor ``kTB`` scaled by a receiver noise figure.
-
-    >>> p = thermal_noise_watt(22e6, noise_figure_db=10.0)
-    >>> -91.0 < watt_to_dbm(p) < -90.0   # ~-90.5 dBm for 802.11b w/ 10 dB NF
-    True
-    """
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz!r}")
-    if temperature_k <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature_k!r}")
-    return BOLTZMANN * temperature_k * bandwidth_hz * db_to_linear(noise_figure_db)
-
-
-def bits_to_bytes(bits: int) -> int:
-    """Bits → whole bytes (must divide evenly)."""
-    if bits % 8:
-        raise ValueError(f"{bits} bits is not a whole number of bytes")
-    return bits // 8
-
-
-def bytes_to_bits(nbytes: int) -> int:
-    """Bytes → bits."""
-    if nbytes < 0:
-        raise ValueError(f"byte count must be non-negative, got {nbytes}")
-    return nbytes * 8
-
 
 def airtime(bits: int, rate_bps: float) -> float:
-    """Transmission duration of ``bits`` at ``rate_bps`` (seconds)."""
+    """Transmission duration of ``bits`` at ``rate_bps`` (seconds).
+
+    >>> airtime(8000, 2e6)
+    0.004
+    """
     if rate_bps <= 0:
         raise ValueError(f"rate must be positive, got {rate_bps!r}")
     if bits < 0:
         raise ValueError(f"bit count must be non-negative, got {bits}")
     return bits / rate_bps
-
-
-def isclose_time(a: float, b: float, tol: float = 1e-12) -> bool:
-    """Tolerant comparison for simulation timestamps."""
-    return math.isclose(a, b, rel_tol=0.0, abs_tol=tol)

@@ -1,5 +1,1 @@
 """Small shared utilities."""
-
-from repro.util.validation import require, require_in_range, require_positive
-
-__all__ = ["require", "require_in_range", "require_positive"]

@@ -1,48 +1,10 @@
-"""Argument validation helpers with uniform error messages."""
+"""Canonical JSON normalisation for declarative specs and content hashes."""
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = [
-    "require",
-    "require_positive",
-    "require_in_range",
-    "canonical_json_value",
-]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` unless ``condition``.
-
-    >>> require(True, "fine")
-    >>> require(False, "boom")
-    Traceback (most recent call last):
-        ...
-    ValueError: boom
-    """
-    if not condition:
-        raise ValueError(message)
-
-
-def require_positive(value: float, name: str) -> float:
-    """Validate ``value > 0`` and return it."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def require_in_range(
-    value: float, name: str, lo: float, hi: float, inclusive: bool = True
-) -> float:
-    """Validate ``lo ≤ value ≤ hi`` (or strict) and return it."""
-    ok = lo <= value <= hi if inclusive else lo < value < hi
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ValueError(
-            f"{name} must be in {bracket[0]}{lo}, {hi}{bracket[1]}, got {value!r}"
-        )
-    return value
+__all__ = ["canonical_json_value"]
 
 
 def canonical_json_value(value: Any, name: str = "value") -> Any:

@@ -8,7 +8,6 @@ from repro.analysis.stats import (
     ConfidenceInterval,
     mean_ci,
     proportion_variance_floor,
-    reps_to_target,
     sequential_halfwidth,
     summarize,
     t_critical,
@@ -151,24 +150,6 @@ class TestSequentialHelpers:
         wide = sequential_halfwidth([1.0, 2.0])
         assert narrow < wide
 
-    def test_reps_to_target_needs_variance_estimate(self):
-        assert reps_to_target([], 0.1) == 1
-        assert reps_to_target([1.0], 0.1) == 2
-
-    def test_reps_to_target_nonpositive_target(self):
-        assert reps_to_target([1.0, 2.0], 0.0) == 3
-
-    def test_reps_to_target_zero_variance_is_satisfied(self):
-        assert reps_to_target([2.0, 2.0, 2.0], 0.001) == 3
-
-    def test_reps_to_target_never_below_current_n(self):
-        assert reps_to_target([1.0, 1.001, 0.999], 100.0) == 3
-
-    def test_reps_to_target_grows_for_tight_targets(self):
-        loose = reps_to_target([1.0, 2.0, 3.0], 1.0)
-        tight = reps_to_target([1.0, 2.0, 3.0], 0.01)
-        assert tight > loose > 0
-
 
 class TestProportionFloor:
     """The binomial variance floor for packet proportions (PDR)."""
@@ -202,10 +183,3 @@ class TestProportionFloor:
         values = [0.2, 0.9, 0.5, 0.7]
         assert sequential_halfwidth(values, trials=1000.0) \
             == sequential_halfwidth(values)
-
-    def test_reps_to_target_uses_the_floor(self):
-        # Zero variance used to mean "already enough"; over 100 packets a
-        # run, a ±0.01 target on p̄ = 0.9 needs (t·0.03/0.01)² runs.
-        assert reps_to_target([0.9, 0.9, 0.9], 0.01) == 3
-        need = reps_to_target([0.9, 0.9, 0.9], 0.01, trials=100.0)
-        assert need == math.ceil((t_critical(3) * 0.03 / 0.01) ** 2)

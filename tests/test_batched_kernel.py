@@ -16,18 +16,8 @@ from repro.experiments.scenario import ScenarioConfig, build_network
 from repro.mac.busy_monitor import BusyMonitor
 from repro.phy import sinr_kernel
 from repro.phy.channel import Channel
-from repro.phy.error_models import (
-    Dsss11ErrorModel,
-    PskErrorModel,
-    SinrThresholdErrorModel,
-)
 from repro.phy.frame import PhyFrame
-from repro.phy.propagation import (
-    FreeSpace,
-    LogDistance,
-    LogNormalShadowing,
-    TwoRayGround,
-)
+from repro.phy.propagation import LogNormalShadowing, TwoRayGround
 from repro.phy.radio import PhyConfig, Radio, rx_end_block, rx_start_block
 from repro.sim.engine import Simulator
 from repro.sim.errors import SchedulingError
@@ -158,61 +148,14 @@ class TestCaptureActions:
         assert acts.tolist() == [sinr_kernel.ACT_LOCK]
 
 
-class TestFrameSuccessMany:
-    @pytest.mark.parametrize("model", [
-        SinrThresholdErrorModel(10.0),
-        PskErrorModel(1),
-        PskErrorModel(2),
-        Dsss11ErrorModel(11e6),
-    ])
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_matches_scalar_product(self, model, seed):
-        rng = np.random.default_rng(seed)
-        n_frames = int(rng.integers(1, 12))
-        seg_counts = rng.integers(0, 5, n_frames)
-        sinr, bits, offsets = [], [], []
-        for c in seg_counts:
-            offsets.append(len(sinr))
-            for _ in range(c):
-                sinr.append(float(rng.uniform(0.01, 100.0)))
-                bits.append(int(rng.integers(1, 5000)))
-        got = sinr_kernel.frame_success_many(
-            model, np.array(sinr), np.array(bits), np.array(offsets, dtype=int)
-        )
-        k = 0
-        for i, c in enumerate(seg_counts):
-            segs = [(sinr[k + j], bits[k + j]) for j in range(c)]
-            k += c
-            want = model.frame_success_probability(segs)
-            if isinstance(model, SinrThresholdErrorModel):
-                assert got[i] == want  # exact model: bit-identical
-            else:
-                assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-    def test_threshold_many_is_bit_exact(self):
-        m = SinrThresholdErrorModel(10.0)
-        sinr = np.array([9.999999, 10.0, 10.000001, 1e6])
-        lin = m._threshold_linear
-        probe = np.array([lin * (1 - 1e-15), lin, lin * (1 + 1e-15)])
-        got = m.segment_success_probability_many(probe, np.ones(3))
-        want = [m.segment_success_probability(float(s), 1) for s in probe]
-        assert got.tolist() == want
-
-    def test_frame_ok_many_matches_product_semantics(self):
-        m = SinrThresholdErrorModel(10.0)
-        lin = m._threshold_linear
-        min_sinrs = np.array([lin - 1e-9, lin, lin + 1.0, np.inf])
-        # inf = no closed segments = empty product = success
-        assert m.frame_ok_many(min_sinrs).tolist() == [False, True, True, True]
-
-
 # --------------------------------------------------------------------- #
 # rx_power_pairs ≡ rx_power_many (bit-exact per model)
 # --------------------------------------------------------------------- #
 class TestRxPowerPairs:
     @pytest.mark.parametrize("model", [
-        FreeSpace(), TwoRayGround(), LogDistance(exponent=3.1),
+        TwoRayGround(),
+        # Unkeyed shadowing evaluates its base model.
+        LogNormalShadowing(TwoRayGround(), 4.0, RandomStreams(0)),
     ])
     def test_bit_identical_to_many(self, model):
         rng = np.random.default_rng(3)
@@ -252,10 +195,8 @@ class TestRxPowerPairs:
 def _make_channel(positions, **kw):
     sim = Simulator()
     ch = Channel(sim, TwoRayGround(), propagation_delay=False, **kw)
-    rs = RandomStreams(1)
     for i, pos in enumerate(positions):
-        r = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"),
-                  error_model=SinrThresholdErrorModel(10.0))
+        r = Radio(sim, i, PhyConfig())
         ch.register(r, tuple(pos))
     return ch
 
@@ -304,10 +245,9 @@ class TestWarmPlans:
             sim, LogNormalShadowing(TwoRayGround(), 4.0, streams),
             propagation_delay=False,
         )
-        rs = RandomStreams(1)
         for i, p in enumerate(pos):
             shadow.register(
-                Radio(sim, i, PhyConfig(), rs.stream(f"p{i}")), tuple(p)
+                Radio(sim, i, PhyConfig()), tuple(p)
             )
         lazy_sig = None
         shadow.warm_plans([(0, power), (1, power)])
@@ -326,7 +266,7 @@ def _reception_state(radios):
             r._cca_busy,
             None if r._current is None else (
                 r._current.frame.uid, r._current.rx_power_w,
-                r._current.min_sinr, list(r._current.segments),
+                r._current.min_sinr,
             ),
         ))
     return out
@@ -341,10 +281,8 @@ class TestBlockHandlersMatchScalar:
 
         def build():
             sim = Simulator()
-            rs = RandomStreams(7)
             radios = [
-                Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"),
-                      error_model=SinrThresholdErrorModel(10.0))
+                Radio(sim, i, PhyConfig())
                 for i in range(n)
             ]
             return sim, radios
@@ -381,9 +319,8 @@ class TestBlockHandlersMatchScalar:
 
     def test_unpowered_receiver_falls_back(self):
         sim = Simulator()
-        rs = RandomStreams(7)
         radios = [
-            Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
+            Radio(sim, i, PhyConfig())
             for i in range(6)
         ]
         radios[2].set_power_state(False)

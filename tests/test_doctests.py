@@ -7,7 +7,6 @@ import pytest
 import repro.metrics.fairness
 import repro.metrics.summary
 import repro.metrics.timeseries
-import repro.net.addressing
 import repro.sim.engine
 import repro.sim.process
 import repro.sim.rng
@@ -20,7 +19,6 @@ MODULES = [
     repro.metrics.fairness,
     repro.metrics.summary,
     repro.metrics.timeseries,
-    repro.net.addressing,
     repro.sim.engine,
     repro.sim.process,
     repro.sim.rng,

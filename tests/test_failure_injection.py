@@ -9,7 +9,6 @@ from repro.phy.propagation import TwoRayGround
 from repro.phy.radio import PhyConfig, Radio, RadioState
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
-from repro.sim.rng import RandomStreams
 
 #: The whole module is part of the CI chaos suite (seed-swept).
 pytestmark = pytest.mark.chaos
@@ -80,10 +79,9 @@ class TestMidFlightPowerOff:
     def _pair(self):
         sim = Simulator()
         channel = Channel(sim, TwoRayGround())
-        streams = RandomStreams(3)
         radios = []
         for i in range(2):
-            r = Radio(sim, i, PhyConfig(), streams.stream(f"phy.rx.{i}"))
+            r = Radio(sim, i, PhyConfig())
             channel.register(r, (i * 100.0, 0.0))
             radios.append(r)
         return sim, radios

@@ -1,6 +1,6 @@
 """The simulation path imports numpy and the stdlib only (DESIGN.md).
 
-scipy (statistics, Bianchi, the PSK/DSSS curves) and networkx (the
+scipy (statistics, Bianchi) and networkx (the
 oracle, the perfect MAC, random placement, ``Network.graph``) are
 imported inside the functions that use them.  Loading them costs over a
 second per process, so these tests pin two things:
@@ -21,7 +21,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis.bianchi import (
@@ -35,7 +34,6 @@ from repro.experiments.scenario import (
     build_network,
 )
 from repro.mac.csma import MacConfig
-from repro.phy.error_models import Dsss11ErrorModel, PskErrorModel
 from repro.topology.graph import connectivity_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,27 +122,6 @@ T_CRITICAL = {
     30: 2.045229642132703,
 }
 
-SINRS = [-0.5, 0.0, 0.1, 0.5, 2.0, 4.0, 8.0]
-BITS = [8, 100, 512, 8, 64, 512, 8000]
-_PSK = [
-    0.00390625, 0.0, 6.677247118668827e-89, 0.2510683083165379,
-    0.2292765878457198, 0.3015248817641442, 0.7761775782557304,
-]
-CURVES = {
-    "psk1": (PskErrorModel(1), _PSK),
-    "psk2": (
-        PskErrorModel(2),
-        _PSK[:5] + [0.3015248817641439] + _PSK[6:],
-    ),
-    "dsss1": (
-        Dsss11ErrorModel(1e6),
-        [0.00390625, 0.0, 1.261695010487264e-16, 0.9963613301631788,
-         0.9999999989491972, 1.0, 1.0],
-    ),
-    "dsss11": (Dsss11ErrorModel(11e6), _PSK),
-}
-
-
 @pytest.mark.parametrize("n", sorted(T_CRITICAL))
 def test_t_critical_pinned(n):
     assert t_critical(n) == T_CRITICAL[n]
@@ -156,15 +133,6 @@ def test_bianchi_pinned():
         0.037305079954573474, 0.28977145822263584,
     )
     assert saturation_throughput_bps(10, mac) == 3649161.098821583
-
-
-@pytest.mark.parametrize("name", sorted(CURVES))
-def test_error_curves_pinned(name):
-    model, expected = CURVES[name]
-    scalar = [model.segment_success_probability(s, b) for s, b in zip(SINRS, BITS)]
-    many = model.segment_success_probability_many(np.array(SINRS), np.array(BITS))
-    assert scalar == expected
-    assert many.tolist() == expected
 
 
 @pytest.mark.parametrize("mac", ["csma", "perfect"])

@@ -17,7 +17,7 @@ def make_macs(positions, mac_config, seed=1, phy_config=None):
     rs = RandomStreams(seed)
     macs = []
     for i, pos in enumerate(positions):
-        radio = Radio(sim, i, phy_config or PhyConfig(), rs.stream(f"phy{i}"))
+        radio = Radio(sim, i, phy_config or PhyConfig())
         ch.register(radio, pos)
         macs.append(CsmaMac(sim, radio, mac_config, rs.stream(f"mac{i}")))
     return sim, macs

@@ -1,4 +1,4 @@
-"""Tests for flow statistics, fairness, time series, and summaries."""
+"""Tests for flow statistics, fairness, and summaries."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 from repro.metrics.fairness import forwarding_load, jain_index, load_concentration
 from repro.metrics.flowstats import FlowStatsCollector
 from repro.metrics.summary import format_table, format_value
-from repro.metrics.timeseries import TimeSeries
 from repro.net.packet import Packet, PacketKind
-from repro.sim.engine import Simulator
 
 
 def data_packet(flow=0, seq=0, created=1.0, hops=0, payload=512):
@@ -131,25 +129,6 @@ class TestFairness:
 
         loads = forwarding_load([P(3), P(7)])
         assert loads.tolist() == [3.0, 7.0]
-
-
-class TestTimeSeries:
-    def test_sampling(self):
-        sim = Simulator()
-        ts = TimeSeries(sim, period_s=0.5)
-        ts.add_probe("t2", lambda: sim.now * 2)
-        ts.start()
-        sim.run(until=2.0)
-        ts.stop()
-        assert ts.times == [0.5, 1.0, 1.5, 2.0]
-        assert ts.values("t2") == [1.0, 2.0, 3.0, 4.0]
-        assert ts.as_array("t2").dtype == float
-
-    def test_duplicate_probe_rejected(self):
-        ts = TimeSeries(Simulator())
-        ts.add_probe("x", lambda: 0.0)
-        with pytest.raises(ValueError):
-            ts.add_probe("x", lambda: 1.0)
 
 
 class TestSummary:

@@ -12,8 +12,7 @@ import math
 import pytest
 
 from repro.metrics.asciichart import line_chart
-from repro.metrics.timeseries import TimeSeries, bin_series
-from repro.sim.engine import Simulator
+from repro.metrics.timeseries import bin_series
 
 
 class TestBinSeries:
@@ -77,27 +76,6 @@ class TestBinSeries:
             bin_series([1.0], None, agg="median")
         with pytest.raises(ValueError):
             bin_series([1.0, 2.0], [1.0])  # length mismatch
-
-
-class TestTimeSeriesBinned:
-    def test_binned_probe(self):
-        sim = Simulator()
-        ts = TimeSeries(sim, period_s=0.25)
-        ts.add_probe("clock", lambda: sim.now)
-        ts.start()
-        sim.run(until=2.0)
-        ts.stop()
-        centers, binned = ts.binned("clock", bin_s=1.0)
-        assert len(centers) == 2
-        # Mean of samples {0.25..1.0} and {1.25..2.0}.
-        assert binned[0] == pytest.approx(0.625)
-        assert binned[1] == pytest.approx(1.625)
-
-    def test_duplicate_probe_rejected(self):
-        ts = TimeSeries(Simulator())
-        ts.add_probe("p", lambda: 0.0)
-        with pytest.raises(ValueError):
-            ts.add_probe("p", lambda: 1.0)
 
 
 class TestChartDeterminism:

@@ -1,8 +1,8 @@
-"""Unit tests for packet formats and addressing."""
+"""Unit tests for packet formats."""
 
 import pytest
 
-from repro.net.addressing import BROADCAST_ADDR, is_valid_address
+from repro.net.addressing import BROADCAST_ADDR
 from repro.net.packet import (
     HelloHeader,
     IP_HEADER_BYTES,
@@ -12,19 +12,6 @@ from repro.net.packet import (
     RrepHeader,
     RreqHeader,
 )
-
-
-class TestAddressing:
-    def test_valid_addresses(self):
-        assert is_valid_address(0)
-        assert is_valid_address(17)
-        assert is_valid_address(BROADCAST_ADDR)
-
-    def test_broadcast_excluded_when_disallowed(self):
-        assert not is_valid_address(BROADCAST_ADDR, allow_broadcast=False)
-
-    def test_other_negatives_invalid(self):
-        assert not is_valid_address(-2)
 
 
 class TestHeaders:

@@ -41,11 +41,10 @@ class TestAccounting:
         from repro.phy.propagation import TwoRayGround
         from repro.phy.radio import PhyConfig, Radio
         from repro.sim.engine import Simulator
-        from repro.sim.rng import RandomStreams
 
         sim = Simulator()
         ch = Channel(sim, TwoRayGround())
-        radio = Radio(sim, 0, PhyConfig(), RandomStreams(0).stream("r"))
+        radio = Radio(sim, 0, PhyConfig())
         ch.register(radio, (0, 0))
         meter = EnergyMeter(sim, radio, EnergyConfig(idle_w=0.5))
         sim.schedule(10.0, lambda: None)
@@ -104,11 +103,10 @@ class TestDepletion:
         from repro.phy.propagation import TwoRayGround
         from repro.phy.radio import PhyConfig, Radio
         from repro.sim.engine import Simulator
-        from repro.sim.rng import RandomStreams
 
         sim = Simulator()
         ch = Channel(sim, TwoRayGround())
-        radio = Radio(sim, 0, PhyConfig(), RandomStreams(0).stream("r"))
+        radio = Radio(sim, 0, PhyConfig())
         ch.register(radio, (0, 0))
         fired = []
         EnergyMeter(

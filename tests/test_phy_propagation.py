@@ -1,15 +1,13 @@
 """Unit tests for propagation models."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.phy.propagation import (
-    FreeSpace,
-    LogDistance,
-    LogNormalShadowing,
-    TwoRayGround,
-)
+from repro.phy.propagation import LogNormalShadowing, TwoRayGround
 from repro.sim.rng import RandomStreams
+from repro.sim.units import SPEED_OF_LIGHT
 
 TX_POWER_NS2 = 0.28183815
 RX_THRESH_NS2 = 3.652e-10
@@ -20,34 +18,6 @@ ORIGIN = np.zeros(2)
 
 def at(model, d, p=TX_POWER_NS2):
     return model.rx_power(p, ORIGIN, np.array([d, 0.0]))
-
-
-class TestFreeSpace:
-    def test_inverse_square_law(self):
-        m = FreeSpace()
-        assert at(m, 200.0) / at(m, 400.0) == pytest.approx(4.0)
-
-    def test_monotone_decreasing(self):
-        m = FreeSpace()
-        powers = [at(m, d) for d in [10, 50, 100, 500, 1000]]
-        assert all(a > b for a, b in zip(powers, powers[1:]))
-
-    def test_distance_clamp_no_singularity(self):
-        m = FreeSpace()
-        assert np.isfinite(at(m, 0.0))
-
-    def test_vectorised_matches_scalar(self):
-        m = FreeSpace()
-        rx = np.array([[100.0, 0.0], [0.0, 250.0], [300.0, 400.0]])
-        many = m.rx_power_many(1.0, ORIGIN, rx)
-        for i, row in enumerate(rx):
-            assert many[i] == pytest.approx(m.rx_power(1.0, ORIGIN, row))
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            FreeSpace(frequency_hz=0.0)
-        with pytest.raises(ValueError):
-            FreeSpace(tx_gain=0.0)
 
 
 class TestTwoRayGround:
@@ -70,9 +40,30 @@ class TestTwoRayGround:
 
     def test_friis_below_crossover(self):
         m = TwoRayGround()
-        f = FreeSpace()
+        wavelength = SPEED_OF_LIGHT / 2.4e9
+        for d in (m.crossover_m / 4, m.crossover_m / 2, 0.99 * m.crossover_m):
+            friis = TX_POWER_NS2 * wavelength**2 / (4.0 * math.pi * d) ** 2
+            assert at(m, d) == pytest.approx(friis, rel=1e-12)
+
+    def test_inverse_square_below_crossover(self):
+        m = TwoRayGround()
         d = m.crossover_m / 4
-        assert at(m, d) == pytest.approx(at(f, d))
+        assert at(m, d) / at(m, 2 * d) == pytest.approx(4.0)
+
+    def test_monotone_decreasing(self):
+        m = TwoRayGround()
+        powers = [at(m, d) for d in [10, 50, 100, 500, 1000]]
+        assert all(a > b for a, b in zip(powers, powers[1:]))
+
+    def test_distance_clamp_no_singularity(self):
+        assert np.isfinite(at(TwoRayGround(), 0.0))
+
+    def test_vectorised_matches_scalar(self):
+        m = TwoRayGround()
+        rx = np.array([[100.0, 0.0], [0.0, 250.0], [300.0, 400.0]])
+        many = m.rx_power_many(1.0, ORIGIN, rx)
+        for i, row in enumerate(rx):
+            assert many[i] == m.rx_power(1.0, ORIGIN, row)
 
     def test_continuous_enough_at_crossover(self):
         m = TwoRayGround()
@@ -84,22 +75,11 @@ class TestTwoRayGround:
         with pytest.raises(ValueError):
             TwoRayGround(antenna_height_m=0.0)
 
-
-class TestLogDistance:
-    def test_exponent_controls_slope(self):
-        m2 = LogDistance(exponent=2.0)
-        m4 = LogDistance(exponent=4.0)
-        # doubling distance: n=2 → /4, n=4 → /16
-        assert at(m2, 100) / at(m2, 200) == pytest.approx(4.0)
-        assert at(m4, 100) / at(m4, 200) == pytest.approx(16.0)
-
-    def test_clamps_below_reference(self):
-        m = LogDistance(reference_distance_m=10.0)
-        assert at(m, 1.0) == at(m, 10.0)
-
-    def test_invalid_exponent_rejected(self):
+    def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            LogDistance(exponent=0.0)
+            TwoRayGround(frequency_hz=0.0)
+        with pytest.raises(ValueError):
+            TwoRayGround(tx_gain=0.0)
 
 
 class TestLogNormalShadowing:

@@ -4,25 +4,19 @@ import numpy as np
 import pytest
 
 from repro.phy.channel import Channel
-from repro.phy.error_models import SinrThresholdErrorModel
 from repro.phy.frame import PhyFrame, RxInfo
 from repro.phy.propagation import TwoRayGround
 from repro.phy.radio import PhyConfig, Radio, RadioState
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
-from repro.sim.rng import RandomStreams
 
 
 def make_net(positions, sim=None, capture=True, prop_delay=False):
     sim = sim or Simulator()
     ch = Channel(sim, TwoRayGround(), propagation_delay=prop_delay)
-    rs = RandomStreams(5)
     radios = []
     for i, pos in enumerate(positions):
-        r = Radio(
-            sim, i, PhyConfig(capture_enabled=capture), rs.stream(f"phy{i}"),
-            error_model=SinrThresholdErrorModel(10.0),
-        )
+        r = Radio(sim, i, PhyConfig(capture_enabled=capture))
         ch.register(r, pos)
         radios.append(r)
     return sim, ch, radios
@@ -95,7 +89,7 @@ class TestBasicReception:
 
     def test_unattached_radio_rejects_tx(self):
         sim = Simulator()
-        r = Radio(sim, 0, PhyConfig(), RandomStreams(0).stream("x"))
+        r = Radio(sim, 0, PhyConfig())
         with pytest.raises(SimulationError):
             r.transmit(frame(0))
 
@@ -189,7 +183,7 @@ class TestCarrierSense:
 class TestChannel:
     def test_register_duplicate_rejected(self):
         sim, ch, radios = make_net([(0, 0)])
-        extra = Radio(sim, 0, PhyConfig(), RandomStreams(1).stream("z"))
+        extra = Radio(sim, 0, PhyConfig())
         with pytest.raises(SimulationError):
             ch.register(extra, (1, 1))
 

@@ -1,44 +1,29 @@
-"""Edge-case tests for radio reception internals (SINR segmentation)."""
+"""Edge-case tests for radio reception internals: the SINR the radio
+reports and the one reception rule (decoded iff min SINR >= 10 dB)."""
 
+import numpy as np
 import pytest
 
+from repro.experiments.serialization import config_from_dict
 from repro.phy.channel import Channel
-from repro.phy.error_models import (
-    ErrorModel,
-    PskErrorModel,
-    SinrThresholdErrorModel,
-)
 from repro.phy.frame import PhyFrame
 from repro.phy.propagation import TwoRayGround
-from repro.phy.radio import PhyConfig, Radio, RadioState
+from repro.phy.radio import (
+    SINR_THRESHOLD,
+    PhyConfig,
+    Radio,
+    RadioState,
+    rx_end_block,
+)
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 
 
-class RecordingErrorModel(ErrorModel):
-    """Captures the SINR segments the radio computed."""
-
-    def __init__(self):
-        self.frames: list[list[tuple[float, int]]] = []
-
-    def segment_success_probability(self, sinr, bits):
-        return 1.0
-
-    def frame_success_probability(self, segments):
-        self.frames.append(list(segments))
-        return 1.0
-
-
-def make(positions, error_model=None, capture=True):
+def make(positions, capture=True):
     sim = Simulator()
     ch = Channel(sim, TwoRayGround(), propagation_delay=False)
-    rs = RandomStreams(2)
     radios = []
     for i, pos in enumerate(positions):
-        r = Radio(
-            sim, i, PhyConfig(capture_enabled=capture), rs.stream(f"p{i}"),
-            error_model=error_model or SinrThresholdErrorModel(),
-        )
+        r = Radio(sim, i, PhyConfig(capture_enabled=capture))
         ch.register(r, pos)
         radios.append(r)
     return sim, ch, radios
@@ -52,71 +37,93 @@ def frame(tx, bits=8000):
     )
 
 
+def power_at(ch, tx, rx):
+    """Received power of ``tx``'s frames at ``rx`` (the channel's model)."""
+    return ch.propagation.rx_power(
+        PhyConfig().tx_power_w, ch.position_of(tx), ch.position_of(rx)
+    )
+
+
+def interfered_reception(interferer_bits):
+    """Node 1 sends to node 0; node 2 (900 m away) starts a frame of
+    ``interferer_bits`` a quarter of the way in.  Returns what node 0
+    reports and the powers involved."""
+    sim, ch, radios = make([(0, 0), (150, 0), (900, 0)])
+    got = []
+    radios[0].rx_callback = lambda p, info: got.append(info)
+    f1 = frame(1)
+    sim.schedule(0.0, radios[1].transmit, f1)
+    sim.schedule(f1.duration_s / 4, radios[2].transmit, frame(2, interferer_bits))
+    sim.run()
+    assert len(got) == 1
+    return got[0], power_at(ch, 1, 0), power_at(ch, 2, 0), f1
+
+
 class TestSinrSegmentation:
     def test_clean_reception_single_segment(self):
-        model = RecordingErrorModel()
-        sim, ch, radios = make([(0, 0), (150, 0)], error_model=model)
+        sim, ch, radios = make([(0, 0), (150, 0)])
+        got = []
+        radios[1].rx_callback = lambda p, info: got.append(info)
         radios[0].transmit(frame(0))
         sim.run()
-        assert len(model.frames) == 1
-        segments = model.frames[0]
-        assert len(segments) == 1
-        sinr, bits = segments[0]
-        assert sinr > 1e3  # clean channel, noise-limited
-        assert bits == pytest.approx(8000, rel=0.01)
+        assert len(got) == 1
+        # No interference: the one segment's SINR is rx power over noise.
+        assert got[0].min_sinr == got[0].rx_power_w / PhyConfig().noise_floor_w
 
     def test_partial_overlap_creates_segments(self):
-        model = RecordingErrorModel()
-        # interferer far enough that the lock survives (SINR high) but
-        # close enough to register as interference
-        sim, ch, radios = make([(0, 0), (150, 0), (900, 0)], error_model=model)
-        f0 = frame(1)
-        sim.schedule(0.0, radios[1].transmit, f0)
-        # interferer starts mid-frame
-        sim.schedule(f0.duration_s / 2, radios[2].transmit, frame(2))
-        sim.run()
-        receiver_frames = [s for s in model.frames if len(s) >= 2]
-        assert receiver_frames, "expected a segmented reception"
-        segs = receiver_frames[0]
-        # second segment has lower SINR than the first
-        assert segs[1][0] < segs[0][0]
-        # bits partition the frame
-        assert sum(b for _, b in segs) == pytest.approx(8000, rel=0.02)
+        # The interferer is still on the air when the frame ends, so the
+        # frame's last segment is the interfered one.
+        info, rx, interference, _ = interfered_reception(8000)
+        noise = PhyConfig().noise_floor_w
+        assert info.rx_power_w == rx
+        assert info.min_sinr == pytest.approx(rx / (interference + noise), rel=1e-12)
+        assert info.min_sinr < rx / noise
 
     def test_min_sinr_reported(self):
-        got = []
-        sim, ch, radios = make([(0, 0), (150, 0), (900, 0)])
-        radios[0].rx_callback = lambda p, info: got.append(info)
-        f1 = frame(1)
-        sim.schedule(0.0, radios[1].transmit, f1)
-        sim.schedule(f1.duration_s / 2, radios[2].transmit, frame(2))
-        sim.run()
-        assert len(got) == 1
-        # min SINR reflects the interfered segment, not the clean one
-        clean_sinr = radios[0].config.tx_power_w  # just a sanity anchor
-        assert got[0].min_sinr < 1e6
+        # A short interferer ends mid-frame: the clean tail segment does
+        # not hide the interfered one — min SINR reports the overlap.
+        info, rx, interference, f1 = interfered_reception(800)
+        assert f1.duration_s / 4 + frame(2, 800).duration_s < f1.duration_s
+        noise = PhyConfig().noise_floor_w
+        assert info.min_sinr == pytest.approx(rx / (interference + noise), rel=1e-12)
+        assert info.min_sinr < rx / noise
 
-    def test_probabilistic_error_model_drops_some(self):
-        # PSK at a marginal SINR: repeated receptions must show both
-        # successes and failures (Bernoulli sampling in the radio).
-        sim, ch, radios = make(
-            [(0, 0), (245, 0)], error_model=PskErrorModel(1)
-        )
-        ok = []
-        radios[1].rx_callback = lambda p, info: ok.append(1)
-        # At 245 m, rx power ≈ threshold; with noise floor of the config,
-        # SINR is huge, so lower tx power instead to hit marginal BER.
-        weak = PhyFrame(
-            payload="w", bits=8000, rate_bps=11e6, preamble_s=192e-6,
-            tx_power_w=PhyConfig().tx_power_w, tx_node=0,
-        )
-        for k in range(30):
-            sim.schedule(k * 0.01, radios[0].transmit, weak.__class__(
-                payload="w", bits=8000, rate_bps=11e6, preamble_s=192e-6,
-                tx_power_w=weak.tx_power_w, tx_node=0,
-            ))
-        sim.run()
-        assert 0 < len(ok) <= 30
+
+class TestReceptionRule:
+    """A frame is decoded iff its minimum SINR is at least 10 (10 dB).
+
+    The powers are exact binary fractions, so the SINR of a clean frame
+    at 2.5 W over a 0.25 W noise floor is exactly 10.0.
+    """
+
+    CFG = dict(rx_threshold_w=1.0, cs_threshold_w=0.5, noise_floor_w=0.25)
+
+    def _receive(self, power_w, block):
+        sim = Simulator()
+        radio = Radio(sim, 0, PhyConfig(**self.CFG))
+        got = []
+        radio.rx_callback = lambda p, info: got.append(info)
+        f = frame(1)
+        radio.on_rx_start(f, power_w)
+        sim._now = f.duration_s
+        if block:
+            rx_end_block([radio], f)
+        else:
+            radio.on_rx_end(f)
+        return radio, got
+
+    def test_min_sinr_at_threshold_is_decoded(self):
+        assert SINR_THRESHOLD == 10.0
+        for block in (False, True):
+            radio, got = self._receive(2.5, block)
+            assert [i.min_sinr for i in got] == [10.0]
+            assert (radio.frames_received, radio.frames_corrupted) == (1, 0)
+
+    def test_min_sinr_below_threshold_is_dropped(self):
+        for block in (False, True):
+            radio, got = self._receive(float(np.nextafter(2.5, 0.0)), block)
+            assert got == []
+            assert (radio.frames_received, radio.frames_corrupted) == (0, 1)
 
 
 class TestRadioStateMachine:
@@ -160,6 +167,25 @@ class TestRadioStateMachine:
             PhyConfig(capture_ratio=0.5)
         with pytest.raises(ValueError):
             PhyConfig(noise_floor_w=0.0)
+
+    # Values that used to pass construction and only fail inside a run
+    # (e.g. "rate must be positive" from the first frame's airtime).
+    BAD_PHY = [
+        {"data_rate_bps": 0.0},
+        {"basic_rate_bps": -1.0},
+        {"rx_threshold_w": 0.0, "cs_threshold_w": 0.0},
+        {"tx_power_w": float("nan")},
+        {"noise_floor_w": float("inf")},
+        {"preamble_s": -1e-3},
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_PHY, ids=lambda b: ",".join(b))
+    def test_phy_config_rejects_values_that_fail_mid_run(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PhyConfig(**bad)
+        # The DSE and campaign workers build configs through here.
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            config_from_dict({"phy": bad})
 
     def test_frame_duration(self):
         f = PhyFrame(payload=None, bits=11_000, rate_bps=11e6,

@@ -18,10 +18,9 @@ from repro.sim.units import SPEED_OF_LIGHT
 def _make_channel(positions, node_ids=None, phy=None, propagation=None):
     sim = Simulator()
     ch = Channel(sim, propagation or TwoRayGround(), propagation_delay=True)
-    rs = RandomStreams(7)
     ids = node_ids if node_ids is not None else range(len(positions))
     for nid, pos in zip(ids, positions):
-        r = Radio(sim, nid, phy or PhyConfig(), rs.stream(f"p{nid}"))
+        r = Radio(sim, nid, phy or PhyConfig())
         ch.register(r, tuple(pos))
     return ch
 
@@ -134,7 +133,7 @@ class TestGridMechanics:
         c = ch._cell_size
         # Exactly on a cell edge, and in negative space.
         ch.register(
-            Radio(ch.sim, 7, PhyConfig(), RandomStreams(3).stream("x")),
+            Radio(ch.sim, 7, PhyConfig()),
             (c, -c),
         )
         assert int(ch._key_buf[ch._index_of(7)]) == 1 * _KSTRIDE + (-1)
@@ -168,7 +167,7 @@ class TestGridMechanics:
         p = PhyConfig().tx_power_w
         ch._dispatch_plan(0, p)  # builds grid + caches a plan
         ch.register(
-            Radio(ch.sim, 9, PhyConfig(), RandomStreams(4).stream("x")),
+            Radio(ch.sim, 9, PhyConfig()),
             (100.0, 0.0),
         )
         ids, _, _ = _plan_signature(ch, 0, p)
@@ -185,7 +184,7 @@ class TestGridMechanics:
         ch.transmit(0, frame)
         ch.sim.run()
         sensitive = PhyConfig(cs_threshold_w=PhyConfig().cs_threshold_w / 100)
-        radio = Radio(ch.sim, 9, sensitive, RandomStreams(4).stream("x"))
+        radio = Radio(ch.sim, 9, sensitive)
         heard = []
         on_rx_start = radio.on_rx_start
 

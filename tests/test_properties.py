@@ -15,7 +15,6 @@ from repro.mac.queue import DropTailQueue
 from repro.metrics.fairness import jain_index
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.units import db_to_linear, dbm_to_watt, linear_to_db, watt_to_dbm
 
 
 # ---------------------------------------------------------------------- #
@@ -177,21 +176,6 @@ def test_jain_scale_invariant(scale, n):
     rng = np.random.default_rng(1)
     x = rng.uniform(0.1, 5.0, size=n)
     assert jain_index(x) == pytest.approx(jain_index(x * scale), rel=1e-9)
-
-
-# ---------------------------------------------------------------------- #
-# Unit conversions
-# ---------------------------------------------------------------------- #
-@given(st.floats(min_value=-120.0, max_value=60.0, allow_nan=False))
-@settings(max_examples=80, deadline=None)
-def test_dbm_watt_roundtrip_property(dbm):
-    assert watt_to_dbm(dbm_to_watt(dbm)) == pytest.approx(dbm, abs=1e-9)
-
-
-@given(st.floats(min_value=1e-12, max_value=1e12))
-@settings(max_examples=80, deadline=None)
-def test_db_linear_roundtrip_property(ratio):
-    assert db_to_linear(linear_to_db(ratio)) == pytest.approx(ratio, rel=1e-9)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,4 @@
-"""Unit tests for RNG streams, unit conversions, and tracing."""
-
-import math
+"""Unit tests for RNG streams, frame airtime, and tracing."""
 
 import numpy as np
 import pytest
@@ -47,50 +45,12 @@ class TestRandomStreams:
 
 
 class TestUnits:
-    def test_dbm_watt_roundtrip(self):
-        for dbm in [-90.0, -30.0, 0.0, 20.0]:
-            assert units.watt_to_dbm(units.dbm_to_watt(dbm)) == pytest.approx(dbm)
-
-    def test_zero_dbm_is_one_milliwatt(self):
-        assert units.dbm_to_watt(0.0) == pytest.approx(1e-3)
-
-    def test_db_linear_roundtrip(self):
-        assert units.db_to_linear(units.linear_to_db(42.0)) == pytest.approx(42.0)
-
-    def test_nonpositive_power_rejected(self):
-        with pytest.raises(ValueError):
-            units.watt_to_dbm(0.0)
-        with pytest.raises(ValueError):
-            units.linear_to_db(-1.0)
-
-    def test_thermal_noise_80211b(self):
-        p = units.thermal_noise_watt(22e6, noise_figure_db=10.0)
-        assert -91.0 < units.watt_to_dbm(p) < -90.0
-
-    def test_thermal_noise_validates(self):
-        with pytest.raises(ValueError):
-            units.thermal_noise_watt(0.0)
-        with pytest.raises(ValueError):
-            units.thermal_noise_watt(22e6, temperature_k=0.0)
-
     def test_airtime(self):
         assert units.airtime(11_000_000, 11e6) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             units.airtime(100, 0.0)
         with pytest.raises(ValueError):
             units.airtime(-1, 1e6)
-
-    def test_bits_bytes(self):
-        assert units.bits_to_bytes(16) == 2
-        assert units.bytes_to_bits(3) == 24
-        with pytest.raises(ValueError):
-            units.bits_to_bytes(9)
-        with pytest.raises(ValueError):
-            units.bytes_to_bits(-1)
-
-    def test_isclose_time(self):
-        assert units.isclose_time(1.0, 1.0 + 1e-13)
-        assert not units.isclose_time(1.0, 1.0 + 1e-9)
 
 
 class TestTracer:

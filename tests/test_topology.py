@@ -8,7 +8,6 @@ from repro.phy.channel import Channel
 from repro.phy.propagation import TwoRayGround
 from repro.phy.radio import PhyConfig, Radio
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 from repro.topology.gateway import select_gateways
 from repro.topology.graph import (
     connectivity_graph,
@@ -135,9 +134,8 @@ class TestMobility:
     def _channel(self, n=3):
         sim = Simulator()
         ch = Channel(sim, TwoRayGround(), propagation_delay=False)
-        rs = RandomStreams(1)
         for i in range(n):
-            r = Radio(sim, i, PhyConfig(), rs.stream(f"p{i}"))
+            r = Radio(sim, i, PhyConfig())
             ch.register(r, (float(i * 100), 0.0))
         return sim, ch
 
