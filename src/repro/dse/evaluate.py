@@ -23,6 +23,7 @@ from typing import Any, Mapping, Sequence
 from repro.dse.objectives import (
     Objective,
     aggregate_objectives,
+    extract_value,
     weighted_score,
 )
 from repro.dse.space import ParameterSpace, Point, point_key
@@ -30,9 +31,28 @@ from repro.exec.adaptive import replicate_cells
 from repro.exec.policy import ExecPolicy, current_policy
 from repro.exec.scheduler import CampaignExecutor
 from repro.exec.task import Campaign
-from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.runner import collect_result, frees_simulation
+from repro.experiments.scenario import ScenarioConfig, build_network
 
 __all__ = ["PointEval", "Evaluator"]
+
+
+@frees_simulation
+def _check_objectives(
+    base: ScenarioConfig, objectives: Sequence[Objective]
+) -> None:
+    """Resolve every objective key against an un-run network of ``base``.
+
+    The un-run result already carries every scalar metric, every
+    ``totals`` counter (``resilience_*`` included under a fault plan) and
+    every snapshot series a run of ``base`` reports, so an unknown key
+    raises :func:`~repro.dse.objectives.extract_value`'s ``KeyError``
+    here, before any cell is simulated.  The probe drops the trace spec,
+    so it writes no trace artifact.
+    """
+    probe = collect_result(build_network(replace(base, trace_spec=None)))
+    for obj in objectives:
+        extract_value(probe, obj.key)
 
 
 @dataclass(slots=True)
@@ -93,6 +113,7 @@ class Evaluator:
         self.space = space
         self.base = base
         self.objectives = list(objectives)
+        _check_objectives(base, self.objectives)
         self.n_seeds = n_seeds
         base_policy = policy if policy is not None else current_policy()
         # Content-hashed cells make resume free and kill-safe; never run

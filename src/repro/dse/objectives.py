@@ -127,8 +127,9 @@ def extract_value(result: ScenarioResult, key: str) -> float:
     Lookup order: scalar figure metrics → ``totals`` (which includes the
     ``resilience_*`` counters under a fault plan) → the ``repro_*``
     metrics snapshot.  Unknown keys raise with the closest namespaces
-    listed, so a typo fails the campaign up front rather than optimising
-    a constant.
+    listed; :class:`~repro.dse.evaluate.Evaluator` resolves every key
+    this way before it dispatches a cell, so a typo fails the campaign
+    up front rather than after simulating it.
     """
     scalars = result.as_dict()
     if key in scalars:

@@ -18,7 +18,7 @@ from repro.analysis.stats import ConfidenceInterval, summarize
 from repro.experiments.scenario import Network, ScenarioConfig, build_network
 from repro.metrics.fairness import forwarding_load, jain_index
 from repro.obs.spec import finalize_observability
-from repro.obs.wiring import totals_from_snapshot
+from repro.obs.metrics import network_metrics, totals_from_snapshot
 
 __all__ = [
     "METRIC_KEYS", "ScenarioResult", "frees_simulation", "run_scenario",
@@ -45,7 +45,7 @@ class ScenarioResult:
 
     The scalar fields are the quantities the reconstructed figures plot;
     ``totals`` holds the full counter dump (read off ``metrics_snapshot``
-    through :func:`repro.obs.wiring.totals_from_snapshot`, plus resilience
+    through :func:`repro.obs.metrics.totals_from_snapshot`, plus resilience
     totals on faulted runs) and ``per_node_forwarded`` the
     load-distribution vector (Fig 5).
     """
@@ -138,7 +138,7 @@ def collect_result(net: Network, wallclock_s: float = 0.0) -> ScenarioResult:
     """Extract a :class:`ScenarioResult` from a finished network."""
     config = net.config
     collector = net.collector
-    snapshot = net.metrics.metrics_json()
+    snapshot = network_metrics(net)
     totals = totals_from_snapshot(snapshot)
     if net.resilience is not None:
         totals.update(net.resilience.totals())

@@ -27,7 +27,6 @@ from repro.faults import (
     plan_from_spec,
 )
 from repro.net.dsdv import DsdvConfig, DsdvRouting
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import EngineProfiler
 from repro.obs.sinks import JsonlTraceSink, RingSink
 from repro.obs.spec import attach_observability
@@ -366,7 +365,6 @@ class Network:
         self.injector: FaultInjector | None = None
         self.resilience: ResilienceCollector | None = None
         # Observability (wired by repro.obs.spec.attach_observability).
-        self.metrics = MetricsRegistry()
         self.trace_sink: JsonlTraceSink | None = None
         self.trace_ring: RingSink | None = None
         self.profiler: EngineProfiler | None = None

@@ -84,7 +84,7 @@ class PerfectMac:
         self.node_id = node_id
         self.rx_upper_callback: Callable[[Any, int, RxInfo], None] | None = None
         self.send_done_callback: Callable[[Any, int, bool], None] | None = None
-        # Same counters as CsmaMac (read by repro.obs.wiring); the ideal
+        # Same counters as CsmaMac (read by repro.obs.metrics); the ideal
         # MAC sends no control frames, never retries and has no queue.
         self.data_tx = 0
         self.ack_tx = 0

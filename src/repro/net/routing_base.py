@@ -136,8 +136,8 @@ class RoutingProtocol(ABC):
         self.node_id: int = -1
         self.tracer: Tracer = Tracer()
         self.deliver_callback: Callable[[Packet], None] | None = None
-        # Overhead accounting, read directly by the metrics wiring
-        # (repro.obs.wiring) — every scheme carries every counter, so a
+        # Overhead accounting, read directly by the metrics snapshot
+        # (repro.obs.metrics) — every scheme carries every counter, so a
         # renamed one fails loudly instead of reading as zero.
         self.control_tx = {"rreq": 0, "rrep": 0, "rerr": 0, "hello": 0}
         self.control_bytes_tx = 0

@@ -11,18 +11,17 @@ the NLR evaluation runs on:
   :class:`RingSink` ("last N events before failure" forensics), pluggable
   into :class:`~repro.sim.trace.Tracer` without changing its
   disabled-path cost.
-* :mod:`~repro.obs.metrics` — a :class:`MetricsRegistry` of
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments with
-  labels; :meth:`MetricsRegistry.metrics_json` is the canonical snapshot
-  that travels with every :class:`~repro.experiments.runner.ScenarioResult`.
+* :mod:`~repro.obs.metrics` — the metrics snapshot:
+  :func:`~repro.obs.metrics.network_metrics` reads a network's live
+  counters into the flat ``repro_*`` series that travel with every
+  :class:`~repro.experiments.runner.ScenarioResult`.
 * :mod:`~repro.obs.profiler` — opt-in wall-time attribution for the
   engine's event loop, keyed by layer/callback.
 * :mod:`~repro.obs.spec` — ``ScenarioConfig.trace_spec`` parsing and the
-  network wiring that attaches sinks/registry/profiler to a run.
+  network wiring that attaches sinks/profiler to a run.
 * :mod:`~repro.obs.trace_cli` — the ``repro-trace`` analysis CLI.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiler import EngineProfiler
 from repro.obs.schema import (
     TRACE_SCHEMA_VERSION,
@@ -35,12 +34,8 @@ from repro.obs.spec import TraceSpec, attach_observability, finalize_observabili
 
 __all__ = [
     "CompositeSink",
-    "Counter",
     "EngineProfiler",
-    "Gauge",
-    "Histogram",
     "JsonlTraceSink",
-    "MetricsRegistry",
     "RingSink",
     "TRACE_SCHEMA_VERSION",
     "TraceSink",

@@ -1,276 +1,178 @@
-"""Metrics registry: Counter / Gauge / Histogram instruments with labels.
+"""The canonical metrics snapshot of a run: the flat ``repro_*`` series.
 
-One :class:`MetricsRegistry` per network gives every layer a shared,
-queryable namespace (Prometheus-style ``layer_name_unit`` names with
-``{label="value"}`` children) instead of counters scattered across
-protocol instances.  Two usage patterns coexist:
+:func:`network_metrics` reads a live network's own counters — routing
+stacks, MACs, radios, the flow collector, the engine and the tracer —
+straight into one flat ``{series_name: value}`` dict.  The protocol, MAC
+and PHY hot paths keep their attribute counters as the source of truth;
+nothing is registered or updated while the simulation runs.
 
-* **direct instruments** — hot paths hold a :class:`Counter` /
-  :class:`Histogram` child and call ``inc()`` / ``observe()``;
-* **collect hooks** — :meth:`MetricsRegistry.on_collect` registers a
-  callback that pulls existing per-object counters (routing ``control_tx``,
-  MAC queue drops, busy ratios) into gauges at snapshot time, so legacy
-  counters join the namespace without touching their hot paths.
-
-:meth:`MetricsRegistry.metrics_json` is the canonical snapshot: a flat,
-sorted ``{series_name: value}`` mapping with histograms expanded into
-``_bucket`` / ``_sum`` / ``_count`` series.  It is pure simulation state
-(no wall-clock), so the snapshot of a run is byte-identical no matter
-which process executed it — campaign cells serialise it alongside
-results.
+Naming convention: ``repro_<layer>_<quantity>[_total]``, with
+``{label="value"}`` children for enumerable dimensions (packet kind, drop
+reason).  A histogram expands into cumulative ``_bucket{le="..."}``
+series, a ``+Inf`` bucket, ``_sum`` and ``_count``.  Series families come
+in name order, labelled children in label order.  Everything in the
+snapshot is simulation state — never wall-clock — so the snapshot of a
+run is byte-identical no matter which process executed it; campaign
+cells serialise it alongside results.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.scenario import Network
 
-#: Default histogram bucket upper bounds (seconds-ish scale, but unitless).
-DEFAULT_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0,
+__all__ = [
+    "BUSY_BUCKETS",
+    "DELAY_BUCKETS",
+    "TOTALS_SERIES",
+    "network_metrics",
+    "totals_from_snapshot",
+]
+
+#: Busy-ratio histogram bounds: the [0, 1] interval in 0.1 steps.
+BUSY_BUCKETS = tuple(round(0.1 * k, 1) for k in range(1, 11))
+
+#: End-to-end delay histogram bounds (seconds).
+DELAY_BUCKETS = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
-_LabelKey = tuple[tuple[str, str], ...]
+
+#: ``ScenarioResult.totals`` counter → the ``repro_*`` series it reads.
+#: :func:`totals_from_snapshot` adds the two derived totals
+#: (``control_packets``, ``normalized_routing_load``).
+TOTALS_SERIES = {
+    "rreq_tx": 'repro_net_control_tx_total{kind="rreq"}',
+    "rrep_tx": 'repro_net_control_tx_total{kind="rrep"}',
+    "rerr_tx": 'repro_net_control_tx_total{kind="rerr"}',
+    "hello_tx": 'repro_net_control_tx_total{kind="hello"}',
+    "control_bytes": "repro_net_control_bytes_total",
+    "data_forwarded": "repro_net_data_forwarded_total",
+    "data_originated": "repro_net_data_originated_total",
+    "drops_no_route": 'repro_net_data_dropped_total{reason="no_route"}',
+    "drops_ttl": 'repro_net_data_dropped_total{reason="ttl"}',
+    "mac_data_tx": 'repro_mac_tx_total{kind="data"}',
+    "mac_retries": "repro_mac_retries_total",
+    "mac_retry_drops": 'repro_mac_drops_total{reason="retry"}',
+    "mac_queue_drops": 'repro_mac_drops_total{reason="queue"}',
+}
 
 
-def _label_key(labels: dict[str, Any]) -> _LabelKey:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+def totals_from_snapshot(snapshot: dict[str, float]) -> dict[str, float]:
+    """The flat counter dump a run reports, read off its metrics snapshot.
 
-
-def _series_name(name: str, key: _LabelKey, suffix: str = "") -> str:
-    if not key:
-        return name + suffix
-    inner = ",".join(f'{k}="{v}"' for k, v in key)
-    return f"{name}{suffix}{{{inner}}}"
-
-
-class _Instrument:
-    """Common child-management for labelled instrument families."""
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self._children: dict[_LabelKey, "_Instrument"] = {}
-
-    def labels(self, **labels: Any) -> "_Instrument":
-        """The child instrument for this label set (created on demand)."""
-        key = _label_key(labels)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
-
-    def series(self) -> Iterator[tuple[str, float]]:
-        """All ``(series_name, value)`` pairs; label children after bare."""
-        if not self._children or self._touched():
-            yield from self._series(())
-        for key in sorted(self._children):
-            yield from self._children[key]._series(key)
-
-    def _touched(self) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _make_child(self) -> "_Instrument":  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _series(
-        self, key: _LabelKey
-    ) -> Iterator[tuple[str, float]]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class Counter(_Instrument):
-    """Monotonically increasing count."""
-
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount!r}")
-        self.value += amount
-
-    def _touched(self) -> bool:
-        return self.value != 0.0
-
-    def _make_child(self) -> "Counter":
-        return Counter(self.name)
-
-    def _series(self, key: _LabelKey) -> Iterator[tuple[str, float]]:
-        yield _series_name(self.name, key), self.value
-
-
-class Gauge(_Instrument):
-    """A value that can go anywhere; optionally callback-backed."""
-
-    def __init__(
-        self, name: str, help: str = "",
-        fn: Callable[[], float] | None = None,
-    ) -> None:
-        super().__init__(name, help)
-        self.fn = fn
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def _touched(self) -> bool:
-        return self.fn is not None or self.value != 0.0
-
-    def _make_child(self) -> "Gauge":
-        return Gauge(self.name)
-
-    def _series(self, key: _LabelKey) -> Iterator[tuple[str, float]]:
-        value = self.fn() if self.fn is not None else self.value
-        yield _series_name(self.name, key), float(value)
-
-
-class Histogram(_Instrument):
-    """Cumulative-bucket histogram (Prometheus layout).
-
-    ``observe(v)`` is O(log buckets).  Serialises as ``_bucket{le=...}``
-    counts (cumulative), ``_sum``, and ``_count`` series.
+    Keys are those of :data:`TOTALS_SERIES` plus ``control_packets`` (all
+    control transmissions) and ``normalized_routing_load`` (control
+    packets per DATA transmission, ``control / max(1, forwarded +
+    originated)``).  A series missing from ``snapshot`` raises ``KeyError``.
     """
+    totals = {key: snapshot[series] for key, series in TOTALS_SERIES.items()}
+    totals["control_packets"] = (
+        totals["rreq_tx"] + totals["rrep_tx"] + totals["rerr_tx"]
+        + totals["hello_tx"]
+    )
+    denom = max(1.0, totals["data_forwarded"] + totals["data_originated"])
+    totals["normalized_routing_load"] = totals["control_packets"] / denom
+    return totals
 
-    def __init__(
-        self, name: str, help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help)
-        if not buckets or list(buckets) != sorted(set(buckets)):
-            raise ValueError("buckets must be sorted, unique, and non-empty")
-        self.buckets = tuple(float(b) for b in buckets)
-        self.counts = [0] * (len(self.buckets) + 1)  # +inf overflow bucket
-        self.sum = 0.0
-        self.count = 0
 
-    def observe(self, value: float) -> None:
+def _histogram(
+    out: dict[str, float],
+    name: str,
+    buckets: tuple[float, ...],
+    values: Iterable[float],
+) -> None:
+    """Add histogram ``name`` over ``values`` to ``out`` (NaN skipped)."""
+    counts = [0] * (len(buckets) + 1)  # +Inf overflow bucket last
+    total = 0.0
+    for value in values:
         if math.isnan(value):
-            return
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def reset(self) -> None:
-        """Zero the histogram (used by idempotent collect hooks that
-        rebuild the distribution from source state at every snapshot)."""
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.sum = 0.0
-        self.count = 0
-
-    def _touched(self) -> bool:
-        return self.count > 0
-
-    def _make_child(self) -> "Histogram":
-        return Histogram(self.name, buckets=self.buckets)
-
-    def _series(self, key: _LabelKey) -> Iterator[tuple[str, float]]:
-        cumulative = 0
-        for bound, n in zip(self.buckets, self.counts):
-            cumulative += n
-            le_key = key + (("le", f"{bound:g}"),)
-            yield _series_name(self.name, le_key, "_bucket"), float(cumulative)
-        yield (
-            _series_name(self.name, key + (("le", "+Inf"),), "_bucket"),
-            float(self.count),
-        )
-        yield _series_name(self.name, key, "_sum"), self.sum
-        yield _series_name(self.name, key, "_count"), float(self.count)
+            continue
+        counts[bisect.bisect_left(buckets, value)] += 1
+        total += value
+    cumulative = 0
+    for bound, n in zip(buckets, counts):
+        cumulative += n
+        out[f'{name}_bucket{{le="{bound:g}"}}'] = float(cumulative)
+    count = float(sum(counts))
+    out[f'{name}_bucket{{le="+Inf"}}'] = count
+    out[f"{name}_sum"] = total
+    out[f"{name}_count"] = count
 
 
-class MetricsRegistry:
-    """Named instruments plus snapshot-time collect hooks."""
+def network_metrics(net: "Network") -> dict[str, float]:
+    """The ``repro_*`` snapshot of ``net``, read from its live counters.
 
-    def __init__(self) -> None:
-        self._instruments: dict[str, _Instrument] = {}
-        self._hooks: list[Callable[["MetricsRegistry"], None]] = []
+    The ``repro_phy_*`` series exist only when the network has a radio
+    channel (not under ``mac="perfect"``).
+    """
+    routing = [s.routing for s in net.stacks]
+    macs = [s.mac for s in net.stacks]
+    collector = net.collector
+    out: dict[str, float] = {}
 
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
-    def counter(self, name: str, help: str = "") -> Counter:
-        """Get-or-create the counter ``name``."""
-        return self._get_or_create(name, lambda: Counter(name, help), Counter)
+    # --- flows (application) -------------------------------------------- #
+    _histogram(
+        out, "repro_flows_delay_seconds", DELAY_BUCKETS,
+        (d for record in collector.flows.values() for d in record.delays),
+    )
+    out["repro_flows_pdr"] = float(collector.overall_pdr())
+    out["repro_flows_received_total"] = float(collector.total_received)
+    out["repro_flows_sent_total"] = float(collector.total_sent)
 
-    def gauge(
-        self, name: str, help: str = "",
-        fn: Callable[[], float] | None = None,
-    ) -> Gauge:
-        """Get-or-create the gauge ``name`` (optionally callback-backed)."""
-        gauge = self._get_or_create(name, lambda: Gauge(name, help, fn), Gauge)
-        if fn is not None:
-            gauge.fn = fn
-        return gauge
-
-    def histogram(
-        self, name: str, help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """Get-or-create the histogram ``name``."""
-        return self._get_or_create(
-            name, lambda: Histogram(name, help, buckets), Histogram
+    # --- mac layer ------------------------------------------------------ #
+    _histogram(
+        out, "repro_mac_busy_ratio", BUSY_BUCKETS,
+        (m.channel_busy_ratio() for m in macs),
+    )
+    out['repro_mac_drops_total{reason="queue"}'] = float(
+        sum(m.queue_drops for m in macs)
+    )
+    out['repro_mac_drops_total{reason="retry"}'] = float(
+        sum(m.drops_retry for m in macs)
+    )
+    out["repro_mac_retries_total"] = float(sum(m.retries_total for m in macs))
+    for kind in ("ack", "cts", "data", "rts"):
+        out[f'repro_mac_tx_total{{kind="{kind}"}}'] = float(
+            sum(getattr(m, f"{kind}_tx") for m in macs)
         )
 
-    def _get_or_create(self, name: str, make: Callable, cls: type) -> Any:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = make()
-            self._instruments[name] = inst
-        elif not isinstance(inst, cls):
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{type(inst).__name__}, not {cls.__name__}"
+    # --- net layer ------------------------------------------------------ #
+    out["repro_net_control_bytes_total"] = float(
+        sum(r.control_bytes_tx for r in routing)
+    )
+    for kind in ("hello", "rerr", "rrep", "rreq"):
+        out[f'repro_net_control_tx_total{{kind="{kind}"}}'] = float(
+            sum(r.control_tx[kind] for r in routing)
+        )
+    for reason in ("buffer", "link", "no_route", "ttl"):
+        out[f'repro_net_data_dropped_total{{reason="{reason}"}}'] = float(
+            sum(getattr(r, f"data_dropped_{reason}") for r in routing)
+        )
+    for counter in (
+        "data_forwarded", "data_originated", "discoveries_failed",
+        "rerr_suppressed", "rreq_forwarded",
+    ):
+        out[f"repro_net_{counter}_total"] = float(
+            sum(getattr(r, counter) for r in routing)
+        )
+
+    # --- phy layer ------------------------------------------------------ #
+    if net.channel is not None:
+        radios = net.channel.radios()
+        for kind in ("captured", "corrupted", "received", "sent"):
+            out[f'repro_phy_frames_total{{kind="{kind}"}}'] = float(
+                sum(getattr(r, f"frames_{kind}") for r in radios)
             )
-        return inst
 
-    def on_collect(self, hook: Callable[["MetricsRegistry"], None]) -> None:
-        """Run ``hook(registry)`` before every snapshot (pull-style wiring)."""
-        self._hooks.append(hook)
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def get(self, name: str) -> _Instrument | None:
-        """The instrument registered under ``name``, if any."""
-        return self._instruments.get(name)
-
-    def names(self) -> list[str]:
-        """Registered instrument names, sorted."""
-        return sorted(self._instruments)
-
-    def collect(self) -> None:
-        """Run the pull hooks (normally done by :meth:`metrics_json`)."""
-        for hook in self._hooks:
-            hook(self)
-
-    def metrics_json(self) -> dict[str, float]:
-        """Canonical flat snapshot: sorted ``{series_name: value}``.
-
-        Deterministic for a deterministic simulation — contains no
-        wall-clock quantities, so serial and parallel executions of the
-        same cell produce byte-identical snapshots.
-        """
-        self.collect()
-        out: dict[str, float] = {}
-        for name in sorted(self._instruments):
-            for series, value in self._instruments[name].series():
-                out[series] = value
-        return out
-
-    def render(self) -> str:
-        """Human-readable one-line-per-series dump (debugging aid)."""
-        return "\n".join(
-            f"{series} {value:g}" for series, value in self.metrics_json().items()
-        )
+    # --- engine and tracer ---------------------------------------------- #
+    out["repro_sim_events_executed_total"] = float(net.sim.events_executed)
+    out["repro_sim_now_seconds"] = float(net.sim.now)
+    ring = net.trace_ring
+    out["repro_trace_dropped_total"] = float(0 if ring is None else ring.dropped)
+    out["repro_trace_recorded_total"] = float(net.tracer.recorded)
+    return out

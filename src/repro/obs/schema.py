@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import TraceRecord
 
 __all__ = [
+    "TRACE_CATEGORIES",
     "TRACE_SCHEMA_VERSION",
     "record_to_dict",
     "trace_header",
@@ -35,6 +36,10 @@ __all__ = [
 
 #: Current trace artifact layout version.
 TRACE_SCHEMA_VERSION = 1
+
+#: The record categories a simulation run emits (a record's ``cat``); a
+#: ``trace_spec`` category filter may name only these.
+TRACE_CATEGORIES = ("app", "fault", "mac", "net", "phy")
 
 #: Keys every record line carries (details ride alongside them).
 RECORD_KEYS = ("t", "cat", "node", "ev")

@@ -25,14 +25,15 @@ enables tracing):
   ``{task_id}`` (the exec cell's content hash) are expanded, so a
   ``--workers N`` campaign writes one artifact tree per cell with zero
   coordination.
-* ``categories`` — record only these trace categories.
+* ``categories`` — record only these trace categories, a non-empty
+  subset of :data:`~repro.obs.schema.TRACE_CATEGORIES`.
 * ``ring`` — capacity of the in-memory :class:`~repro.obs.sinks.RingSink`
   ``net.trace_ring`` (query it with ``filter``/``count``).  Without a
   ``path`` it defaults to :data:`DEFAULT_RING`, so ``trace_spec={}``
   keeps a run's records in memory; with one, no ring unless asked for.
 
 :func:`attach_observability` applies a parsed spec to a freshly built
-network (sinks, tracer settings, profiler, metric namespace);
+network (sinks, tracer settings, profiler);
 :func:`finalize_observability` flushes and closes artifacts after a run
 and writes the ``metrics.json`` / ``profile.json`` companions.
 """
@@ -46,8 +47,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.profiler import EngineProfiler
+from repro.obs.schema import TRACE_CATEGORIES
 from repro.obs.sinks import CompositeSink, JsonlTraceSink, RingSink
-from repro.obs.wiring import register_network_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scenario import Network, ScenarioConfig
@@ -105,6 +106,12 @@ class TraceSpec:
                 raise ValueError(
                     "trace_spec categories must be a non-empty list of strings"
                 )
+            unknown = sorted(set(categories) - set(TRACE_CATEGORIES))
+            if unknown:
+                raise ValueError(
+                    f"unknown trace_spec categories {unknown}; "
+                    f"emitted: {list(TRACE_CATEGORIES)}"
+                )
             categories = tuple(categories)
         path = spec.get("path")
         if path is not None and not isinstance(path, str):
@@ -150,15 +157,13 @@ def _header_meta(config: "ScenarioConfig") -> dict[str, Any]:
 
 
 def attach_observability(net: "Network") -> None:
-    """Wire sinks, profiler, and the metric namespace into ``net``.
+    """Wire sinks and the profiler into ``net``.
 
     Called by :func:`~repro.experiments.scenario.build_network` once the
     stacks exist.  Reconfigures the shared tracer in place (every layer
     already holds a reference to it).
     """
     config = net.config
-    register_network_metrics(net)
-
     if config.trace_spec is not None:
         spec = TraceSpec.from_dict(config.trace_spec)
         tracer = net.tracer
@@ -183,14 +188,14 @@ def attach_observability(net: "Network") -> None:
 
 
 def finalize_observability(
-    net: "Network", metrics: dict[str, float] | None = None
+    net: "Network", metrics: dict[str, float]
 ) -> dict[str, Path]:
     """Close trace artifacts and write their companions; returns paths.
 
     Writes, next to a streaming trace (when one was configured):
 
-    * ``*.metrics.json`` — the canonical metrics snapshot (sorted keys,
-      byte-identical across serial/parallel execution);
+    * ``*.metrics.json`` — ``metrics``, the run's canonical snapshot
+      (sorted keys, byte-identical across serial/parallel execution);
     * ``*.profile.json`` / ``*.profile.txt`` — profiler attribution,
       when profiling was enabled.
 
@@ -207,8 +212,6 @@ def finalize_observability(
         for suffix in (".gz", ".jsonl", ".json"):
             if stem.endswith(suffix):
                 stem = stem[: -len(suffix)]
-        if metrics is None:
-            metrics = net.metrics.metrics_json()
         metrics_path = sink.path.with_name(f"{stem}.metrics.json")
         metrics_path.write_text(
             json.dumps(metrics, sort_keys=True, indent=1) + "\n"

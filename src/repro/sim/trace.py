@@ -32,8 +32,10 @@ class TraceRecord:
     time:
         Simulation time of the occurrence.
     category:
-        Layer or subsystem tag, e.g. ``"phy"``, ``"mac"``, ``"net"``,
-        ``"nlr"``, ``"app"``.
+        Layer or subsystem tag: in a simulation run one of
+        :data:`repro.obs.schema.TRACE_CATEGORIES` (``"app"``,
+        ``"fault"``, ``"mac"``, ``"net"``, ``"phy"``); campaign run logs
+        use ``"exec"``.
     node:
         Node identifier the record pertains to (-1 for global records).
     event:

@@ -138,6 +138,20 @@ def test_cli_prunes_run_logs_to_the_newest(env, capsys):
     assert len(list(runs.glob("dse-cli-tiny-*.jsonl"))) == 1
 
 
+def test_a_mistyped_objective_exits_2_before_any_cell_runs(env, capsys):
+    assert main(screen_args(env, extra=["--objective", "pdrr:max"])) == 2
+    assert "objective 'pdrr' not found" in capsys.readouterr().err
+    assert not list((env / "cache").rglob("*.json"))
+    assert not (env / "run").exists()
+
+
+def test_a_snapshot_only_objective_is_accepted(env, capsys):
+    # Neither a scalar metric nor a totals key: resolved in the snapshot.
+    key = "repro_net_rreq_forwarded_total"
+    assert main(screen_args(env, extra=["--objective", f"{key}:min"])) == 0
+    assert f"  {key} = " in capsys.readouterr().out
+
+
 def test_errors_exit_2(env, capsys, tmp_path):
     assert main(["screen", "--space", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 2

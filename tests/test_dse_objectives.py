@@ -86,3 +86,18 @@ class TestExtraction:
         objs = [Objective("pdr", "max")]
         agg = aggregate_objectives([result, result], objs)
         assert agg == {"pdr": extract_value(result, "pdr")}
+
+    def test_resilience_keys_resolve_up_front_only_under_a_fault_plan(self):
+        from dataclasses import replace
+
+        from repro.dse.evaluate import _check_objectives
+        from repro.experiments.scenario import ScenarioConfig
+
+        base = ScenarioConfig(protocol="nlr", grid_nx=3, grid_ny=3, n_flows=2)
+        objs = [Objective("resilience_faults", "min"), Objective("pdr", "max")]
+        with pytest.raises(KeyError, match="resilience_faults"):
+            _check_objectives(base, objs)
+        faulted = replace(base, fault_spec={
+            "kind": "poisson_crashes", "rate_per_s": 0.5, "mttr_s": 1.0,
+        })
+        _check_objectives(faulted, objs)

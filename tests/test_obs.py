@@ -1,7 +1,7 @@
 """Unit tests for the observability subsystem (repro.obs).
 
 Covers the JSONL schema, streaming/ring/composite sinks, the metrics
-registry, the engine profiler, the tracer's sink pass-through and the
+snapshot, the engine profiler, the tracer's sink pass-through and the
 ring's eviction accounting.
 """
 
@@ -13,7 +13,8 @@ import math
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.experiments.scenario import ScenarioConfig, build_network
+from repro.obs.metrics import _histogram, network_metrics
 from repro.obs.profiler import EngineProfiler
 from repro.obs.schema import (
     TRACE_SCHEMA_VERSION,
@@ -196,74 +197,132 @@ class TestTracerAccounting:
 
 
 # ---------------------------------------------------------------------- #
-# Metrics registry
+# Metrics snapshot
 # ---------------------------------------------------------------------- #
+def _buckets(name: str, bounds: tuple[str, ...]) -> list[str]:
+    return [f'{name}_bucket{{le="{b}"}}' for b in bounds + ("+Inf",)] + [
+        f"{name}_count", f"{name}_sum",
+    ]
+
+
+#: Every series of a CSMA run, sorted: the snapshot contract that
+#: ``ScenarioResult.totals``, the golden digests and DSE objectives read.
+CSMA_SERIES = sorted(
+    _buckets("repro_flows_delay_seconds", (
+        "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25",
+        "0.5", "1", "2.5", "5",
+    ))
+    + ["repro_flows_pdr", "repro_flows_received_total", "repro_flows_sent_total"]
+    + _buckets("repro_mac_busy_ratio", (
+        "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1",
+    ))
+    + [
+        'repro_mac_drops_total{reason="queue"}',
+        'repro_mac_drops_total{reason="retry"}',
+        "repro_mac_retries_total",
+    ]
+    + [f'repro_mac_tx_total{{kind="{k}"}}' for k in ("ack", "cts", "data", "rts")]
+    + ["repro_net_control_bytes_total"]
+    + [
+        f'repro_net_control_tx_total{{kind="{k}"}}'
+        for k in ("hello", "rerr", "rrep", "rreq")
+    ]
+    + [
+        f'repro_net_data_dropped_total{{reason="{r}"}}'
+        for r in ("buffer", "link", "no_route", "ttl")
+    ]
+    + [
+        "repro_net_data_forwarded_total",
+        "repro_net_data_originated_total",
+        "repro_net_discoveries_failed_total",
+        "repro_net_rerr_suppressed_total",
+        "repro_net_rreq_forwarded_total",
+    ]
+    + [
+        f'repro_phy_frames_total{{kind="{k}"}}'
+        for k in ("captured", "corrupted", "received", "sent")
+    ]
+    + [
+        "repro_sim_events_executed_total",
+        "repro_sim_now_seconds",
+        "repro_trace_dropped_total",
+        "repro_trace_recorded_total",
+    ]
+)
+
+
+def _run_network(**overrides):
+    config = ScenarioConfig(
+        protocol="nlr", grid_nx=3, grid_ny=3, n_flows=2, flow_rate_pps=10.0,
+        sim_time_s=4.0, warmup_s=1.0, seed=3, **overrides,
+    )
+    net = build_network(config)
+    net.start()
+    net.sim.run(until=config.sim_time_s)
+    net.stop()
+    return net
+
+
+def _family(series: str) -> str:
+    name = series.split("{")[0]
+    for suffix in ("_bucket", "_count", "_sum"):
+        name = name.removesuffix(suffix)
+    return name
+
+
 class TestMetrics:
-    def test_counter_and_labels(self):
-        reg = MetricsRegistry()
-        c = reg.counter("repro_x_total", "help")
-        c.inc()
-        c.labels(kind="a").inc(2)
-        c.labels(kind="a").inc()  # same child
-        out = reg.metrics_json()
-        assert out["repro_x_total"] == 1.0
-        assert out['repro_x_total{kind="a"}'] == 3.0
+    def test_series_names_of_a_csma_run(self):
+        snapshot = network_metrics(_run_network())
+        assert len(CSMA_SERIES) == 60
+        assert sorted(snapshot) == CSMA_SERIES
+        assert all(type(v) is float for v in snapshot.values())
 
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("c", "h").inc(-1)
+    def test_perfect_mac_run_has_no_phy_series(self):
+        snapshot = network_metrics(_run_network(mac="perfect"))
+        assert sorted(snapshot) == [
+            s for s in CSMA_SERIES if not s.startswith("repro_phy_")
+        ]
 
-    def test_gauge_set_and_fn(self):
-        reg = MetricsRegistry()
-        reg.gauge("repro_g", "h").set(4.5)
-        state = {"v": 7.0}
-        reg.gauge("repro_fn", "h", fn=lambda: state["v"])
-        out = reg.metrics_json()
-        assert out["repro_g"] == 4.5 and out["repro_fn"] == 7.0
-        state["v"] = 8.0
-        assert reg.metrics_json()["repro_fn"] == 8.0
+    def test_snapshot_reads_live_counters(self):
+        net = _run_network()
+        snapshot = network_metrics(net)
+        assert snapshot["repro_sim_now_seconds"] == net.sim.now == 4.0
+        assert snapshot["repro_sim_events_executed_total"] == (
+            net.sim.events_executed
+        )
+        assert snapshot["repro_flows_sent_total"] == net.collector.total_sent > 0
+        assert snapshot['repro_net_control_tx_total{kind="rreq"}'] == sum(
+            s.routing.control_tx["rreq"] for s in net.stacks
+        ) > 0
+        # One observation per in-window delivery, one per node.
+        assert snapshot["repro_flows_delay_seconds_count"] == (
+            net.collector.total_received
+        )
+        assert snapshot["repro_mac_busy_ratio_count"] == len(net.stacks)
 
     def test_histogram_cumulative_buckets(self):
-        h = Histogram("repro_h", "h", buckets=(1.0, 5.0))
-        for v in (0.5, 0.7, 3.0, 100.0):
-            h.observe(v)
-        h.observe(math.nan)  # skipped
-        series = dict(h.series())
-        assert series['repro_h_bucket{le="1"}'] == 2.0
-        assert series['repro_h_bucket{le="5"}'] == 3.0
-        assert series['repro_h_bucket{le="+Inf"}'] == 4.0
-        assert series["repro_h_count"] == 4.0
-        assert series["repro_h_sum"] == pytest.approx(104.2)
-        h.reset()
-        assert dict(h.series())["repro_h_count"] == 0.0
-
-    def test_registry_get_or_create_and_type_clash(self):
-        reg = MetricsRegistry()
-        c1 = reg.counter("repro_c", "h")
-        assert reg.counter("repro_c", "h") is c1
-        with pytest.raises(ValueError):
-            reg.gauge("repro_c", "h")
-        assert "repro_c" in reg
-        assert reg.get("repro_c") is c1
-
-    def test_collect_hooks_run_on_snapshot(self):
-        reg = MetricsRegistry()
-        reg.on_collect(lambda r: r.gauge("repro_hooked", "h").set(1.0))
-        assert reg.metrics_json()["repro_hooked"] == 1.0
+        out: dict[str, float] = {}
+        _histogram(out, "repro_h", (1.0, 5.0), [0.5, 0.7, math.nan, 3.0, 100.0])
+        assert list(out) == [
+            'repro_h_bucket{le="1"}', 'repro_h_bucket{le="5"}',
+            'repro_h_bucket{le="+Inf"}', "repro_h_sum", "repro_h_count",
+        ]
+        assert out['repro_h_bucket{le="1"}'] == 2.0
+        assert out['repro_h_bucket{le="5"}'] == 3.0  # a bound is inclusive
+        assert out['repro_h_bucket{le="+Inf"}'] == out["repro_h_count"] == 4.0
+        assert out["repro_h_sum"] == pytest.approx(104.2)  # NaN skipped
+        empty: dict[str, float] = {}
+        _histogram(empty, "repro_h", (1.0,), [math.nan])
+        assert empty == {
+            'repro_h_bucket{le="1"}': 0.0, 'repro_h_bucket{le="+Inf"}': 0.0,
+            "repro_h_sum": 0.0, "repro_h_count": 0.0,
+        }
 
     def test_snapshot_sorted_and_deterministic(self):
-        reg = MetricsRegistry()
-        reg.gauge("repro_b", "h").set(2)
-        reg.gauge("repro_a", "h").set(1)
-        out = reg.metrics_json()
-        assert list(out) == sorted(out)
-        assert json.dumps(out) == json.dumps(reg.metrics_json())
-
-    def test_render_is_text(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_r_total", "things").inc(3)
-        text = reg.render()
-        assert "repro_r_total" in text and "3" in text
+        first = network_metrics(_run_network())
+        families = list(dict.fromkeys(_family(s) for s in first))
+        assert families == sorted(families)
+        assert json.dumps(first) == json.dumps(network_metrics(_run_network()))
 
 
 # ---------------------------------------------------------------------- #

@@ -22,7 +22,7 @@ from repro.exec import ExecPolicy, run_configs
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig, build_network
 from repro.experiments.serialization import result_from_dict, result_to_dict
-from repro.obs.schema import validate_trace_line
+from repro.obs.schema import TRACE_CATEGORIES, validate_trace_line
 from repro.obs.spec import DEFAULT_RING, TraceSpec, artifact_root
 from repro.obs import trace_cli
 
@@ -74,6 +74,17 @@ class TestTraceSpec:
         # a one-record ring; the retention knobs are gone.
         with pytest.raises(ValueError, match="trace_spec"):
             small_config(trace_spec=spec)
+
+    @pytest.mark.parametrize("category", ["nett", "nlr"])
+    def test_unknown_category_rejected_at_config_time(self, category):
+        # A filter on a category no layer emits would record nothing;
+        # "nlr" joins TRACE_CATEGORIES once a layer emits it.
+        with pytest.raises(ValueError, match="unknown trace_spec categories"):
+            small_config(trace_spec={"categories": ["net", category]})
+
+    def test_every_emitted_category_accepted(self):
+        spec = TraceSpec.from_dict({"categories": list(TRACE_CATEGORIES)})
+        assert spec.categories == TRACE_CATEGORIES
 
     def test_ring_defaults_only_without_path(self):
         assert TraceSpec.from_dict({}).ring == DEFAULT_RING

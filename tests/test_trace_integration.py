@@ -1,6 +1,7 @@
 """System-level tracing: a traced scenario records every layer."""
 
 from repro.experiments.scenario import ScenarioConfig, build_network
+from repro.obs.schema import TRACE_CATEGORIES
 
 
 def test_traced_scenario_records_all_layers():
@@ -15,7 +16,7 @@ def test_traced_scenario_records_all_layers():
     ring = net.trace_ring
     assert net.tracer.recorded == len(ring) > 0
     categories = {r.category for r in ring}
-    assert {"phy", "mac", "net", "app"} <= categories
+    assert {"phy", "mac", "net", "app"} <= categories <= set(TRACE_CATEGORIES)
     # MAC data transmissions and PHY receptions were both traced
     assert ring.count(category="mac", event="data_tx") > 0
     assert ring.count(category="phy", event="rx_ok") > 0
