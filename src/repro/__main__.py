@@ -32,13 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--protocol", default="nlr",
                         choices=sorted(PROTOCOLS), help="routing scheme")
     parser.add_argument("--topology", default="grid",
-                        choices=["grid", "random", "chain"])
+                        choices=["grid", "random"])
     parser.add_argument("--grid", default="5x5", metavar="NXxNY",
                         help="grid dimensions, e.g. 5x5")
     parser.add_argument("--spacing", type=float, default=230.0,
                         help="grid spacing in metres")
     parser.add_argument("--nodes", type=int, default=25,
-                        help="node count for random/chain topologies")
+                        help="node count for the random topology")
     parser.add_argument("--flows", type=int, default=10)
     parser.add_argument("--pattern", default="gateway",
                         choices=["random", "gateway"])

@@ -31,7 +31,7 @@ __all__ = ["SEMANTICS_STAMP", "atomic_write_json", "cache_dir", "cache_key"]
 
 #: The first 16 hex digits of sha256(``tests/golden_runs.json``); a test
 #: keeps the two equal.
-SEMANTICS_STAMP = "b79355b59f3efa27"
+SEMANTICS_STAMP = "7aed955c70d64263"
 
 
 def cache_dir() -> Path:

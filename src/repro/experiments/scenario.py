@@ -20,12 +20,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.core.nlr import NlrConfig, NlrRouting
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    ResilienceCollector,
-    plan_from_spec,
-)
+from repro.faults import FaultInjector, ResilienceCollector, plan_from_spec
 from repro.net.dsdv import DsdvConfig, DsdvRouting
 from repro.obs.profiler import EngineProfiler
 from repro.obs.sinks import JsonlTraceSink, RingSink
@@ -48,7 +43,7 @@ from repro.sim.trace import Tracer
 from repro.topology.gateway import select_gateways
 from repro.topology.graph import connectivity_graph, ensure_connected_positions
 from repro.topology.mobility import RandomWaypoint, StaticMobility
-from repro.topology.placement import chain_positions, grid_positions, random_positions
+from repro.topology.placement import grid_positions, random_positions
 from repro.traffic.flows import FlowSpec, gateway_flows, random_flow_pairs
 from repro.traffic.generators import CbrSource, OnOffSource, PoissonSource, Source
 from repro.traffic.sink import PacketSink
@@ -77,11 +72,11 @@ class ScenarioConfig:
     seed: int = 1
 
     # Topology ---------------------------------------------------------- #
-    topology: str = "grid"          # "grid" | "random" | "chain"
+    topology: str = "grid"          # "grid" | "random"
     grid_nx: int = 5
     grid_ny: int = 5
     spacing_m: float = 200.0
-    n_nodes: int = 25               # for "random" / "chain"
+    n_nodes: int = 25               # for "random"
     area_m: tuple[float, float] = (1000.0, 1000.0)
     shadowing_sigma_db: float = 0.0
 
@@ -124,12 +119,10 @@ class ScenarioConfig:
 
     # Faults ------------------------------------------------------------ #
     #: Declarative fault spec expanded at build time by
-    #: :func:`repro.faults.plan_from_spec` (JSON-able, so chaos campaigns
-    #: hash into exec cells like any other parameter).  ``None`` = healthy.
+    #: :func:`repro.faults.plan_from_spec`: ``poisson_crashes`` or a
+    #: literal ``events`` plan (JSON-able, so chaos campaigns hash into
+    #: exec cells like any other parameter).  ``None`` = healthy.
     fault_spec: dict | None = None
-    #: Concrete :class:`~repro.faults.FaultPlan` (programmatic use; also
-    #: serialisable).  Mutually exclusive with ``fault_spec``.
-    fault_plan: FaultPlan | None = None
 
     # Measurement ------------------------------------------------------- #
     sim_time_s: float = 60.0
@@ -148,7 +141,7 @@ class ScenarioConfig:
                 f"unknown protocol {self.protocol!r}; choose from "
                 f"{sorted(PROTOCOLS)}"
             )
-        if self.topology not in ("grid", "random", "chain"):
+        if self.topology not in ("grid", "random"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.mac not in ("csma", "perfect"):
             raise ValueError(f"unknown mac {self.mac!r}")
@@ -192,9 +185,9 @@ class ScenarioConfig:
             )
         if not self.spacing_m > 0:
             raise ValueError(f"spacing_m must be positive, got {self.spacing_m!r}")
-        if self.topology != "grid" and self.n_nodes < 2:
+        if self.topology == "random" and self.n_nodes < 2:
             raise ValueError(
-                f"n_nodes must be ≥ 2 for a {self.topology} topology, "
+                f"n_nodes must be ≥ 2 for a random topology, "
                 f"got {self.n_nodes!r}"
             )
         if self.payload_bytes <= 0:
@@ -229,8 +222,6 @@ class ScenarioConfig:
                 f"(flow_start_s + (n_flows − 1)·flow_stagger_s), "
                 f"not before sim_time_s = {self.sim_time_s:g}"
             )
-        if self.fault_spec is not None and self.fault_plan is not None:
-            raise ValueError("give fault_spec or fault_plan, not both")
         # Canonicalise the declarative specs to JSON-native form (tuples →
         # lists, numpy scalars → Python) so a config equals its own
         # serialise→deserialise round-trip and exec content hashes cover
@@ -246,12 +237,20 @@ class ScenarioConfig:
             from repro.obs.spec import TraceSpec
 
             TraceSpec.from_dict(self.trace_spec)
-        if (
-            self.fault_spec is not None or self.fault_plan is not None
-        ) and self.mac != "csma":
-            raise ValueError(
-                "fault injection needs the real PHY/MAC (mac='csma'); "
-                "PerfectMac has no radio or channel to fail"
+        if self.fault_spec is not None:
+            if self.mac != "csma":
+                raise ValueError(
+                    "fault injection needs the real PHY/MAC (mac='csma'); "
+                    "PerfectMac has no radio or channel to fail"
+                )
+            # Expand once against throwaway streams of the same seed, so a
+            # bad spec fails here rather than inside a worker; the run's
+            # own streams are untouched.
+            plan_from_spec(
+                self.fault_spec,
+                streams=RandomStreams(self.seed),
+                node_count=self.node_count,
+                sim_time_s=self.sim_time_s,
             )
 
     @property
@@ -409,8 +408,6 @@ class Network:
 def _positions_for(config: ScenarioConfig, streams: RandomStreams) -> np.ndarray:
     if config.topology == "grid":
         return grid_positions(config.grid_nx, config.grid_ny, config.spacing_m)
-    if config.topology == "chain":
-        return chain_positions(config.n_nodes, config.spacing_m)
     rng = streams.stream("topology.placement")
     return ensure_connected_positions(
         lambda: random_positions(
@@ -559,8 +556,8 @@ def build_network(config: ScenarioConfig) -> Network:
         net.sources.append(src)
 
     # --- Faults --------------------------------------------------------- #
-    plan = config.fault_plan
-    if plan is None and config.fault_spec is not None:
+    plan = None
+    if config.fault_spec is not None:
         plan = plan_from_spec(
             config.fault_spec,
             streams=net.streams,

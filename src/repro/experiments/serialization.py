@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.nlr import NlrConfig
 from repro.experiments.runner import ScenarioResult
-from repro.faults import FaultPlan
 from repro.experiments.scenario import ScenarioConfig
 from repro.mac.csma import MacConfig
 from repro.net.aodv import AodvConfig
@@ -49,10 +48,6 @@ _NESTED_TYPES = {
 
 
 def _dataclass_to_dict(obj: Any) -> Any:
-    if isinstance(obj, FaultPlan):
-        # Kind-tagged layout (FaultPlan.to_dict): the generic dataclass
-        # walk below would drop each event's type.
-        return obj.to_dict()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _dataclass_to_dict(getattr(obj, f.name))
@@ -86,8 +81,6 @@ def _build(cls: type, data: dict[str, Any]) -> Any:
             # Covers ScenarioConfig.{phy,mac_config,aodv,nlr} and, because
             # _build recurses, NlrConfig's own nested aodv too.
             kwargs[name] = _build(_NESTED_TYPES[name], value)
-        elif name == "fault_plan" and isinstance(value, dict):
-            kwargs[name] = FaultPlan.from_dict(value)
         elif isinstance(value, list) and name in ("area_m", "speed_range"):
             kwargs[name] = tuple(value)
         else:

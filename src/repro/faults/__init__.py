@@ -1,23 +1,19 @@
 """Declarative fault injection and resilience metrics.
 
-Compose a :class:`FaultPlan` (or expand one from a JSON-able spec via
-:func:`plan_from_spec` / the stochastic generators), bind it to a built
+The one fault model is a node crash and its recovery.  Expand a
+:class:`FaultPlan` from a JSON-able spec via :func:`plan_from_spec`
+(``poisson_crashes`` or a literal ``events`` list), bind it to a built
 network with :class:`FaultInjector`, and read recovery behaviour off the
 :class:`ResilienceCollector`.  The scenario layer wires all three from
-``ScenarioConfig(fault_spec=...)`` / ``fault_plan=...``; see
-``docs/PROTOCOLS.md`` §"Fault model".
+``ScenarioConfig(fault_spec=...)``; see ``docs/PROTOCOLS.md``
+§"Fault model".
 """
 
 from repro.faults.events import (
     FaultEvent,
     FaultPlan,
-    LinkDegrade,
     NodeCrash,
     NodeRecover,
-    QueueSaturate,
-    RadioFlap,
-    RegionBlackout,
-    flapping,
     plan_from_spec,
     poisson_crashes,
 )
@@ -29,14 +25,9 @@ __all__ = [
     "FaultEpisode",
     "FaultInjector",
     "FaultPlan",
-    "LinkDegrade",
     "NodeCrash",
     "NodeRecover",
-    "QueueSaturate",
-    "RadioFlap",
-    "RegionBlackout",
     "ResilienceCollector",
-    "flapping",
     "plan_from_spec",
     "poisson_crashes",
 ]

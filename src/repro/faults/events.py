@@ -1,34 +1,21 @@
-"""Declarative fault events, plans, and stochastic plan generators.
+"""Declarative fault events, plans, and the stochastic crash generator.
 
-A :class:`FaultPlan` is a list of typed fault events describing *what goes
-wrong and when*, independent of any particular network instance — the
-:class:`~repro.faults.injector.FaultInjector` binds a plan to a built
-network and schedules it on the sim engine.  Keeping the plan declarative
-makes chaos campaigns first-class experiment cells: a plan round-trips
-through JSON (``to_dict``/``from_dict``), travels inside
-:class:`~repro.experiments.scenario.ScenarioConfig`, and therefore hashes
-into the parallel executor's content-addressed task ids like any other
-parameter.
+A :class:`FaultPlan` is a list of node crashes and recoveries describing
+*which relay goes down and when*, independent of any particular network
+instance — the :class:`~repro.faults.injector.FaultInjector` binds a plan
+to a built network and schedules it on the sim engine.  A plan is
+declared as a JSON-able spec (:func:`plan_from_spec`) inside
+:class:`~repro.experiments.scenario.ScenarioConfig`, so a chaos run
+hashes into the parallel executor's content-addressed task ids like any
+other parameter.
 
-Event types and the layer each one perturbs:
+:class:`NodeCrash` takes the whole stack down (routing silenced, MAC
+flushed, radio off) until a matching :class:`NodeRecover`.
 
-==================  ====================================================
-:class:`NodeCrash`   whole stack down (routing silenced, MAC flushed,
-                     radio off) until a matching :class:`NodeRecover`
-:class:`RadioFlap`   duty-cycled PHY outages — the radio powers off/on
-                     periodically while MAC state and queue survive
-:class:`LinkDegrade` extra path loss on one node pair via the channel's
-                     link-impairment hook (PHY perturbation)
-:class:`QueueSaturate` background broadcast noise injected straight into
-                     one node's MAC queue (link-layer load burst)
-:class:`RegionBlackout` every node inside a disc crashes for a duration
-                     (correlated spatial failure)
-==================  ====================================================
-
-Stochastic generators (:func:`poisson_crashes`, :func:`flapping`) expand a
-few parameters into concrete plans; they draw from a caller-provided RNG
-so a scenario's :class:`~repro.sim.rng.RandomStreams` makes the expansion
-— and hence the whole chaos run — seed-deterministic.
+The stochastic generator :func:`poisson_crashes` expands a few parameters
+into a concrete plan; it draws from a caller-provided RNG so a scenario's
+:class:`~repro.sim.rng.RandomStreams` makes the expansion — and hence the
+whole chaos run — seed-deterministic.
 """
 
 from __future__ import annotations
@@ -36,21 +23,23 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, Sequence
+from typing import Any, ClassVar, Iterable
 
 __all__ = [
     "FaultEvent",
     "FaultPlan",
-    "LinkDegrade",
     "NodeCrash",
     "NodeRecover",
-    "QueueSaturate",
-    "RadioFlap",
-    "RegionBlackout",
-    "flapping",
     "plan_from_spec",
     "poisson_crashes",
 ]
+
+
+def _check_event(node: int, at_s: float) -> None:
+    if node < 0:
+        raise ValueError(f"node id must be ≥ 0, got {node}")
+    if not (math.isfinite(at_s) and at_s >= 0):
+        raise ValueError(f"event time must be finite and ≥ 0, got {at_s!r}")
 
 
 @dataclass(slots=True, frozen=True)
@@ -63,10 +52,7 @@ class NodeCrash:
     KIND: ClassVar[str] = "node_crash"
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node id must be ≥ 0, got {self.node}")
-        if self.at_s < 0:
-            raise ValueError(f"event time must be ≥ 0, got {self.at_s!r}")
+        _check_event(self.node, self.at_s)
 
 
 @dataclass(slots=True, frozen=True)
@@ -79,162 +65,12 @@ class NodeRecover:
     KIND: ClassVar[str] = "node_recover"
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node id must be ≥ 0, got {self.node}")
-        if self.at_s < 0:
-            raise ValueError(f"event time must be ≥ 0, got {self.at_s!r}")
+        _check_event(self.node, self.at_s)
 
 
-@dataclass(slots=True, frozen=True)
-class RadioFlap:
-    """Duty-cycled radio outages on ``node``.
+FaultEvent = NodeCrash | NodeRecover
 
-    Each period starting at ``start_s`` keeps the radio ON for
-    ``duty_on × period_s`` then OFF for the rest; toggling stops at
-    ``until_s`` (the radio is always restored at the end).  MAC state and
-    the interface queue survive — queued frames burn through the retry
-    path while the radio is dark, surfacing link failures to routing.
-    """
-
-    node: int
-    start_s: float
-    period_s: float
-    duty_on: float
-    until_s: float
-
-    KIND: ClassVar[str] = "radio_flap"
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node id must be ≥ 0, got {self.node}")
-        if self.start_s < 0:
-            raise ValueError(f"start must be ≥ 0, got {self.start_s!r}")
-        if self.period_s <= 0:
-            raise ValueError(f"period must be positive, got {self.period_s!r}")
-        if not 0.0 < self.duty_on < 1.0:
-            raise ValueError(
-                f"duty_on must be in (0, 1), got {self.duty_on!r}"
-            )
-        if self.until_s <= self.start_s:
-            raise ValueError("until_s must be after start_s")
-        if (self.until_s - self.start_s) / self.period_s > 100_000:
-            raise ValueError("flap would schedule > 100k toggles; check period")
-
-
-@dataclass(slots=True, frozen=True)
-class LinkDegrade:
-    """Extra path loss on the ``node_a`` ↔ ``node_b`` link for a window.
-
-    Applied symmetrically through the channel's per-pair impairment hook;
-    ``extra_loss_db`` of 40+ dB effectively severs the link without
-    touching either radio.
-    """
-
-    node_a: int
-    node_b: int
-    start_s: float
-    duration_s: float
-    extra_loss_db: float
-
-    KIND: ClassVar[str] = "link_degrade"
-
-    def __post_init__(self) -> None:
-        if self.node_a < 0 or self.node_b < 0:
-            raise ValueError("node ids must be ≥ 0")
-        if self.node_a == self.node_b:
-            raise ValueError(f"link needs two distinct nodes, got {self.node_a}")
-        if self.start_s < 0:
-            raise ValueError(f"start must be ≥ 0, got {self.start_s!r}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s!r}")
-        if self.extra_loss_db <= 0:
-            raise ValueError(
-                f"extra loss must be positive dB, got {self.extra_loss_db!r}"
-            )
-
-
-@dataclass(slots=True, frozen=True)
-class QueueSaturate:
-    """Background broadcast noise pushed into ``node``'s MAC queue.
-
-    Models a misbehaving/greedy application: ``rate_pps`` broadcast frames
-    of ``payload_bytes`` each for ``duration_s``, entering the interface
-    queue directly (no routing, no control-byte accounting) so the queue
-    fills and the neighbourhood's airtime is consumed.
-    """
-
-    node: int
-    start_s: float
-    duration_s: float
-    rate_pps: float = 200.0
-    payload_bytes: int = 512
-
-    KIND: ClassVar[str] = "queue_saturate"
-
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node id must be ≥ 0, got {self.node}")
-        if self.start_s < 0:
-            raise ValueError(f"start must be ≥ 0, got {self.start_s!r}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s!r}")
-        if self.rate_pps <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate_pps!r}")
-        if self.payload_bytes <= 0:
-            raise ValueError(f"payload must be positive, got {self.payload_bytes}")
-
-
-@dataclass(slots=True, frozen=True)
-class RegionBlackout:
-    """Every node within ``radius_m`` of the centre crashes for a window.
-
-    Victims are resolved from node positions *at the start time* (so
-    mobility matters), and only nodes this event actually took down are
-    recovered when it lifts — independently crashed nodes keep their own
-    schedule.
-    """
-
-    center_x: float
-    center_y: float
-    radius_m: float
-    start_s: float
-    duration_s: float
-
-    KIND: ClassVar[str] = "region_blackout"
-
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius_m!r}")
-        if self.start_s < 0:
-            raise ValueError(f"start must be ≥ 0, got {self.start_s!r}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s!r}")
-
-
-FaultEvent = (
-    NodeCrash | NodeRecover | RadioFlap | LinkDegrade | QueueSaturate
-    | RegionBlackout
-)
-
-_EVENT_TYPES: dict[str, type] = {
-    cls.KIND: cls
-    for cls in (
-        NodeCrash, NodeRecover, RadioFlap, LinkDegrade, QueueSaturate,
-        RegionBlackout,
-    )
-}
-
-
-def _start_time(event: FaultEvent) -> float:
-    return event.at_s if isinstance(event, (NodeCrash, NodeRecover)) else event.start_s
-
-
-def _nodes_of(event: FaultEvent) -> tuple[int, ...]:
-    if isinstance(event, (NodeCrash, NodeRecover, RadioFlap, QueueSaturate)):
-        return (event.node,)
-    if isinstance(event, LinkDegrade):
-        return (event.node_a, event.node_b)
-    return ()  # RegionBlackout resolves victims spatially at apply time
+_EVENT_TYPES: dict[str, type] = {cls.KIND: cls for cls in (NodeCrash, NodeRecover)}
 
 
 @dataclass(slots=True)
@@ -252,58 +88,24 @@ class FaultPlan:
             if type(ev) not in _EVENT_TYPES.values():
                 raise ValueError(f"not a fault event: {ev!r}")
 
-    def add(self, *events: FaultEvent) -> "FaultPlan":
-        """Append events; returns self for chaining."""
-        for ev in events:
-            if type(ev) not in _EVENT_TYPES.values():
-                raise ValueError(f"not a fault event: {ev!r}")
-            self.events.append(ev)
-        return self
-
-    def merged(self, other: "FaultPlan") -> "FaultPlan":
-        """New plan holding this plan's events followed by ``other``'s."""
-        return FaultPlan(list(self.events) + list(other.events))
-
     def sorted_events(self) -> list[FaultEvent]:
         """Events by start time (stable on ties)."""
-        return sorted(self.events, key=_start_time)
-
-    def kinds(self) -> set[str]:
-        """Distinct event kinds present in the plan."""
-        return {ev.KIND for ev in self.events}
+        return sorted(self.events, key=lambda ev: ev.at_s)
 
     def validate(self, node_count: int) -> None:
         """Check every referenced node id exists in an n-node network."""
         for ev in self.events:
-            for node in _nodes_of(ev):
-                if node >= node_count:
-                    raise ValueError(
-                        f"{ev.KIND} references node {node} but the network "
-                        f"has only {node_count} nodes"
-                    )
-
-    # ------------------------------------------------------------------ #
-    # JSON round-trip (kind-tagged; survives config serialisation)
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready dict; each event carries its ``kind`` tag."""
-        return {
-            "events": [
-                {
-                    "kind": ev.KIND,
-                    **{
-                        f.name: getattr(ev, f.name)
-                        for f in dataclasses.fields(ev)
-                    },
-                }
-                for ev in self.events
-            ]
-        }
+            if ev.node >= node_count:
+                raise ValueError(
+                    f"{ev.KIND} references node {ev.node} but the network "
+                    f"has only {node_count} nodes"
+                )
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FaultPlan":
-        """Rebuild a plan written by :meth:`to_dict`; unknown kinds and
-        unknown keys are rejected loudly (stale specs fail fast)."""
+        """Build a plan from ``{"events": [{"kind": ..., ...}, ...]}``;
+        unknown kinds and unknown keys are rejected loudly (stale specs
+        fail fast)."""
         events: list[FaultEvent] = []
         for entry in data.get("events", []):
             entry = dict(entry)
@@ -325,7 +127,7 @@ class FaultPlan:
 
 
 # ---------------------------------------------------------------------- #
-# Stochastic generators
+# Stochastic generator
 # ---------------------------------------------------------------------- #
 def poisson_crashes(
     rate_per_s: float,
@@ -345,9 +147,9 @@ def poisson_crashes(
     (the arrival is consumed), keeping the expansion deterministic for a
     given ``rng`` state.
     """
-    if rate_per_s <= 0:
+    if not rate_per_s > 0:
         raise ValueError(f"crash rate must be positive, got {rate_per_s!r}")
-    if mttr_s <= 0:
+    if not mttr_s > 0:
         raise ValueError(f"mttr must be positive, got {mttr_s!r}")
     if stop_s <= start_s:
         raise ValueError("stop_s must be after start_s")
@@ -368,40 +170,6 @@ def poisson_crashes(
         down_until[victim] = recover_at
         events.append(NodeCrash(node=victim, at_s=t))
         events.append(NodeRecover(node=victim, at_s=recover_at))
-    return FaultPlan(events)
-
-
-def flapping(
-    nodes: Iterable[int],
-    period_s: float,
-    duty_on: float,
-    *,
-    start_s: float = 0.0,
-    stop_s: float,
-) -> FaultPlan:
-    """One :class:`RadioFlap` per node, phase-staggered across the period.
-
-    Staggering (node *k* starts ``k·period/n`` late) avoids every radio
-    dying at the same instant, which would be a synchronized blackout
-    rather than flapping.
-    """
-    pool = list(nodes)
-    if not pool:
-        raise ValueError("need at least one flapping node")
-    events: list[FaultEvent] = []
-    for k, node in enumerate(pool):
-        phase = (k * period_s) / len(pool)
-        if start_s + phase >= stop_s:
-            continue
-        events.append(
-            RadioFlap(
-                node=int(node),
-                start_s=start_s + phase,
-                period_s=period_s,
-                duty_on=duty_on,
-                until_s=stop_s,
-            )
-        )
     return FaultPlan(events)
 
 
@@ -437,10 +205,7 @@ def plan_from_spec(
       (:meth:`FaultPlan.from_dict` layout);
     * ``{"kind": "poisson_crashes", "rate_per_s": r, "mttr_s": m,
       ["start_s", "stop_s", "nodes"]}`` — stochastic crashes seeded from
-      the scenario's ``"faults.plan"`` random stream;
-    * ``{"kind": "flapping", "period_s": p, "duty_on": d,
-      ["start_s", "stop_s", "nodes"]}`` — deterministic staggered flaps;
-    * ``{"kind": "compound", "specs": [...]}`` — merge of sub-specs.
+      the scenario's ``"faults.plan"`` random stream.
 
     ``streams`` is the scenario's :class:`~repro.sim.rng.RandomStreams`;
     drawing from a dedicated named stream keeps fault expansion from
@@ -453,16 +218,6 @@ def plan_from_spec(
     if kind == "events":
         _spec_keys(spec, required={"events"}, optional=set())
         plan = FaultPlan.from_dict(spec)
-    elif kind == "compound":
-        _spec_keys(spec, required={"specs"}, optional=set())
-        plan = FaultPlan()
-        for sub in spec["specs"]:
-            plan = plan.merged(
-                plan_from_spec(
-                    sub, streams=streams, node_count=node_count,
-                    sim_time_s=sim_time_s,
-                )
-            )
     elif kind == "poisson_crashes":
         _spec_keys(
             spec,
@@ -477,23 +232,10 @@ def plan_from_spec(
             start_s=spec.get("start_s", 0.0),
             stop_s=spec.get("stop_s", sim_time_s),
         )
-    elif kind == "flapping":
-        _spec_keys(
-            spec,
-            required={"period_s", "duty_on"},
-            optional={"start_s", "stop_s", "nodes"},
-        )
-        plan = flapping(
-            spec.get("nodes") or range(node_count),
-            spec["period_s"],
-            spec["duty_on"],
-            start_s=spec.get("start_s", 0.0),
-            stop_s=spec.get("stop_s", sim_time_s),
-        )
     else:
         raise ValueError(
             f"unknown fault spec kind {kind!r}; choose from "
-            "['compound', 'events', 'flapping', 'poisson_crashes']"
+            "['events', 'poisson_crashes']"
         )
     plan.validate(node_count)
     return plan

@@ -1,45 +1,27 @@
 """Schedules a :class:`~repro.faults.events.FaultPlan` onto a live network.
 
 The :class:`FaultInjector` is the binding layer between declarative fault
-events and the simulation: it expands each event into engine callbacks at
-:meth:`start`, drives the per-layer hooks (``NodeStack.fail/recover``,
-``CsmaMac.radio_off/radio_on``, ``Channel.set_link_impairment``, direct
-MAC-queue noise), traces everything under category ``"fault"``, and feeds
-onset/clear notifications to a
-:class:`~repro.faults.metrics.ResilienceCollector`.
+events and the simulation: it turns each crash and recovery into an
+engine callback at :meth:`start` that drives ``NodeStack.fail/recover``,
+traces it under category ``"fault"``, and feeds onset/clear notifications
+to a :class:`~repro.faults.metrics.ResilienceCollector`.
 
 Invariants:
 
 * **Faults never raise.**  Every scheduled action runs through a guard
   that records (trace + ``errors`` counter) instead of propagating, so a
-  pathological fault combination degrades metrics, not the run.
-* **Idempotent primitives.**  Crashing a crashed node, recovering a live
-  one, or toggling the radio of a crashed node are silent no-ops — which
-  is what makes overlapping events (a blackout over a flapping region)
-  composable without event-ordering contracts.
-* **Region blackouts resolve victims at fire time** from live channel
-  positions, and recover only nodes the blackout itself took down.
+  pathological plan degrades metrics, not the run.
+* **Idempotent primitives.**  Crashing a crashed node or recovering a
+  live one is a silent no-op, so overlapping crash/recover pairs on one
+  node compose without event-ordering contracts.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Any
 
-from repro.faults.events import (
-    FaultPlan,
-    LinkDegrade,
-    NodeCrash,
-    NodeRecover,
-    QueueSaturate,
-    RadioFlap,
-    RegionBlackout,
-)
-from repro.mac.mac_types import BROADCAST_MAC
-from repro.net.addressing import BROADCAST_ADDR
-from repro.net.packet import IP_HEADER_BYTES, Packet, PacketKind
+from repro.faults.events import FaultPlan, NodeCrash
 from repro.sim.errors import SimulationError
-from repro.sim.process import PeriodicProcess
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.scenario import Network
@@ -74,12 +56,6 @@ class FaultInjector:
                 "fault injection needs the real PHY/MAC (mac='csma'); "
                 "PerfectMac has no radio or channel to fail"
             )
-        for stack in net.stacks:
-            if not hasattr(stack.mac, "radio_off"):
-                raise SimulationError(
-                    f"node {stack.node_id}'s MAC does not support fault "
-                    "injection (no radio_off/radio_on)"
-                )
         self.net = net
         self.sim = net.sim
         self.plan = plan
@@ -92,11 +68,6 @@ class FaultInjector:
         self.errors = 0
         self._handles: list[Any] = []
         self._down: set[int] = set()
-        #: Nodes whose radio the injector forced dark (flap bookkeeping).
-        self._dark: set[int] = set()
-        self._saturators: dict[int, PeriodicProcess] = {}
-        #: Active link degrades: (a, b, loss_db) not yet restored.
-        self._degrades: list[tuple[int, int, float]] = []
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -106,44 +77,19 @@ class FaultInjector:
         if self.started:
             return
         self.started = True
-        for index, ev in enumerate(self.plan.sorted_events()):
+        for ev in self.plan.sorted_events():
             if isinstance(ev, NodeCrash):
                 self._at(ev.at_s, self._crash_node, ev.node)
-            elif isinstance(ev, NodeRecover):
+            else:
                 self._at(ev.at_s, self._recover_node, ev.node)
-            elif isinstance(ev, RadioFlap):
-                self._expand_flap(ev)
-            elif isinstance(ev, LinkDegrade):
-                self._at(ev.start_s, self._degrade_link, ev)
-                self._at(ev.start_s + ev.duration_s, self._restore_link, ev)
-            elif isinstance(ev, QueueSaturate):
-                self._at(ev.start_s, self._start_saturation, index, ev)
-                self._at(
-                    ev.start_s + ev.duration_s, self._stop_saturation, index, ev
-                )
-            elif isinstance(ev, RegionBlackout):
-                self._at(ev.start_s, self._blackout, ev)
-            else:  # pragma: no cover - FaultPlan validates membership
-                raise SimulationError(f"unknown fault event {ev!r}")
 
     def stop(self) -> None:
-        """Cancel pending fault events and tear down active perturbations.
-
-        Called at end of run; crashed nodes stay down (the run is over),
-        but channel impairments and noise generators are withdrawn so the
-        network object is inspectable in a clean state.
-        """
+        """Cancel pending fault events at the end of a run (crashed nodes
+        stay down: the run is over)."""
         for handle in self._handles:
             if not handle.expired:
                 handle.cancel()
         self._handles.clear()
-        for proc in self._saturators.values():
-            proc.stop()
-        self._saturators.clear()
-        assert self.net.channel is not None
-        for a, b, loss_db in self._degrades:
-            self.net.channel.clear_link_impairment(a, b, loss_db)
-        self._degrades.clear()
 
     # ------------------------------------------------------------------ #
     # Scheduling plumbing
@@ -167,159 +113,29 @@ class FaultInjector:
                 action=getattr(fn, "__name__", str(fn)), error=repr(exc),
             )
 
-    def _notify(
-        self, kind: str, *, onset: bool, key: Any, node: int = -1, **detail
-    ) -> None:
+    def _notify(self, node: int, *, onset: bool) -> None:
         self.tracer.record(
             self.sim.now, "fault", node,
-            f"{kind}_{'onset' if onset else 'clear'}", key=key, **detail,
+            f"node_crash_{'onset' if onset else 'clear'}", key=node,
         )
         if self.collector is not None:
             self.collector.on_fault(
-                kind, time=self.sim.now, onset=onset, key=key
+                "node_crash", time=self.sim.now, onset=onset, key=node
             )
 
     # ------------------------------------------------------------------ #
     # Node crash / recover
     # ------------------------------------------------------------------ #
-    def _crash_node(self, node: int, *, notify: bool = True) -> bool:
+    def _crash_node(self, node: int) -> None:
         if node in self._down:
-            return False
+            return
         self._down.add(node)
-        self._dark.discard(node)
         self.net.stacks[node].fail()
-        if notify:
-            self._notify("node_crash", onset=True, key=node, node=node)
-        return True
+        self._notify(node, onset=True)
 
-    def _recover_node(self, node: int, *, notify: bool = True) -> bool:
+    def _recover_node(self, node: int) -> None:
         if node not in self._down:
-            return False
+            return
         self._down.discard(node)
         self.net.stacks[node].recover()
-        if notify:
-            self._notify("node_crash", onset=False, key=node, node=node)
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Radio flapping
-    # ------------------------------------------------------------------ #
-    def _expand_flap(self, ev: RadioFlap) -> None:
-        t = ev.start_s
-        while t < ev.until_s:
-            off_at = t + ev.duty_on * ev.period_s
-            if off_at >= ev.until_s:
-                break
-            on_at = min(t + ev.period_s, ev.until_s)
-            self._at(off_at, self._radio_off, ev.node)
-            self._at(on_at, self._radio_on, ev.node)
-            t += ev.period_s
-
-    def _radio_off(self, node: int) -> None:
-        if node in self._down or node in self._dark:
-            return  # crashed (radio already off) or already dark
-        self._dark.add(node)
-        self.net.stacks[node].mac.radio_off()
-        self._notify("radio_flap", onset=True, key=node, node=node)
-
-    def _radio_on(self, node: int) -> None:
-        if node in self._down or node not in self._dark:
-            return  # crash owns the radio, or this flap's off was skipped
-        self._dark.discard(node)
-        self.net.stacks[node].mac.radio_on()
-        self._notify("radio_flap", onset=False, key=node, node=node)
-
-    # ------------------------------------------------------------------ #
-    # Link degradation
-    # ------------------------------------------------------------------ #
-    def _degrade_link(self, ev: LinkDegrade) -> None:
-        assert self.net.channel is not None
-        self.net.channel.set_link_impairment(
-            ev.node_a, ev.node_b, ev.extra_loss_db
-        )
-        self._degrades.append((ev.node_a, ev.node_b, ev.extra_loss_db))
-        self._notify(
-            "link_degrade", onset=True, key=(ev.node_a, ev.node_b),
-            loss_db=ev.extra_loss_db,
-        )
-
-    def _restore_link(self, ev: LinkDegrade) -> None:
-        assert self.net.channel is not None
-        entry = (ev.node_a, ev.node_b, ev.extra_loss_db)
-        if entry not in self._degrades:
-            return
-        self._degrades.remove(entry)
-        self.net.channel.clear_link_impairment(
-            ev.node_a, ev.node_b, ev.extra_loss_db
-        )
-        self._notify(
-            "link_degrade", onset=False, key=(ev.node_a, ev.node_b),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Queue saturation
-    # ------------------------------------------------------------------ #
-    def _start_saturation(self, index: int, ev: QueueSaturate) -> None:
-        if index in self._saturators:
-            return
-        proc = PeriodicProcess(
-            self.sim, 1.0 / ev.rate_pps, self._saturate_tick, ev,
-        )
-        self._saturators[index] = proc
-        proc.start()
-        self._notify(
-            "queue_saturate", onset=True, key=ev.node, node=ev.node,
-            rate_pps=ev.rate_pps,
-        )
-
-    def _stop_saturation(self, index: int, ev: QueueSaturate) -> None:
-        proc = self._saturators.pop(index, None)
-        if proc is None:
-            return
-        proc.stop()
-        self._notify("queue_saturate", onset=False, key=ev.node, node=ev.node)
-
-    def _saturate_tick(self, ev: QueueSaturate) -> None:
-        stack = self.net.stacks[ev.node]
-        if ev.node in self._down or not stack.mac.radio.powered:
-            return  # a dead node generates no load
-        noise = Packet(
-            kind=PacketKind.NOISE,
-            src=ev.node,
-            dst=BROADCAST_ADDR,
-            ttl=1,
-            payload_bytes=ev.payload_bytes,
-            created_at=self.sim.now,
-        )
-        # Straight into the MAC queue: background load is not routing
-        # traffic and must not pollute control-overhead accounting.
-        stack.mac.send(noise, BROADCAST_MAC, IP_HEADER_BYTES + ev.payload_bytes)
-
-    # ------------------------------------------------------------------ #
-    # Region blackout
-    # ------------------------------------------------------------------ #
-    def _blackout(self, ev: RegionBlackout) -> None:
-        assert self.net.channel is not None
-        victims = []
-        for stack in self.net.stacks:
-            pos = self.net.channel.position_of(stack.node_id)
-            d = math.hypot(pos[0] - ev.center_x, pos[1] - ev.center_y)
-            if d <= ev.radius_m:
-                victims.append(stack.node_id)
-        taken_down = [v for v in victims if self._crash_node(v, notify=False)]
-        self._notify(
-            "region_blackout", onset=True,
-            key=(ev.center_x, ev.center_y, ev.radius_m),
-            victims=len(taken_down),
-        )
-        self._at(
-            ev.start_s + ev.duration_s, self._lift_blackout, ev, taken_down
-        )
-
-    def _lift_blackout(self, ev: RegionBlackout, taken_down: list[int]) -> None:
-        for node in taken_down:
-            self._recover_node(node, notify=False)
-        self._notify(
-            "region_blackout", onset=False,
-            key=(ev.center_x, ev.center_y, ev.radius_m),
-        )
+        self._notify(node, onset=False)

@@ -14,7 +14,7 @@ the chaos experiments plot:
 * **steady-state recovery time** — fault onset → first delivery followed
   by sustained service (the next inter-delivery gaps at most
   ``2.5 / rate_pps``), i.e. when the flow is *really* back, not merely
-  leaking single packets through a flapping path.
+  leaking single packets through a half-repaired route.
 
 Every quantity is derived in :meth:`finalize` from raw timestamped
 observations, so the collector adds O(1) work per packet during the run

@@ -188,25 +188,6 @@ class CsmaMac:
         """Bring a shut-down MAC back (node recovery)."""
         self.radio.set_power_state(True)
 
-    def radio_off(self) -> None:
-        """Power the radio down, keeping MAC state and the queue intact
-        (transient PHY outage — radio flapping; contrast :meth:`shutdown`,
-        which models a full node crash).  Frames attempted while the radio
-        is dark burn through the normal retry/drop path, surfacing link
-        failures to the network layer exactly as a real dead transceiver
-        would."""
-        self.radio.set_power_state(False)
-
-    def radio_on(self) -> None:
-        """Power the radio back up and resume contention for queued work."""
-        if self.radio.powered:
-            return
-        self.radio.set_power_state(True)
-        if self._state is _ContendState.IDLE:
-            self._next_frame()
-        elif self._state is _ContendState.WAIT_IDLE and not self._medium_busy():
-            self._start_difs()
-
     def _on_tx_abort(self) -> None:
         """The radio powered off with our frame on the air.
 

@@ -43,9 +43,6 @@ class PacketKind(enum.Enum):
     HELLO = "hello"
     #: Proactive full-table update (DSDV baseline).
     UPDATE = "update"
-    #: Fault-injection background load (QueueSaturate): enters a MAC queue
-    #: directly, never routed, ignored by every protocol's ``on_packet``.
-    NOISE = "noise"
 
 
 @dataclass(slots=True)
@@ -212,8 +209,6 @@ class Packet:
             return self.header.size_bytes(with_load_extension)
         if self.kind is PacketKind.UPDATE:
             return self.header.size_bytes()
-        if self.kind is PacketKind.NOISE:
-            return IP_HEADER_BYTES + self.payload_bytes
         raise AssertionError(f"unhandled packet kind {self.kind!r}")
 
     def copy_for_forwarding(self) -> "Packet":

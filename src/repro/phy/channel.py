@@ -164,10 +164,6 @@ class Channel:
         self._cell_cands: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._block_cache: dict[int, tuple[int, ...]] = {}
         self._bounds_off: np.ndarray | None = None  # row-bounds template
-        # Per-pair extra path loss in dB (fault injection: LinkDegrade),
-        # keyed by the sorted node-id pair and applied symmetrically on top
-        # of the propagation model.  Overlapping impairments stack.
-        self._impairments: dict[tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------ #
     # Registration / positions
@@ -384,66 +380,6 @@ class Channel:
                         cache.pop(key, None)
 
     # ------------------------------------------------------------------ #
-    # Link impairments (fault injection)
-    # ------------------------------------------------------------------ #
-    def set_link_impairment(
-        self, node_a: int, node_b: int, extra_loss_db: float
-    ) -> None:
-        """Add ``extra_loss_db`` of symmetric path loss between two nodes.
-
-        Impairments stack: two concurrent 20 dB degrades yield 40 dB.
-        Remove with :meth:`clear_link_impairment` passing the same value.
-        """
-        if node_a == node_b:
-            raise SimulationError("cannot impair a node's link to itself")
-        self._index_of(node_a)
-        self._index_of(node_b)
-        if extra_loss_db <= 0:
-            raise SimulationError(
-                f"extra loss must be positive dB, got {extra_loss_db!r}"
-            )
-        key = (min(node_a, node_b), max(node_a, node_b))
-        self._impairments[key] = self._impairments.get(key, 0.0) + extra_loss_db
-        self._drop_plans_of(node_a, node_b)
-
-    def clear_link_impairment(
-        self, node_a: int, node_b: int, extra_loss_db: float
-    ) -> None:
-        """Remove ``extra_loss_db`` previously added on the pair."""
-        key = (min(node_a, node_b), max(node_a, node_b))
-        remaining = self._impairments.get(key, 0.0) - extra_loss_db
-        if remaining > 1e-12:
-            self._impairments[key] = remaining
-        else:
-            self._impairments.pop(key, None)
-        self._drop_plans_of(node_a, node_b)
-
-    def _drop_plans_of(self, *nodes: int) -> None:
-        """Invalidate cached dispatch plans transmitted by ``nodes``.
-
-        Stale references left in ``_cell_plans`` are harmless: cell
-        invalidation pops from the dispatch cache with a default.
-        """
-        dead = set(nodes)
-        for key in [k for k in self._dispatch_cache if k[0] in dead]:
-            del self._dispatch_cache[key]
-
-    def _apply_impairments(
-        self, tx_node: int, ids: np.ndarray, powers: np.ndarray
-    ) -> None:
-        """Attenuate ``powers`` in place for impaired links of ``tx_node``."""
-        for (a, b), loss_db in self._impairments.items():
-            if a == tx_node:
-                other = b
-            elif b == tx_node:
-                other = a
-            else:
-                continue
-            loc = np.nonzero(ids == other)[0]
-            if len(loc):
-                powers[loc] *= 10.0 ** (-loss_db / 10.0)
-
-    # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
     def _cull_threshold(self) -> float:
@@ -492,11 +428,6 @@ class Channel:
         downstream of the propagation evaluation.  Shared by the lazy
         :meth:`_dispatch_plan` and the stacked :meth:`warm_plans` paths so
         both produce (and register) identical plans."""
-        tx_node = key[0]
-        if self._impairments:
-            if powers.base is not None or not powers.flags.owndata:
-                powers = powers.copy()
-            self._apply_impairments(tx_node, ids, powers)
         mask = powers >= self._cull_threshold()
         mask[self_idx] = False
         rx = np.nonzero(mask)[0]

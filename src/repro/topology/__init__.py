@@ -3,12 +3,11 @@
 from repro.topology.gateway import select_gateways
 from repro.topology.graph import connectivity_graph, ensure_connected_positions
 from repro.topology.mobility import RandomWaypoint, StaticMobility
-from repro.topology.placement import chain_positions, grid_positions, random_positions
+from repro.topology.placement import grid_positions, random_positions
 
 __all__ = [
     "RandomWaypoint",
     "StaticMobility",
-    "chain_positions",
     "connectivity_graph",
     "ensure_connected_positions",
     "grid_positions",

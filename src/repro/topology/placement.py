@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["grid_positions", "random_positions", "chain_positions"]
+__all__ = ["grid_positions", "random_positions"]
 
 
 def grid_positions(
@@ -72,17 +72,3 @@ def random_positions(
         if all(np.hypot(*(p - q)) >= min_separation_m for q in placed):
             placed.append(p)
     return np.array(placed, dtype=float)
-
-
-def chain_positions(n: int, spacing_m: float = 200.0) -> np.ndarray:
-    """``n`` nodes in a straight line (the classic multi-hop chain).
-
-    >>> chain_positions(3, 250.0).tolist()
-    [[0.0, 0.0], [250.0, 0.0], [500.0, 0.0]]
-    """
-    if n < 1:
-        raise ValueError(f"need at least one node, got {n}")
-    if spacing_m <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing_m!r}")
-    xs = spacing_m * np.arange(n, dtype=float)
-    return np.column_stack([xs, np.zeros(n)])

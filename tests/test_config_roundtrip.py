@@ -2,7 +2,7 @@
 
 ``config_from_dict(config_to_dict(c)) == c`` must hold for *any*
 constructible config — including declarative ``fault_spec`` /
-``trace_spec`` payloads and concrete ``fault_plan`` objects — because
+``trace_spec`` payloads and literal ``events`` fault plans — because
 the exec fabric hashes configs through exactly this path: a field that
 does not round-trip is a field that silently changes a cell's identity.
 """
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.serialization import config_from_dict, config_to_dict
-from repro.faults.events import FaultPlan, NodeCrash, NodeRecover, RadioFlap
 
 
 def round_trip(config: ScenarioConfig) -> ScenarioConfig:
@@ -25,20 +24,28 @@ def round_trip(config: ScenarioConfig) -> ScenarioConfig:
     return config_from_dict(json.loads(json.dumps(config_to_dict(config))))
 
 
-json_scalars = st.one_of(
-    st.booleans(),
-    st.integers(min_value=-(10**6), max_value=10**6),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.text(max_size=12),
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=3),
-        st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    ),
-    max_leaves=8,
-)
+@st.composite
+def fault_specs(draw, node_count: int, sim_time_s: float) -> dict:
+    """A valid spec of one of the two kinds: ``poisson_crashes`` or a
+    literal ``events`` plan."""
+    node = st.integers(min_value=0, max_value=node_count - 1)
+    at = st.floats(min_value=0.0, max_value=sim_time_s, allow_nan=False)
+    if draw(st.booleans()):
+        spec = {
+            "kind": "poisson_crashes",
+            "rate_per_s": draw(st.floats(min_value=0.01, max_value=2.0,
+                                         allow_nan=False)),
+            "mttr_s": draw(st.floats(min_value=0.1, max_value=20.0,
+                                     allow_nan=False)),
+        }
+        if draw(st.booleans()):
+            spec["nodes"] = draw(st.lists(node, min_size=1, max_size=4))
+        return spec
+    kinds = st.sampled_from(["node_crash", "node_recover"])
+    return {"kind": "events", "events": draw(st.lists(
+        st.fixed_dictionaries({"kind": kinds, "node": node, "at_s": at}),
+        max_size=4,
+    ))}
 
 
 @st.composite
@@ -70,14 +77,9 @@ def scenario_configs(draw) -> ScenarioConfig:
                                      max_value=100.0, allow_nan=False)),
     }
     if draw(st.booleans()):
-        kwargs["fault_spec"] = {
-            "kind": "flapping",
-            "period_s": draw(st.floats(min_value=1.0, max_value=20.0,
-                                       allow_nan=False)),
-            "duty_on": draw(st.floats(min_value=0.1, max_value=0.9,
-                                      allow_nan=False)),
-            "extra": draw(json_values),
-        }
+        kwargs["fault_spec"] = draw(fault_specs(
+            kwargs["grid_nx"] * kwargs["grid_ny"], kwargs["sim_time_s"]
+        ))
     if draw(st.booleans()):
         # trace_spec has a strict schema (obs.TraceSpec) — draw valid specs.
         spec: dict = {}
@@ -118,15 +120,14 @@ def test_trace_spec_round_trips():
 
 
 def test_fault_plan_round_trips():
-    plan = FaultPlan([
-        NodeCrash(node=4, at_s=3.0),
-        NodeRecover(node=4, at_s=8.0),
-        RadioFlap(node=2, start_s=2.0, period_s=2.0, duty_on=0.5,
-                  until_s=9.0),
-    ])
-    cfg = ScenarioConfig(fault_plan=plan)
+    # A literal plan is declared as an ``events`` spec.
+    spec = {"kind": "events", "events": [
+        {"kind": "node_crash", "node": 4, "at_s": 3.0},
+        {"kind": "node_recover", "node": 4, "at_s": 8.0},
+    ]}
+    cfg = ScenarioConfig(fault_spec=spec)
     again = round_trip(cfg)
-    assert again.fault_plan == plan
+    assert again.fault_spec == spec
     assert again == cfg
 
 

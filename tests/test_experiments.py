@@ -56,8 +56,8 @@ class TestScenarioConfig:
             (dict(grid_ny=0), "grid_ny"),
             (dict(spacing_m=0.0), "spacing_m"),
             (dict(spacing_m=-10.0), "spacing_m"),
-            (dict(topology="chain", n_nodes=1), "n_nodes"),
             (dict(topology="random", n_nodes=1), "n_nodes"),
+            (dict(topology="random", n_nodes=0), "n_nodes"),
             (dict(payload_bytes=0), "payload_bytes"),
             (dict(flow_pattern="gateway", n_gateways=0), "n_gateways"),
             (dict(flow_pattern="gateway", n_gateways=26), "n_gateways"),

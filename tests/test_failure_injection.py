@@ -16,7 +16,7 @@ pytestmark = pytest.mark.chaos
 
 def build(protocol="aodv", **kw):
     defaults = dict(
-        protocol=protocol, topology="chain", n_nodes=4, spacing_m=200.0,
+        protocol=protocol, grid_nx=4, grid_ny=1, spacing_m=200.0,
         n_flows=1, sim_time_s=30.0, warmup_s=1.0, seed=9,
     )
     defaults.update(kw)
@@ -152,8 +152,8 @@ class TestMidFlightPowerOff:
                 return
             if mac.radio.state is RadioState.TX:
                 caught.append(net.sim.now)
-                mac.radio_off()
-                net.sim.schedule_in(0.5, mac.radio_on)
+                mac.radio.set_power_state(False)
+                net.sim.schedule_in(0.5, mac.radio.set_power_state, True)
             else:
                 net.sim.schedule_in(0.0005, poll)
 

@@ -15,15 +15,9 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig, build_network
 from repro.experiments.serialization import config_from_dict, config_to_dict
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
-    LinkDegrade,
     NodeCrash,
     NodeRecover,
-    QueueSaturate,
-    RadioFlap,
-    RegionBlackout,
-    flapping,
     plan_from_spec,
     poisson_crashes,
 )
@@ -33,18 +27,18 @@ from repro.sim.rng import RandomStreams
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
 
 
-def full_plan() -> FaultPlan:
-    """A plan exercising every event kind (node ids fit a 3×3 grid)."""
-    return FaultPlan([
-        NodeCrash(node=1, at_s=3.0),
-        NodeRecover(node=1, at_s=6.0),
-        RadioFlap(node=2, start_s=2.0, period_s=2.0, duty_on=0.5, until_s=8.0),
-        LinkDegrade(node_a=3, node_b=4, start_s=4.0, duration_s=3.0,
-                    extra_loss_db=40.0),
-        QueueSaturate(node=5, start_s=2.0, duration_s=4.0, rate_pps=50.0),
-        RegionBlackout(center_x=0.0, center_y=0.0, radius_m=50.0,
-                       start_s=7.0, duration_s=2.0),
-    ])
+#: Node 4 (the centre of a 3×3 grid) crashed twice and recovered twice;
+#: the second crash and the second recovery find it already down / up.
+TWICE_SPEC = {"kind": "events", "events": [
+    {"kind": "node_crash", "node": 4, "at_s": 3.0},
+    {"kind": "node_crash", "node": 4, "at_s": 4.0},
+    {"kind": "node_recover", "node": 4, "at_s": 6.0},
+    {"kind": "node_recover", "node": 4, "at_s": 7.0},
+]}
+
+#: Stochastic relay crashes inside the run, as the resilience figure runs.
+POISSON_SPEC = {"kind": "poisson_crashes", "rate_per_s": 0.2, "mttr_s": 3.0,
+                "start_s": 2.0, "stop_s": 12.0}
 
 
 # ---------------------------------------------------------------------- #
@@ -52,9 +46,13 @@ def full_plan() -> FaultPlan:
 # ---------------------------------------------------------------------- #
 class TestFaultPlan:
     def test_round_trip_through_json(self):
-        plan = full_plan()
-        wire = json.loads(json.dumps(plan.to_dict()))
-        assert FaultPlan.from_dict(wire) == plan
+        wire = json.loads(json.dumps(TWICE_SPEC))
+        assert FaultPlan.from_dict(wire) == FaultPlan([
+            NodeCrash(node=4, at_s=3.0),
+            NodeCrash(node=4, at_s=4.0),
+            NodeRecover(node=4, at_s=6.0),
+            NodeRecover(node=4, at_s=7.0),
+        ])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault event kind"):
@@ -73,30 +71,24 @@ class TestFaultPlan:
             plan.validate(4)
 
     def test_sorted_events_by_start_time(self):
-        plan = full_plan()
-        times = [getattr(ev, "at_s", None) or getattr(ev, "start_s", None)
-                 for ev in plan.sorted_events()]
-        assert times == sorted(times)
-
-    def test_kinds(self):
-        assert full_plan().kinds() == {
-            "node_crash", "node_recover", "radio_flap", "link_degrade",
-            "queue_saturate", "region_blackout",
-        }
+        plan = FaultPlan([
+            NodeRecover(node=2, at_s=9.0),
+            NodeCrash(node=2, at_s=4.0),
+            NodeCrash(node=1, at_s=4.0),
+            NodeRecover(node=1, at_s=5.0),
+        ])
+        assert [(ev.node, ev.at_s) for ev in plan.sorted_events()] == [
+            (2, 4.0), (1, 4.0), (1, 5.0), (2, 9.0),
+        ]
 
     @pytest.mark.parametrize("bad", [
         lambda: NodeCrash(node=-1, at_s=0.0),
-        lambda: RadioFlap(node=0, start_s=0.0, period_s=1.0, duty_on=1.5,
-                          until_s=5.0),
-        lambda: RadioFlap(node=0, start_s=5.0, period_s=1.0, duty_on=0.5,
-                          until_s=5.0),
-        lambda: LinkDegrade(node_a=1, node_b=1, start_s=0.0, duration_s=1.0,
-                            extra_loss_db=10.0),
-        lambda: LinkDegrade(node_a=0, node_b=1, start_s=0.0, duration_s=1.0,
-                            extra_loss_db=-3.0),
-        lambda: QueueSaturate(node=0, start_s=0.0, duration_s=0.0),
-        lambda: RegionBlackout(center_x=0, center_y=0, radius_m=0.0,
-                               start_s=0.0, duration_s=1.0),
+        lambda: NodeCrash(node=0, at_s=-1.0),
+        lambda: NodeCrash(node=0, at_s=math.nan),
+        lambda: NodeRecover(node=-1, at_s=0.0),
+        lambda: NodeRecover(node=0, at_s=-0.5),
+        lambda: NodeRecover(node=0, at_s=math.inf),
+        lambda: FaultPlan(["node_crash"]),
     ])
     def test_event_validation(self, bad):
         with pytest.raises(ValueError):
@@ -131,11 +123,6 @@ class TestGenerators:
             elif isinstance(ev, NodeRecover):
                 down_until[ev.node] = ev.at_s
 
-    def test_flapping_staggers_phases(self):
-        plan = flapping(range(4), period_s=4.0, duty_on=0.5, stop_s=20.0)
-        starts = sorted(e.start_s for e in plan.events)
-        assert starts == [0.0, 1.0, 2.0, 3.0]
-
     def test_spec_unknown_kind_and_keys(self):
         streams = RandomStreams(1)
         with pytest.raises(ValueError, match="unknown fault spec kind"):
@@ -146,23 +133,10 @@ class TestGenerators:
                            streams=streams, node_count=4, sim_time_s=10.0)
         with pytest.raises(ValueError, match="unknown fault spec keys"):
             plan_from_spec(
-                {"kind": "flapping", "period_s": 1.0, "duty_on": 0.5,
+                {"kind": "poisson_crashes", "rate_per_s": 1.0, "mttr_s": 2.0,
                  "color": "red"},
                 streams=streams, node_count=4, sim_time_s=10.0,
             )
-
-    def test_compound_spec_merges(self):
-        streams = RandomStreams(3)
-        plan = plan_from_spec(
-            {"kind": "compound", "specs": [
-                {"kind": "flapping", "period_s": 2.0, "duty_on": 0.5,
-                 "nodes": [0]},
-                {"kind": "poisson_crashes", "rate_per_s": 0.3, "mttr_s": 3.0},
-            ]},
-            streams=streams, node_count=4, sim_time_s=30.0,
-        )
-        assert "radio_flap" in plan.kinds()
-        assert "node_crash" in plan.kinds()
 
 
 # ---------------------------------------------------------------------- #
@@ -181,44 +155,34 @@ def grid_config(**kw) -> ScenarioConfig:
 class TestInjector:
     def test_requires_real_mac(self):
         with pytest.raises(ValueError, match="needs the real PHY/MAC"):
-            grid_config(mac="perfect",
-                        fault_plan=FaultPlan([NodeCrash(node=0, at_s=1.0)]))
-
-    def test_spec_and_plan_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            grid_config(
-                fault_spec={"kind": "flapping", "period_s": 1.0,
-                            "duty_on": 0.5},
-                fault_plan=FaultPlan([NodeCrash(node=0, at_s=1.0)]),
-            )
+            grid_config(mac="perfect", fault_spec=TWICE_SPEC)
 
     @pytest.mark.chaos
     def test_compound_plan_never_raises(self):
-        # ≥ 3 fault kinds live in one run; acceptance: faults surface as
-        # metrics, never exceptions, and the guard counter stays clean.
-        net = build_network(grid_config(fault_plan=full_plan().merged(
-            FaultPlan([NodeCrash(node=0, at_s=5.0)])  # crash a flow endpoint
-        )))
-        assert net.injector is not None and net.resilience is not None
+        # Faults surface as metrics, never exceptions, and the guard
+        # counter stays clean; a repeated crash or recovery is a no-op.
+        for spec in (TWICE_SPEC, POISSON_SPEC):
+            net = build_network(grid_config(fault_spec=spec))
+            assert net.injector is not None and net.resilience is not None
+            net.start()
+            net.sim.run(until=15.0)
+            net.stop()
+            assert net.injector.errors == 0
+            assert net.injector.applied == len(net.injector.plan.events) > 0
+            totals = net.resilience.totals()
+            assert totals["resilience_faults"] > 0
+            assert totals["resilience_episodes"] > 0
+        # Only the first crash and the first recovery of node 4 took effect.
+        net = build_network(grid_config(fault_spec=TWICE_SPEC))
         net.start()
         net.sim.run(until=15.0)
         net.stop()
-        assert net.injector.errors == 0
-        assert net.injector.applied > 0
-        totals = net.resilience.totals()
-        assert totals["resilience_faults"] > 0
-        assert totals["resilience_episodes"] > 0
+        assert net.resilience.fault_counts == {"node_crash": 2}
+        assert net.resilience.totals()["resilience_episodes"] == 1
 
     @pytest.mark.chaos
     def test_replay_is_byte_identical(self):
-        spec = {"kind": "compound", "specs": [
-            {"kind": "poisson_crashes", "rate_per_s": 0.2, "mttr_s": 3.0,
-             "start_s": 2.0, "stop_s": 12.0},
-            {"kind": "flapping", "period_s": 3.0, "duty_on": 0.6,
-             "nodes": [4]},
-        ]}
-
-        def run():
+        def run(spec):
             net = build_network(grid_config(fault_spec=spec))
             net.start()
             net.sim.run(until=15.0)
@@ -227,84 +191,20 @@ class TestInjector:
             assert net.resilience is not None
             return net.resilience.summary_json()
 
-        assert run() == run()
+        for spec in (TWICE_SPEC, POISSON_SPEC):
+            assert run(spec) == run(spec)
 
-    def test_link_degrade_severs_chain(self):
-        # 80 dB of extra loss on the only link of a 2-node chain: delivery
-        # must pause for the degrade window and resume after restore.
-        plan = FaultPlan([LinkDegrade(node_a=0, node_b=1, start_s=4.0,
-                                      duration_s=4.0, extra_loss_db=80.0)])
-        net = build_network(ScenarioConfig(
-            protocol="aodv", topology="chain", n_nodes=2, spacing_m=150.0,
-            n_flows=1, flow_rate_pps=20.0, sim_time_s=12.0, warmup_s=1.0,
-            seed=5, fault_plan=plan,
-        ))
+    def test_crash_flushes_mac_queue_and_recovery_restores_radio(self):
+        net = build_network(grid_config(seed=9, fault_spec=TWICE_SPEC))
+        mac = net.stacks[4].mac
         net.start()
-        net.sim.run(until=12.0)
-        net.stop()
-        assert net.resilience is not None
-        rx_times = [t for times in net.resilience._rx.values() for t in times]
-        assert any(t < 4.0 for t in rx_times)          # healthy before
-        assert not [t for t in rx_times if 4.5 < t < 7.5]  # dark during
-        assert any(t > 8.5 for t in rx_times)          # healed after
-        assert net.resilience.totals()["resilience_blackout_loss"] > 0
-        # stop() must leave the channel clean even mid-degrade runs
-        assert net.channel is not None
-        assert not net.channel._impairments
-
-    def test_queue_saturate_injects_noise(self):
-        plan = FaultPlan([QueueSaturate(node=1, start_s=2.0, duration_s=4.0,
-                                        rate_pps=100.0)])
-        net = build_network(ScenarioConfig(
-            protocol="aodv", topology="chain", n_nodes=3, spacing_m=150.0,
-            n_flows=1, flow_rate_pps=2.0, sim_time_s=8.0, warmup_s=1.0,
-            seed=6, fault_plan=plan,
-        ))
-        baseline = build_network(ScenarioConfig(
-            protocol="aodv", topology="chain", n_nodes=3, spacing_m=150.0,
-            n_flows=1, flow_rate_pps=2.0, sim_time_s=8.0, warmup_s=1.0,
-            seed=6,
-        ))
-        for n in (net, baseline):
-            n.start()
-            n.sim.run(until=8.0)
-            n.stop()
-        assert net.injector is not None and net.injector.errors == 0
-        # The saturated node's radio carries the extra broadcast load.
-        assert (net.stacks[1].mac.radio.frames_sent
-                > baseline.stacks[1].mac.radio.frames_sent + 50)
-        # Background noise must not be billed as routing control traffic.
-        assert net.resilience is not None
-        counts = net.resilience.fault_counts
-        assert counts.get("queue_saturate") == 2  # onset + clear
-
-    def test_region_blackout_victims_and_recovery(self):
-        # Disc over the grid centre (node 4 of a 3×3 at 200 m spacing).
-        plan = FaultPlan([RegionBlackout(center_x=200.0, center_y=200.0,
-                                         radius_m=210.0, start_s=3.0,
-                                         duration_s=4.0)])
-        net = build_network(grid_config(seed=8, fault_plan=plan))
-        net.start()
-        net.sim.run(until=4.0)
-        # centre + the 4-neighbour cross are inside the disc
-        dark = {s.node_id for s in net.stacks if not s.mac.radio.powered}
-        assert dark == {1, 3, 4, 5, 7}
-        net.sim.run(until=9.0)
-        assert all(s.mac.radio.powered for s in net.stacks)
+        net.sim.run(until=5.0)
+        assert not mac.radio.powered
+        assert len(mac.queue) == 0 and mac._current is None
         net.sim.run(until=15.0)
         net.stop()
         assert net.injector is not None and net.injector.errors == 0
-
-    def test_flap_preserves_mac_queue_crash_flushes(self):
-        net = build_network(grid_config(seed=9, fault_plan=FaultPlan([
-            RadioFlap(node=4, start_s=2.0, period_s=2.0, duty_on=0.5,
-                      until_s=10.0),
-        ])))
-        net.start()
-        net.sim.run(until=15.0)
-        net.stop()
-        assert net.injector is not None and net.injector.errors == 0
-        assert net.stacks[4].mac.radio.powered  # always restored at the end
+        assert mac.radio.powered
 
 
 # ---------------------------------------------------------------------- #
@@ -318,11 +218,37 @@ class TestScenarioIntegration:
         assert config_from_dict(config_to_dict(config)) == config
 
     def test_fault_plan_config_round_trips(self):
-        config = grid_config(fault_plan=full_plan())
+        # A literal plan travels as an ``events`` spec and expands to the
+        # same plan after its config's trip through JSON.
+        config = grid_config(fault_spec=TWICE_SPEC)
         rebuilt = config_from_dict(
             json.loads(json.dumps(config_to_dict(config)))
         )
         assert rebuilt == config
+        def expand(c):
+            return plan_from_spec(
+                c.fault_spec, streams=RandomStreams(c.seed),
+                node_count=c.node_count, sim_time_s=c.sim_time_s,
+            )
+
+        assert expand(rebuilt) == expand(config) == FaultPlan.from_dict(
+            TWICE_SPEC
+        )
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "meteor"},
+        {"kind": "poisson_crashes", "rate_per_s": 0.5},
+        {"kind": "events", "events": [
+            {"kind": "node_crash", "node": 99, "at_s": 2.0}]},
+        {"kind": "flapping", "period_s": 2.0, "duty_on": 0.5},
+        {"kind": "events", "events": [
+            {"kind": "radio_flap", "node": 4, "start_s": 2.0,
+             "period_s": 2.0, "duty_on": 0.5, "until_s": 8.0}]},
+    ], ids=["unknown-kind", "no-mttr", "node-99", "flapping", "radio-flap"])
+    def test_bad_fault_spec_rejected_at_construction(self, spec):
+        # Rejected before a campaign or DSE worker ever builds the network.
+        with pytest.raises(ValueError):
+            grid_config(fault_spec=spec)
 
     @pytest.mark.chaos
     def test_resilience_totals_ride_on_scenario_result(self):
@@ -344,10 +270,8 @@ class TestScenarioIntegration:
         from repro.experiments.serialization import result_to_dict
 
         configs = [
-            grid_config(sim_time_s=8.0, fault_spec={
-                "kind": "flapping", "period_s": 2.0, "duty_on": 0.5,
-                "nodes": [4],
-            }, seed=CHAOS_SEED + k)
+            grid_config(sim_time_s=8.0, fault_spec=TWICE_SPEC,
+                        seed=CHAOS_SEED + k)
             for k in range(2)
         ]
         first = run_configs(

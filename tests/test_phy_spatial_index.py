@@ -37,7 +37,7 @@ def _plan_signature(ch, tx, power):
 
 def _brute_force_plan(ch, tx, power):
     """The plan a scan of the whole position table gives: propagation over
-    every node, link impairments, the cull, self excluded, delays."""
+    every node, the cull, self excluded, delays."""
     pos, ids = ch._pos_buf[: ch._n], ch._id_buf[: ch._n]
     tx_idx = ch._index_of(tx)
     tx_pos = pos[tx_idx]
@@ -46,9 +46,6 @@ def _brute_force_plan(ch, tx, power):
     powers = np.array(
         ch.propagation.rx_power_many(power, tx_pos, pos, rx_ids=ids), dtype=float
     )
-    for (a, b), loss_db in ch._impairments.items():
-        if tx in (a, b):
-            powers[ids == (b if a == tx else a)] *= 10.0 ** (-loss_db / 10.0)
     mask = powers >= ch._cull_threshold()
     mask[tx_idx] = False
     rx = np.nonzero(mask)[0]
@@ -85,15 +82,6 @@ class TestPlanEquivalence:
             ch.set_position(mover, tuple(rng.uniform(-200.0, 2700.0, size=2)))
             assert _plan_signature(ch, mover, p) == \
                 _brute_force_plan(ch, mover, p)
-
-    def test_impaired_plans_identical(self):
-        pos = _random_layout(30, 1200.0, 8)
-        ch = _make_channel(pos)
-        p = PhyConfig().tx_power_w
-        ch.set_link_impairment(0, 1, 20.0)
-        ch.set_link_impairment(2, 0, 35.0)
-        for tx in range(30):
-            assert _plan_signature(ch, tx, p) == _brute_force_plan(ch, tx, p)
 
     def test_shadowing_runs_one_cell_grid(self):
         # Unbounded reach: one cell covering the plane, not a second path.

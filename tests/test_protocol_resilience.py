@@ -7,7 +7,6 @@ well-behaved when the PHY/MAC beneath it is being actively broken.
 import pytest
 
 from repro.experiments.scenario import ScenarioConfig, build_network
-from repro.faults import FaultPlan, RadioFlap
 from repro.net.aodv import AodvConfig
 from repro.net.packet import Packet, PacketKind
 from repro.traffic.flows import FlowSpec
@@ -17,7 +16,7 @@ from repro.traffic.generators import CbrSource
 def chain_net(n_nodes=5, flows=((0, 4), (1, 4)), rate_pps=10.0, **kw):
     """Chain network with deterministic end-to-end CBR flows."""
     defaults = dict(
-        protocol="aodv", topology="chain", n_nodes=n_nodes, spacing_m=200.0,
+        protocol="aodv", grid_nx=n_nodes, grid_ny=1, spacing_m=200.0,
         n_flows=1, sim_time_s=30.0, warmup_s=1.0, seed=13,
     )
     defaults.update(kw)
@@ -102,26 +101,26 @@ class TestRerrPropagationOnChain:
         assert r0.discoveries_failed > 0
 
 
-class TestHelloUnderFlapping:
-    def test_neighbour_expires_while_dark_and_returns(self):
-        # Node 4's radio goes dark from t=6 to t=15 (one long flap cycle):
-        # neighbours must expire it after their 2.5 s lifetime, then
-        # re-learn it from post-recovery HELLOs.
-        plan = FaultPlan([RadioFlap(node=4, start_s=5.0, period_s=10.0,
-                                    duty_on=0.1, until_s=16.0)])
+class TestHelloUnderCrash:
+    def test_neighbour_expires_while_down_and_returns(self):
+        # Node 4 is down from t=6 to t=15: neighbours must expire it after
+        # their 2.5 s lifetime, then re-learn it from post-recovery HELLOs.
         net = build_network(ScenarioConfig(
             protocol="nlr", grid_nx=3, grid_ny=3, spacing_m=200.0,
             n_flows=1, sim_time_s=20.0, warmup_s=1.0, seed=17,
-            fault_plan=plan,
+            fault_spec={"kind": "events", "events": [
+                {"kind": "node_crash", "node": 4, "at_s": 6.0},
+                {"kind": "node_recover", "node": 4, "at_s": 15.0},
+            ]},
         ))
         net.start()
         table = net.stacks[1].routing.neighbour_table
         assert table is not None
         net.sim.run(until=5.5)
         assert table.get(4) is not None  # healthy: heard recently
-        net.sim.run(until=12.0)          # dark since 6.0 > lifetime 2.5 s
+        net.sim.run(until=12.0)          # down since 6.0 > lifetime 2.5 s
         assert table.get(4) is None
-        net.sim.run(until=19.0)          # radio restored at 15.0
+        net.sim.run(until=19.0)          # recovered at 15.0
         assert table.get(4) is not None
         net.stop()
         assert net.injector is not None and net.injector.errors == 0

@@ -15,7 +15,7 @@ from repro.topology.graph import (
     mean_degree,
 )
 from repro.topology.mobility import RandomWaypoint, StaticMobility
-from repro.topology.placement import chain_positions, grid_positions, random_positions
+from repro.topology.placement import grid_positions, random_positions
 
 
 class TestPlacement:
@@ -51,8 +51,10 @@ class TestPlacement:
                              max_attempts=200)
 
     def test_chain(self):
-        pos = chain_positions(4, 250.0)
-        assert pos[-1].tolist() == [750.0, 0.0]
+        # A chain is a one-row grid.
+        pos = grid_positions(4, 1, 250.0)
+        assert pos.tolist() == [[0.0, 0.0], [250.0, 0.0], [500.0, 0.0],
+                                [750.0, 0.0]]
 
     def test_reproducible_with_seed(self):
         a = random_positions(10, (100, 100), np.random.default_rng(7))
